@@ -4,15 +4,13 @@ Subcommands: parse (echo canonical form), check (parse + typecheck),
 process (rewrite asserts, optionally emitting certificates), verify
 (check a certificate, optionally cross-checked by the oracle).
 
-Exit codes: 0 success; 1 parse or sort error; 2 I/O error; 3 divergence;
-4 invalid certificate; 5 valid but containing trusted steps (unless
---allow-trust).  Multiple files are handled in parallel with output
-buffered and printed in input order.
+Exit codes: 0 success; 1 parse, sort or usage error; 2 I/O error; 3
+divergence or input nested too deeply; 4 invalid certificate; 5 valid but
+containing trusted steps (unless --allow-trust).  Multiple files are handled
+one after another, in input order; the first non-zero code is the exit code.
 """
 
 import argparse
-import concurrent.futures
-import io
 import os
 import sys
 
@@ -113,7 +111,7 @@ _COMMANDS = {
 
 
 def _run_one(command, path, args):
-    out, err = io.StringIO(), io.StringIO()
+    out, err = sys.stdout, sys.stderr
     try:
         code = _COMMANDS[command](path, args, out, err)
     except SourceError as e:
@@ -122,13 +120,16 @@ def _run_one(command, path, args):
     except core.DivergenceError as e:
         err.write(f"{path}: error: {e}\n")
         code = EXIT_DIVERGENCE
+    except RecursionError:
+        err.write(f"{path}: error: input nested too deeply\n")
+        code = EXIT_DIVERGENCE
     except OSError as e:
         err.write(f"{path}: error: {e}\n")
         code = EXIT_IO_ERROR
     except ValueError as e:
         err.write(f"{path}: error: {e}\n")
         code = EXIT_INPUT_ERROR
-    return code, out.getvalue(), err.getvalue()
+    return code
 
 
 def make_parser():
@@ -150,9 +151,9 @@ def make_parser():
                        help="beta-reduction step cap")
         if name == "process":
             p.add_argument("--proof", metavar="PATH",
-                           help="write one certificate per assertion; with "
-                                "several assertions an index is inserted "
-                                "before the extension")
+                           help="write one certificate per assertion of a "
+                                "single input file; with several assertions "
+                                "an index is inserted before the extension")
         if name == "verify":
             p.add_argument("--oracle", action="store_true",
                            help="cross-check every step with the encoding oracle")
@@ -163,17 +164,13 @@ def make_parser():
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    files = args.files
-    if len(files) == 1:
-        results = [_run_one(args.command, files[0], args)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            results = list(pool.map(
-                lambda f: _run_one(args.command, f, args), files))
+    if args.command == "process" and args.proof and len(args.files) > 1:
+        sys.stderr.write(f"hosmt: error: --proof takes one input file, "
+                         f"got {len(args.files)}\n")
+        return EXIT_INPUT_ERROR
     code = EXIT_OK
-    for c, out, err in results:
-        sys.stdout.write(out)
-        sys.stderr.write(err)
+    for path in args.files:
+        c = _run_one(args.command, path, args)
         if code == EXIT_OK:
             code = c
     return code

@@ -2,16 +2,23 @@
 check on the calculus.
 
 A judgment `ctx |> t ~ u` is encoded as a pair of boxed lambda-terms L and R
-built by folding the context; beta-normalizing the encodings (substitutions
-are pushed into the box contents) and stripping the matching lambda-prefixes
-reifies the pair back into a universally quantified equality, whose sides can
-then be compared in the pure lambda fragment.
+built by folding the context: a fixed variable becomes an abstraction, a
+simultaneous substitution becomes a redex.  Normalizing an encoding is one
+pass down its spine that composes the redexes into a single substitution,
+renames an abstracted variable when an image mentions it, and applies the
+substitution once to the box contents.  Stripping the matching
+lambda-prefixes reifies the pair back into a universally quantified
+equality, whose sides are then compared in the pure lambda fragment.
+
+The oracle uses only `core` and the `Fix` tag of context entries; it does
+not share `context_subst` with the checker, which is what makes it a second
+opinion.
 """
 
 from dataclasses import dataclass
 
 from . import core
-from .core import (App, Quant, Var, alpha_eq, beta_normal_form, eq_term,
+from .core import (Quant, Var, alpha_eq, beta_normal_form, eq_term,
                    expand_lets, free_vars, fresh_var, substitute)
 from .context import Fix
 
@@ -41,7 +48,12 @@ class BRedex:
     args: tuple  # core terms, len(args) == len(vars)
 
 
-def _encode(ctx, t):
+def encode_left(ctx, t):
+    """L(ctx)[t]: fold the context into abstractions and redexes.
+
+    The right-hand encoding R(ctx)[u] is the exact mirror, so both sides of
+    a judgment are encoded by this one function.
+    """
     boxed = Box(t)
     for entry in reversed(ctx.entries()):
         if isinstance(entry, Fix):
@@ -53,55 +65,32 @@ def _encode(ctx, t):
     return boxed
 
 
-def encode_left(ctx, t):
-    """L(ctx)[t]: fold the context into abstractions and redexes."""
-    return _encode(ctx, t)
-
-
-def encode_right(ctx, u):
-    """R(ctx)[u]: the exact mirror of encode_left."""
-    return _encode(ctx, u)
-
-
-def _bsubst(m, sigma):
-    """Capture-avoiding substitution on a boxed term; boxes are opaque
-    except that the substitution is applied to their contents."""
-    if not sigma:
-        return m
-    if isinstance(m, Box):
-        return Box(substitute(m.term, sigma))
-    img_fv = set()
-    for img in sigma.values():
-        img_fv |= free_vars(img)
-    if isinstance(m, BAbs):
-        sigma2 = {k: v for k, v in sigma.items() if k != m.var.id}
-        if m.var.id in img_fv:
-            v2 = fresh_var(m.var.name, m.var.sort)
-            sigma2[m.var.id] = v2
-            return BAbs(v2, _bsubst(m.body, sigma2))
-        return BAbs(m.var, _bsubst(m.body, sigma2))
-    # BRedex: arguments first, then the body under the bound variables
-    args = tuple(substitute(a, sigma) for a in m.args)
-    bound = {v.id for v in m.vars}
-    sigma2 = {k: v for k, v in sigma.items() if k not in bound}
-    vs = list(m.vars)
-    for i, v in enumerate(vs):
-        if v.id in img_fv:
-            v2 = fresh_var(v.name, v.sort)
-            sigma2[v.id] = v2
-            vs[i] = v2
-    return BRedex(tuple(vs), _bsubst(m.body, sigma2), args)
-
-
 def _normalize(m):
-    """Contract all encoding-level redexes: (prefix variables, box content)."""
-    if isinstance(m, Box):
-        return [], m.term
-    if isinstance(m, BAbs):
-        prefix, t = _normalize(m.body)
-        return [m.var] + prefix, t
-    sigma = {v.id: a for v, a in zip(m.vars, m.args)}
-    return _normalize(_bsubst(m.body, sigma))
+    """Contract all encoding-level redexes: (prefix variables, box content).
+
+    One loop down the spine.  sigma is the composition of the redexes
+    contracted so far and img_fv holds (a superset of) the free variables
+    of its images, so each argument is substituted once and its free
+    variables are computed once.
+    """
+    sigma, img_fv, prefix = {}, set(), []
+    while not isinstance(m, Box):
+        if isinstance(m, BAbs):
+            v = m.var
+            sigma.pop(v.id, None)
+            if v.id in img_fv:
+                # an image mentions the outer v: rename the binder
+                v = fresh_var(v.name, v.sort)
+                sigma[m.var.id] = v
+                img_fv.add(v.id)
+            prefix.append(v)
+        else:
+            imgs = [core._subst(a, sigma, img_fv) for a in m.args]
+            for v, img in zip(m.vars, imgs):
+                sigma[v.id] = img
+                img_fv |= free_vars(img)
+        m = m.body
+    return prefix, substitute(m.term, sigma)
 
 
 def reify(m, n):
@@ -110,8 +99,8 @@ def reify(m, n):
     ys, u = _normalize(n)
     if len(xs) != len(ys) or any(x.sort != y.sort for x, y in zip(xs, ys)):
         raise EncodingError("encodings have mismatched lambda-prefixes")
-    if ys:
-        u = substitute(u, {y.id: x for x, y in zip(xs, ys)})
+    # both sides of one judgment share their prefix unless it was renamed
+    u = substitute(u, {y.id: x for x, y in zip(xs, ys) if y.id != x.id})
     formula = eq_term(t, u)
     for x in reversed(xs):
         formula = Quant("forall", x, formula)
@@ -122,7 +111,7 @@ def oracle_check(judgment, max_steps=core.DEFAULT_STEP_CAP):
     """Second opinion on ctx |> t ~ u: `lambda-valid` when the reified
     equality holds in the pure lambda fragment, `needs-theory` otherwise."""
     formula = reify(encode_left(judgment.ctx, judgment.lhs),
-                    encode_right(judgment.ctx, judgment.rhs))
+                    encode_left(judgment.ctx, judgment.rhs))
     while isinstance(formula, Quant):
         formula = formula.body
     # formula is (= t u) applied in curried form

@@ -17,7 +17,7 @@ from . import core
 from .calculus import Certificate, EqJudgment, LemmaFormula, ProofStep
 from .context import EMPTY, apply_context
 from .core import (App, Applied, Atom, Const, DivergenceError, Fun, Lam, Let,
-                   Quant, Var, beta_step, binder_parts, fresh_var,
+                   Quant, Var, binder_parts, fresh_var,
                    implies_term, make_binder, sort_of, substitute)
 from .typecheck import ARITH_SYMBOLS, CORE_SYMBOLS, Signature
 
@@ -25,10 +25,6 @@ from .typecheck import ARITH_SYMBOLS, CORE_SYMBOLS, Signature
 class ProcessResult(NamedTuple):
     term: object
     certificate: Certificate
-
-
-def _is_normal(t):
-    return beta_step(t) is None
 
 
 def _plain(t):
@@ -146,7 +142,7 @@ class _Processor:
             u = apply_context(ctx, t)
             return self.emit("refl", (), ctx, t, u), u
         # a term the context leaves alone and that needs no work: one refl
-        if _plain(t) and apply_context(ctx, t) == t and _is_normal(t):
+        if _plain(t) and apply_context(ctx, t) == t:
             return self.emit("refl", (), ctx, t, t), t
         if isinstance(t, App):
             return self._app(ctx, t)

@@ -121,6 +121,16 @@ class TestProcess:
         assert (tmp_path / "out.2.hoproof").exists()
         assert not proof.exists()
 
+    def test_proof_with_several_files_refused(self, capsys, tmp_path):
+        for name in ("a.smt2", "b.smt2"):
+            (tmp_path / name).write_text("(declare-fun c () Bool)(assert c)")
+        proof = tmp_path / "ab.hoproof"
+        code, out, err = run(capsys, "process", "--proof", str(proof),
+                             str(tmp_path / "a.smt2"), str(tmp_path / "b.smt2"))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "--proof" in err
+        assert not list(tmp_path.glob("*.hoproof"))
+
     def test_divergence_exit_3(self, capsys, tmp_path):
         src = tmp_path / "deep.smt2"
         src.write_text(
@@ -161,6 +171,18 @@ class TestVerify:
                            str(cert))
         assert code == 0
         assert "step s1 is needs-theory" in out
+
+    def test_deep_context_exit_3(self, capsys, tmp_path):
+        # a context chain 1,000 entries deep, as in the certificate of 200
+        # nested beta-redexes but without its 1.7 MB of restated contexts
+        ctx = " ".join(["(map (y a))"] * 1000)
+        cert = tmp_path / "deep.hoproof"
+        cert.write_text("(declare-fun a () Int)\n"
+                        f"(step s1 :rule refl :context ({ctx}) "
+                        ":conclusion (= y a))\n")
+        code, _, err = run(capsys, "verify", str(cert))
+        assert code == 3 and "nested too deeply" in err
+        assert "Traceback" not in err
 
 
 class TestBatch:
