@@ -1,22 +1,32 @@
 #!/usr/bin/env python3
 """Random end-to-end pipeline demo.
 
-Generates random well-sorted terms, processes each one into a certificate,
-checks the certificate, cross-checks every step with the encoding oracle,
-and prints summary statistics.
+Generates random well-sorted terms with the test suite's generator
+(tests/gen.py), processes each one into a certificate, checks the
+certificate, cross-checks every step with the encoding oracle, and prints
+summary statistics.  The script finds `src/` and `tests/` from its own
+path, so it runs from any working directory:
+
+    python3 scripts/random_pipeline.py --count 300 --seed 3
 """
 
 import argparse
+import os
 import random
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
 
-from hosmt.calculus import check_certificate
-from hosmt.core import (App, BOOL, Const, Fun, INT, Lam, Let, Quant,
-                        fresh_var)
-from hosmt.oracle import check_certificate_oracle
-from hosmt.processor import process
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+TESTS = os.path.join(ROOT, "tests")
+sys.path[:0] = [p for p in (SRC, TESTS) if p not in sys.path]
+
+from gen import BASE_SORTS, gen_term  # noqa: E402
+from hosmt.calculus import check_certificate  # noqa: E402
+from hosmt.oracle import check_certificate_oracle  # noqa: E402
+from hosmt.processor import process  # noqa: E402
 
 
 @dataclass
@@ -25,50 +35,6 @@ class Config:
     max_depth: int = 6
     seed: int = 0
     oracle: bool = True
-
-
-CONSTS = (
-    Const("a", INT),
-    Const("b", INT),
-    Const("c0", BOOL),
-    Const("f", Fun(INT, INT)),
-    Const("g", Fun(INT, Fun(INT, INT))),
-    Const("p", Fun(INT, BOOL)),
-    Const("q", Fun(Fun(INT, INT), BOOL)),
-)
-
-BASE_SORTS = (INT, BOOL, Fun(INT, INT))
-
-
-def gen_term(rng, sort, depth, env):
-    pool = ([v for v in env if v.sort == sort]
-            + [c for c in CONSTS if c.sort == sort])
-    if depth <= 0 or rng.random() < 0.15:
-        if pool:
-            return rng.choice(pool)
-        x = fresh_var("x", sort.dom)
-        return Lam(x, gen_term(rng, sort.cod, 0, env + [x]))
-    roll = rng.random()
-    if roll < 0.35:
-        dom = rng.choice(BASE_SORTS)
-        return App(gen_term(rng, Fun(dom, sort), depth - 1, env),
-                   gen_term(rng, dom, depth - 1, env))
-    if roll < 0.5 and isinstance(sort, Fun):
-        x = fresh_var("x", sort.dom)
-        return Lam(x, gen_term(rng, sort.cod, depth - 1, env + [x]))
-    if roll < 0.65:
-        s = rng.choice(BASE_SORTS)
-        v = fresh_var("v", s)
-        return Let(((v, gen_term(rng, s, depth - 1, env)),),
-                   gen_term(rng, sort, depth - 1, env + [v]))
-    if sort == BOOL and roll < 0.8:
-        x = fresh_var("x", rng.choice(BASE_SORTS))
-        return Quant(rng.choice(("forall", "exists")), x,
-                     gen_term(rng, BOOL, depth - 1, env + [x]))
-    dom = rng.choice(BASE_SORTS)
-    x = fresh_var("r", dom)
-    return App(Lam(x, gen_term(rng, sort, depth - 1, env + [x])),
-               gen_term(rng, dom, depth - 1, env))
 
 
 def main():
@@ -88,7 +54,7 @@ def main():
     for i in range(cfg.count):
         sort = rng.choice(BASE_SORTS)
         depth = rng.randint(1, cfg.max_depth)
-        t = gen_term(rng, sort, depth, [])
+        t = gen_term(rng, sort, depth)
         result = process(t)
         report = check_certificate(result.certificate)
         verdicts[report.verdict] += 1

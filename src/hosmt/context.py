@@ -10,7 +10,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Optional
 
-from .core import Var, alpha_eq, fresh_var, sort_of, substitute
+from .core import Var, alpha_eq, sort_of, substitute
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,6 @@ class Context:
 EMPTY = Context()
 
 
-def extend_fix(ctx, hint, sort):
-    """Append a freshly fixed variable; returns (context, variable)."""
-    v = fresh_var(hint, sort)
-    return ctx.fix(v), v
-
-
-def extend_map(ctx, pairs):
-    return ctx.map(pairs)
-
-
 @lru_cache(maxsize=None)
 def context_subst(ctx):
     """The substitution induced by a context, folded outermost-first.
@@ -95,11 +85,6 @@ def context_subst(ctx):
 def apply_context(ctx, t):
     """Capture-avoiding application of the context's substitution."""
     return substitute(t, context_subst(ctx))
-
-
-def fixed_vars(ctx):
-    """The fixed variables of a context, outermost-first."""
-    return [e.var for e in ctx.entries() if isinstance(e, Fix)]
 
 
 def entry_eq(e1, e2):

@@ -7,7 +7,6 @@ Bool.
 """
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 
@@ -105,14 +104,11 @@ class DivergenceError(Exception):
 
 
 _counter = itertools.count(1)
-_counter_lock = threading.Lock()
 
 
 def fresh_var(hint, sort):
     """A variable with a globally unused id; display name taken from hint."""
-    with _counter_lock:
-        i = next(_counter)
-    return Var(i, hint, sort)
+    return Var(next(_counter), hint, sort)
 
 
 def make_binder(kind, var, body):
@@ -147,6 +143,27 @@ def sort_of(t):
     if isinstance(t, Let):
         return sort_of(t.body)
     raise TypeError(f"not a core term: {t!r}")
+
+
+def subterms(t):
+    """Every subterm of t in pre-order, binder and let variables included.
+
+    A binder yields its variable before its body; a let yields each
+    variable before its image, then the body.  Iterative, so the depth of
+    t is not limited by the Python call stack.
+    """
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        yield u
+        if isinstance(u, App):
+            todo += (u.arg, u.fn)
+        elif isinstance(u, (Lam, Quant)):
+            todo += (u.body, u.var)
+        elif isinstance(u, Let):
+            todo.append(u.body)
+            for v, img in reversed(u.bindings):
+                todo += (img, v)
 
 
 def free_vars(t):

@@ -36,25 +36,6 @@ def _plain(t):
     return False
 
 
-def _used_names(t, out):
-    if isinstance(t, (Var, Const)):
-        out.add(t.name)
-        return
-    if isinstance(t, App):
-        _used_names(t.fn, out)
-        _used_names(t.arg, out)
-        return
-    bp = binder_parts(t)
-    if bp is not None:
-        out.add(bp[1].name)
-        _used_names(bp[2], out)
-        return
-    for v, img in t.bindings:
-        out.add(v.name)
-        _used_names(img, out)
-    _used_names(t.body, out)
-
-
 def signature_for_term(t):
     """A minimal signature declaring the constants and sorts occurring in t."""
     sig = Signature()
@@ -72,31 +53,14 @@ def signature_for_term(t):
             add_sort(s.dom)
             add_sort(s.cod)
 
-    def walk(u):
-        if isinstance(u, Const):
+    for u in core.subterms(t):
+        if isinstance(u, (Var, Const)):
             add_sort(u.sort)
-            if (u.name not in sig.symbols and u.name not in CORE_SYMBOLS
-                    and u.name not in ARITH_SYMBOLS and u.name != "="
-                    and not u.name[0].isdigit()):
-                sig.symbols[u.name] = u.sort
-            return
-        if isinstance(u, Var):
-            add_sort(u.sort)
-            return
-        if isinstance(u, App):
-            walk(u.fn)
-            walk(u.arg)
-            return
-        bp = binder_parts(u)
-        if bp is not None:
-            add_sort(bp[1].sort)
-            walk(bp[2])
-            return
-        for _, img in u.bindings:
-            walk(img)
-        walk(u.body)
-
-    walk(t)
+        if (isinstance(u, Const) and u.name not in sig.symbols
+                and u.name not in CORE_SYMBOLS
+                and u.name not in ARITH_SYMBOLS and u.name != "="
+                and not u.name[0].isdigit()):
+            sig.symbols[u.name] = u.sort
     return sig
 
 
@@ -194,7 +158,7 @@ def process(t, signature=None, max_steps=core.DEFAULT_STEP_CAP):
     """Process t, returning (processed term, certificate of () |> t ~ u)."""
     sig = signature.copy() if signature is not None else signature_for_term(t)
     used = set(sig.symbols) | set(CORE_SYMBOLS)
-    _used_names(t, used)
+    used.update(u.name for u in core.subterms(t) if isinstance(u, (Var, Const)))
     proc = _Processor(used, max_steps)
     _, u = proc.run(EMPTY, t)
     return ProcessResult(u, Certificate(tuple(proc.steps), sig))

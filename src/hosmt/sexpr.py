@@ -1,9 +1,17 @@
 """SMT-LIB flavoured s-expression lexer and reader.
 
-Tokens carry source positions so every diagnostic downstream can point
-into the offending lexeme.  Comments (`;` to end of line) are discarded.
+One compiled regex splits the input into tokens in a single left-to-right
+scan; `;` comments and whitespace are dropped.  Every token carries its
+1-based line and column, so each diagnostic downstream can point into the
+offending lexeme.  Numerals and decimals are ASCII digits only, as in
+SMT-LIB; any other word is a symbol, or a keyword when it starts with `:`.
+
+The reader builds nested lists with an explicit stack, so nesting depth is
+bounded by memory, not by the Python call stack.  Atoms are `Token`s;
+lists are `SList` nodes at the position of their opening parenthesis.
 """
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -43,92 +51,6 @@ class Token:
     col: int = field(compare=False, default=0)
 
 
-# characters that terminate a simple symbol
-_DELIMS = set(" \t\r\n();|\"")
-
-
-def tokenize(text, filename="<input>"):
-    """Split input into SMT-LIB tokens with positions attached."""
-    tokens = []
-    i, n = 0, len(text)
-    line, col = 1, 1
-
-    def advance(k=1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance()
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                advance()
-        elif c == "(":
-            tokens.append(Token(LPAR, "(", line, col))
-            advance()
-        elif c == ")":
-            tokens.append(Token(RPAR, ")", line, col))
-            advance()
-        elif c == "|":
-            l0, c0 = line, col
-            advance()
-            start = i
-            while i < n and text[i] != "|":
-                advance()
-            if i >= n:
-                raise LexError("unterminated quoted symbol", l0, c0, filename)
-            name = text[start:i]
-            advance()
-            tokens.append(Token(SYMBOL, name, l0, c0))
-        elif c == '"':
-            l0, c0 = line, col
-            advance()
-            parts = []
-            while True:
-                if i >= n:
-                    raise LexError("unterminated string literal", l0, c0, filename)
-                if text[i] == '"':
-                    if i + 1 < n and text[i + 1] == '"':  # SMT-LIB "" escape
-                        parts.append('"')
-                        advance(2)
-                    else:
-                        advance()
-                        break
-                else:
-                    parts.append(text[i])
-                    advance()
-            tokens.append(Token(STRING, "".join(parts), l0, c0))
-        else:
-            l0, c0 = line, col
-            start = i
-            while i < n and text[i] not in _DELIMS:
-                advance()
-            word = text[start:i]
-            if word.startswith(":"):
-                tokens.append(Token(KEYWORD, word, l0, c0))
-            elif word.isdigit():
-                tokens.append(Token(NUMERAL, word, l0, c0))
-            elif _is_decimal(word):
-                tokens.append(Token(DECIMAL, word, l0, c0))
-            else:
-                tokens.append(Token(SYMBOL, word, l0, c0))
-    return tokens
-
-
-def _is_decimal(word):
-    if word.count(".") != 1:
-        return False
-    a, b = word.split(".")
-    return a.isdigit() and b.isdigit()
-
-
 @dataclass(frozen=True)
 class SList:
     items: tuple
@@ -136,48 +58,102 @@ class SList:
     col: int = field(compare=False, default=0)
 
 
-def read_all(tokens, filename="<input>"):
-    """Read a token stream into a list of nested s-expressions.
+# Alternatives are tried in order at each offset and together match every
+# character, so consecutive matches tile the input.  A quote or bar that
+# cannot open a complete string or quoted symbol falls through to
+# `unterminated`.  Strings take `""` as an escaped quote; the trailing
+# lookahead keeps a match from ending between the two quotes of an escape.
+# No possessive quantifiers or atomic groups: Python 3.10 has neither.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<comment>;[^\n]*)
+  | (?P<lpar>\()
+  | (?P<rpar>\))
+  | \|(?P<quoted>[^|]*)\|
+  | "(?P<string>[^"]*(?:""[^"]*)*)"(?!")
+  | (?P<unterminated>["|])
+  | (?P<keyword>:[^ \t\r\n();|"]*)
+  | (?P<decimal>[0-9]+\.[0-9]+)(?![^ \t\r\n();|"])
+  | (?P<numeral>[0-9]+)(?![^ \t\r\n();|"])
+  | (?P<symbol>[^ \t\r\n();|"]+)
+""", re.VERBOSE)
 
-    Atoms are Tokens, lists are SList nodes carrying the position of
-    their opening parenthesis.
-    """
-    exprs = []
-    pos = 0
+_ONE_LINE = frozenset((LPAR, RPAR, KEYWORD, DECIMAL, NUMERAL, SYMBOL))
+_UNTERMINATED = {'"': "unterminated string literal",
+                 "|": "unterminated quoted symbol"}
 
-    def read_one():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        if tok.kind == LPAR:
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError("unbalanced parentheses: missing )",
-                                     tok.line, tok.col, filename)
-                if tokens[pos].kind == RPAR:
-                    pos += 1
-                    return SList(tuple(items), tok.line, tok.col)
-                items.append(read_one())
-        if tok.kind == RPAR:
-            raise ParseError("unexpected )", tok.line, tok.col, filename)
-        return tok
 
-    while pos < len(tokens):
-        exprs.append(read_one())
-    return exprs
+def _scan(text, filename):
+    """Yield (kind, text, line, col) for each token of text."""
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        col = m.start() - line_start + 1
+        if kind in _ONE_LINE:
+            yield kind, m.group(), line, col
+            continue
+        if kind == "string":
+            yield STRING, m.group(kind).replace('""', '"'), line, col
+        elif kind == "quoted":
+            yield SYMBOL, m.group(kind), line, col
+        elif kind == "unterminated":
+            raise LexError(_UNTERMINATED[m.group()], line, col, filename)
+        # spaces, comments, strings and quoted symbols: all but comments
+        # can span lines
+        start, end = m.span()
+        newlines = text.count("\n", start, end)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", start, end) + 1
+
+
+def tokenize(text, filename="<input>"):
+    """Split input into SMT-LIB tokens with positions attached."""
+    return [Token(*t) for t in _scan(text, filename)]
 
 
 def parse_text(text, filename="<input>"):
-    return read_all(tokenize(text, filename), filename)
+    """Read text into a list of nested s-expressions."""
+    top = items = []
+    open_lists = []  # (enclosing items, line, col) per unclosed parenthesis
+    for kind, word, line, col in _scan(text, filename):
+        if kind == LPAR:
+            open_lists.append((items, line, col))
+            items = []
+        elif kind == RPAR:
+            if not open_lists:
+                raise ParseError("unexpected )", line, col, filename)
+            outer, line, col = open_lists.pop()
+            outer.append(SList(tuple(items), line, col))
+            items = outer
+        else:
+            items.append(Token(kind, word, line, col))
+    if open_lists:
+        _, line, col = open_lists[-1]
+        raise ParseError("unbalanced parentheses: missing )", line, col,
+                         filename)
+    return top
 
 
 def sexpr_to_str(e):
-    if isinstance(e, SList):
-        return "(" + " ".join(sexpr_to_str(x) for x in e.items) + ")"
-    if e.kind == STRING:
-        return '"' + e.text.replace('"', '""') + '"'
-    return e.text
+    parts = []
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, str):
+            parts.append(e)
+        elif isinstance(e, SList):
+            parts.append("(")
+            todo.append(")")
+            for i, x in enumerate(reversed(e.items)):
+                if i:
+                    todo.append(" ")
+                todo.append(x)
+        elif e.kind == STRING:
+            parts.append('"' + e.text.replace('"', '""') + '"')
+        else:
+            parts.append(e.text)
+    return "".join(parts)
 
 
 def sexpr_pos(e):

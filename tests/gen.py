@@ -4,7 +4,7 @@ contexts over a small fixed signature."""
 import random
 
 from hosmt.core import (App, BOOL, Const, Fun, INT, Lam, Let, Quant, Var,
-                        fresh_var, sort_of)
+                        free_vars, fresh_var, subterms)
 from hosmt.context import EMPTY
 
 INTI = Fun(INT, INT)
@@ -87,25 +87,10 @@ def gen_subst(rng, t, max_vars=3, depth=3):
     The term is generated closed in this suite, so substitutions are built
     against explicitly supplied open terms instead; see gen_open.
     """
-    from hosmt.core import free_vars
-
-    ids = {}
-
-    def vars_of(u, out):
-        if isinstance(u, Var):
-            out[u.id] = u
-        elif isinstance(u, App):
-            vars_of(u.fn, out)
-            vars_of(u.arg, out)
-        elif isinstance(u, (Lam, Quant)):
-            vars_of(u.body, out)
-        elif isinstance(u, Let):
-            for _, img in u.bindings:
-                vars_of(img, out)
-            vars_of(u.body, out)
-
-    vars_of(t, ids)
-    free = [v for v in ids.values() if v.id in free_vars(t)]
+    fv = free_vars(t)
+    # first occurrences in pre-order, so the shuffle below sees a fixed order
+    free = list({u.id: u for u in subterms(t)
+                 if isinstance(u, Var) and u.id in fv}.values())
     rng.shuffle(free)
     sigma = {}
     for v in free[:max_vars]:

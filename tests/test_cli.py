@@ -55,6 +55,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(bad))
         assert code == 1 and "sort" in err
 
+    def test_non_ascii_digit_is_unbound(self, capsys, tmp_path):
+        bad = tmp_path / "superscript.smt2"
+        bad.write_text("(set-logic ALL)(assert (= (+ ² 1) 1))",
+                       encoding="utf-8")
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 1 and "unbound symbol ²" in err
+
     def test_curried_forms_elaborate_identically(self, capsys, tmp_path):
         a = tmp_path / "a.smt2"
         b = tmp_path / "b.smt2"

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from hosmt.context import (EMPTY, Context, apply_context, context_subst,
-                           contexts_equal, extend_fix, extend_map, fixed_vars)
+from hosmt.context import (EMPTY, Context, Fix, Map, apply_context,
+                           context_subst, contexts_equal)
 from hosmt.core import (App, Const, Fun, INT, Lam, alpha_eq, fresh_var,
                         substitute)
 
@@ -132,20 +132,19 @@ class TestApplyContext:
 
 class TestExtend:
     def test_extend_fix_returns_fresh(self):
-        ctx, v = extend_fix(EMPTY, "w", INT)
-        assert fixed_vars(ctx) == [v]
-        ctx2, v2 = extend_fix(ctx, "w", INT)
+        v = fresh_var("w", INT)
+        ctx = EMPTY.fix(v)
+        assert ctx.entries() == [Fix(v)]
+        v2 = fresh_var("w", INT)
+        ctx2 = ctx.fix(v2)
         assert v2.id != v.id
-        assert fixed_vars(ctx2) == [v, v2]
+        assert ctx2.entries() == [Fix(v), Fix(v2)]
 
     def test_bind_premise_shape(self):
         # the context a Bind premise carries: Gamma, y, x -> y
-        x, = (fresh_var("x", INT),)
-        base = EMPTY
-        ext, y = extend_fix(base, "w", INT)
-        ext = extend_map(ext, [(x, y)])
-        entries = ext.entries()
-        assert len(entries) == 2
+        x, y = fresh_var("x", INT), fresh_var("w", INT)
+        ext = EMPTY.fix(y).map([(x, y)])
+        assert ext.entries() == [Fix(y), Map(((x, y),))]
         assert apply_context(ext, App(f, x)) == App(f, y)
 
 

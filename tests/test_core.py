@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hosmt.core import (App, BOOL, Const, DivergenceError, Fun, INT, Lam, Let,
                         Quant, Var, alpha_eq, beta_normal_form, beta_step,
                         expand_lets, free_vars, fresh_var, fun_sort, sort_of,
-                        sort_str, substitute)
+                        sort_str, substitute, subterms)
 
 import gen
 import nameless
@@ -53,6 +53,26 @@ class TestFreeVars:
         t = Let(((v, App(f1, v)),), v)
         # non-recursive: the v in the image is free
         assert free_vars(t) == {v.id}
+
+
+class TestSubterms:
+    def test_preorder_with_binder_and_let_variables(self):
+        x, v, w = (fresh_var(n, INT) for n in "xvw")
+        body = App(f1, x)
+        eq = Const("=", Fun(INT, Fun(INT, BOOL)))
+        forall = Quant("forall", x, App(App(eq, body), v))
+        img = App(f1, a)
+        t = Let(((v, img), (w, a)), forall)
+        assert list(subterms(t)) == [
+            t, v, img, f1, a, w, a, forall, x, forall.body,
+            forall.body.fn, eq, body, f1, x, v]
+
+    def test_deep_term(self):
+        t = a
+        for _ in range(10_000):
+            t = App(f1, t)
+        # 10,000 applications, 10,000 heads and the innermost argument
+        assert sum(1 for _ in subterms(t)) == 20_001
 
 
 class TestAlphaEq:

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from hosmt import sexpr, surface
-from hosmt.sexpr import LexError, ParseError, tokenize
+from hosmt.sexpr import LexError, ParseError, SList, SourceError, tokenize
 from hosmt.surface import (CAssert, CDeclareFun, CExit, CSetLogic, SApply,
                            SArrow, SBinder, SId, SIdent, SLit, parse_script,
                            parse_sort, parse_term, print_term)
 
 from conftest import DATA
+import sexpr_ref
 
 
 def token_texts(text):
@@ -53,6 +54,11 @@ class TestTokenize:
         toks = tokenize("(a\n  b)")
         assert (toks[2].line, toks[2].col) == (2, 3)
 
+    def test_non_ascii_digits_are_symbols(self):
+        # SMT-LIB numerals are [0-9]+: not str.isdigit(), not regex \d
+        assert [(t.kind, t.text) for t in tokenize("² ٣ 1.٣")] == [
+            ("symbol", "²"), ("symbol", "٣"), ("symbol", "1.٣")]
+
 
 class TestReader:
     def test_unbalanced(self):
@@ -64,6 +70,71 @@ class TestReader:
     def test_nesting(self):
         (e,) = sexpr.parse_text("(a (b c) d)")
         assert len(e.items) == 3
+
+    def test_deep_nesting(self):
+        n = 10_000
+        (e,) = sexpr.parse_text("(" * n + "x" + ")" * n)
+        depth = 0
+        while isinstance(e, SList):
+            (e,) = e.items
+            depth += 1
+        assert depth == n and e.text == "x"
+
+
+def _with_positions(e):
+    if isinstance(e, SList):
+        return ("list", e.line, e.col, [_with_positions(x) for x in e.items])
+    return (e.kind, e.text, e.line, e.col)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except SourceError as err:
+        return (type(err).__name__, err.message, err.line, err.col)
+
+
+def _new_tokens(text):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+
+
+def _ref_tokens(text):
+    return [(t.kind, t.text, t.line, t.col) for t in sexpr_ref.tokenize(text)]
+
+
+def _new_trees(text):
+    return [_with_positions(e) for e in sexpr.parse_text(text)]
+
+
+def _ref_trees(text):
+    return [_with_positions(e)
+            for e in sexpr_ref.read_all(sexpr_ref.tokenize(text))]
+
+
+class TestAgainstReference:
+    """The one-pass scanner and stack reader against the character-loop
+    lexer and recursive reader in tests/sexpr_ref.py."""
+
+    def assert_same(self, text):
+        assert _outcome(_new_tokens, text) == _outcome(_ref_tokens, text)
+        new, ref = _outcome(_new_trees, text), _outcome(_ref_trees, text)
+        if new != ref:
+            # the one allowed difference: the reader stops at a stray )
+            # before the scanner reaches a later unterminated lexeme,
+            # which the reference lexer reported first
+            assert new[:2] == ("ParseError", "unexpected )")
+            assert ref[0] == "LexError" and ref[2:] > new[2:]
+
+    def test_random_strings(self):
+        rng = random.Random(11)
+        alphabet = ' \t\r\n();|"abx:1.2;'
+        for _ in range(5000):
+            self.assert_same("".join(rng.choice(alphabet)
+                                     for _ in range(rng.randint(0, 30))))
+
+    def test_data_files(self):
+        for path in sorted(DATA.iterdir()):
+            self.assert_same(path.read_text())
 
 
 class TestParseSort:
