@@ -28,8 +28,6 @@ from .sexpr import ParseError, SList, Token
 from .typecheck import Signature, TypingEnv, infer_sort, normalize_sort
 
 
-RULES = ("refl", "trans", "cong", "bind", "beta", "let",
-         "sko_ex", "sko_all", "taut", "inst_forall", "inst_exists")
 LEMMA_RULES = ("inst_forall", "inst_exists")
 
 # the one built-in taut validator: equality in the pure beta fragment
@@ -98,300 +96,231 @@ def _bad(step, msg):
     return StepResult(step.id, "invalid", f"{step.rule} step {step.id}: {msg}")
 
 
-def _ok(step):
-    return StepResult(step.id, "ok")
+def _pc(t):
+    return typecheck.print_core(t)
 
 
-def _eq_conclusion(step):
+# Each rule handler takes (step, premise steps, beta-step cap).  It raises
+# ValueError to reject the step; it returns None to accept it, or a
+# "trusted" result.
+
+_COUNTS = {0: "no premises", 1: "one premise", 2: "two premises",
+           None: "the binding premises plus a body premise"}
+
+
+def _judgments(step, premises, n):
+    """The step's equality conclusion and its premises' conclusions.
+
+    `n` is the number of premises the rule takes; None means two or more.
+    """
+    if (len(premises) < 2) if n is None else (len(premises) != n):
+        raise ValueError(f"{step.rule} takes {_COUNTS[n]}")
     if not isinstance(step.conclusion, EqJudgment):
-        return None
-    return step.conclusion
+        raise ValueError("expected an equality conclusion")
+    ps = [p.conclusion for p in premises]
+    if not all(isinstance(p, EqJudgment) for p in ps):
+        raise ValueError("premises must be equality judgments")
+    return step.conclusion, ps
 
 
-def _split_context(ctx, n):
-    """Split off the last n entries: (prefix context, [entries])."""
-    tail = []
-    c = ctx
-    for _ in range(n):
-        if c.entry is None:
-            return None, None
-        tail.append(c.entry)
-        c = c.parent
-    tail.reverse()
-    return c, tail
+def _same_context(c, ps):
+    if not all(contexts_equal(p.ctx, c.ctx) for p in ps):
+        raise ValueError("premise context differs from the conclusion context")
 
 
-def check_step(step, premises):
-    """Check one rule application given its premise steps (already checked)."""
-    if step.rule not in RULES:
-        return _bad(step, f"unknown rule {step.rule}")
-    handler = _HANDLERS[step.rule]
-    try:
-        return handler(step, premises)
-    except (ValueError, TypeError) as e:
-        return _bad(step, str(e))
+def _appended(c, p, *shape):
+    """The entries that p's context appends to c's context.
+
+    `shape` has one item per entry: Fix for a fixed variable, or n for a
+    mapping of n variables.
+    """
+    entries, ctx = [], p.ctx
+    while len(entries) < len(shape) and ctx.entry is not None:
+        entries.append(ctx.entry)
+        ctx = ctx.parent
+    entries.reverse()
+    if (len(entries) != len(shape)
+            or not all(isinstance(e, Fix) if k is Fix
+                       else isinstance(e, Map) and len(e.pairs) == k
+                       for e, k in zip(entries, shape))
+            or not contexts_equal(ctx, c.ctx)):
+        want = " and ".join("a fixed variable" if k is Fix
+                            else f"a mapping of {k} variable(s)" for k in shape)
+        raise ValueError("premise context must be the conclusion context "
+                         f"followed by {want}")
+    return entries
 
 
-def _check_refl_shape(step):
-    c = _eq_conclusion(step)
-    if c is None:
-        return _bad(step, "expected an equality conclusion")
+def _check_refl(step, premises, max_steps):
+    c, _ = _judgments(step, premises, 0)
     if not alpha_eq(apply_context(c.ctx, c.lhs), c.rhs):
-        return _bad(step, "context applied to the left side does not match the right side")
-    return _ok(step)
+        raise ValueError("context applied to the left side does not match "
+                         "the right side")
 
 
-def _check_refl(step, premises):
-    if premises:
-        return _bad(step, "refl takes no premises")
-    return _check_refl_shape(step)
-
-
-def _check_cong(step, premises):
-    # a zero-premise cong is accepted as a refl-shaped leaf
-    if not premises:
-        return _check_refl_shape(step)
-    if len(premises) != 2:
-        return _bad(step, "cong takes two premises")
-    c = _eq_conclusion(step)
-    if c is None:
-        return _bad(step, "expected an equality conclusion")
-    p1, p2 = (_eq_conclusion(p) for p in premises)
-    if p1 is None or p2 is None:
-        return _bad(step, "premises must be equality judgments")
-    for p in (p1, p2):
-        if not contexts_equal(p.ctx, c.ctx):
-            return _bad(step, "premise context differs from the conclusion context")
+def _check_cong(step, premises, max_steps):
+    if not premises:  # a zero-premise cong is checked as refl
+        return _check_refl(step, premises, max_steps)
+    c, (p1, p2) = _judgments(step, premises, 2)
+    _same_context(c, (p1, p2))
     if not isinstance(c.lhs, App) or not isinstance(c.rhs, App):
-        return _bad(step, "conclusion sides must be applications")
+        raise ValueError("conclusion sides must be applications")
     if not alpha_eq(c.lhs.fn, p1.lhs) or not alpha_eq(c.rhs.fn, p1.rhs):
-        return _bad(step, f"head does not match the first premise ({_pc(c.lhs.fn)})")
+        raise ValueError(f"head does not match the first premise ({_pc(c.lhs.fn)})")
     if not alpha_eq(c.lhs.arg, p2.lhs) or not alpha_eq(c.rhs.arg, p2.rhs):
-        return _bad(step, f"argument does not match the second premise ({_pc(c.lhs.arg)})")
-    return _ok(step)
+        raise ValueError("argument does not match the second premise "
+                         f"({_pc(c.lhs.arg)})")
 
 
-def _check_trans(step, premises):
-    if len(premises) != 2:
-        return _bad(step, "trans takes two premises")
-    c = _eq_conclusion(step)
-    if c is None:
-        return _bad(step, "expected an equality conclusion")
-    p1, p2 = (_eq_conclusion(p) for p in premises)
-    if p1 is None or p2 is None:
-        return _bad(step, "premises must be equality judgments")
-    for p in (p1, p2):
-        if not contexts_equal(p.ctx, c.ctx):
-            return _bad(step, "premise context differs from the conclusion context")
+def _check_trans(step, premises, max_steps):
+    c, (p1, p2) = _judgments(step, premises, 2)
+    _same_context(c, (p1, p2))
     if not alpha_eq(p1.rhs, p2.lhs):
-        return _bad(step, f"middle terms differ ({_pc(p1.rhs)} vs {_pc(p2.lhs)})")
+        raise ValueError(f"middle terms differ ({_pc(p1.rhs)} vs {_pc(p2.lhs)})")
     if not alpha_eq(c.lhs, p1.lhs) or not alpha_eq(c.rhs, p2.rhs):
-        return _bad(step, "conclusion does not chain the premises")
-    return _ok(step)
+        raise ValueError("conclusion does not chain the premises")
 
 
-def _check_bind(step, premises):
-    if len(premises) != 1:
-        return _bad(step, "bind takes one premise")
-    c = _eq_conclusion(step)
-    p = _eq_conclusion(premises[0])
-    if c is None or p is None:
-        return _bad(step, "expected equality judgments")
-    prefix, tail = _split_context(p.ctx, 2)
-    if prefix is None or not isinstance(tail[0], Fix) or not isinstance(tail[1], Map):
-        return _bad(step, "premise context must end with a fixed variable and a mapping")
-    if not contexts_equal(prefix, c.ctx):
-        return _bad(step, "premise context does not extend the conclusion context")
-    y = tail[0].var
-    if len(tail[1].pairs) != 1:
-        return _bad(step, "premise mapping must bind exactly one variable")
-    x, img = tail[1].pairs[0]
+def _check_bind(step, premises, max_steps):
+    c, (p,) = _judgments(step, premises, 1)
+    fix, mapping = _appended(c, p, Fix, 1)
+    y = fix.var
+    (x, img), = mapping.pairs
     if not (isinstance(img, Var) and img.id == y.id):
-        return _bad(step, "premise mapping must send the bound variable to the fixed one")
+        raise ValueError("premise mapping must send the bound variable to "
+                         "the fixed one")
     bl = binder_parts(c.lhs)
     br = binder_parts(c.rhs)
     if bl is None or br is None or bl[0] != br[0] or bl[0] not in core.BIND_KINDS:
-        return _bad(step, "conclusion sides must share a forall/exists/lambda binder")
-    kind = bl[0]
-    if not alpha_eq(make_binder(kind, x, p.lhs), c.lhs):
-        return _bad(step, "left side does not rebind the premise's left term")
-    if not alpha_eq(make_binder(kind, y, p.rhs), c.rhs):
-        return _bad(step, "right side does not rebind the premise's right term")
+        raise ValueError("conclusion sides must share a forall/exists/lambda binder")
+    if not alpha_eq(make_binder(bl[0], x, p.lhs), c.lhs):
+        raise ValueError("left side does not rebind the premise's left term")
+    if not alpha_eq(make_binder(bl[0], y, p.rhs), c.rhs):
+        raise ValueError("right side does not rebind the premise's right term")
     if y.id in free_vars(c.lhs):
-        return _bad(step, f"side condition violated: {y.name} occurs free in {_pc(c.lhs)}")
-    return _ok(step)
+        raise ValueError(f"side condition violated: {y.name} occurs free in "
+                         f"{_pc(c.lhs)}")
 
 
-def _check_beta(step, premises):
-    if len(premises) != 2:
-        return _bad(step, "beta takes two premises")
-    c = _eq_conclusion(step)
-    p1 = _eq_conclusion(premises[0])
-    p2 = _eq_conclusion(premises[1])
-    if c is None or p1 is None or p2 is None:
-        return _bad(step, "expected equality judgments")
-    if not contexts_equal(p1.ctx, c.ctx):
-        return _bad(step, "first premise context differs from the conclusion context")
-    prefix, tail = _split_context(p2.ctx, 1)
-    if prefix is None or not isinstance(tail[0], Map) or len(tail[0].pairs) != 1:
-        return _bad(step, "second premise context must end with a single mapping")
-    if not contexts_equal(prefix, c.ctx):
-        return _bad(step, "second premise context does not extend the conclusion context")
-    x, s = tail[0].pairs[0]
+def _check_beta(step, premises, max_steps):
+    c, (p1, p2) = _judgments(step, premises, 2)
+    _same_context(c, (p1,))
+    (mapping,) = _appended(c, p2, 1)
+    (x, s), = mapping.pairs
     if not alpha_eq(s, p1.rhs):
-        return _bad(step, "mapped term does not match the first premise's right side")
+        raise ValueError("mapped term does not match the first premise's right side")
     if not (isinstance(c.lhs, App) and isinstance(c.lhs.fn, Lam)):
-        return _bad(step, "conclusion left side must be a beta-redex")
+        raise ValueError("conclusion left side must be a beta-redex")
     if not alpha_eq(c.lhs.arg, p1.lhs):
-        return _bad(step, "redex argument does not match the first premise's left side")
+        raise ValueError("redex argument does not match the first premise's left side")
     if not alpha_eq(c.lhs.fn, Lam(x, p2.lhs)):
-        return _bad(step, "redex body does not match the second premise's left side")
+        raise ValueError("redex body does not match the second premise's left side")
     if not alpha_eq(c.rhs, p2.rhs):
-        return _bad(step, "conclusion right side does not match the second premise")
+        raise ValueError("conclusion right side does not match the second premise")
     if not alpha_eq(apply_context(c.ctx, s), s):
-        return _bad(step, f"side condition violated: context changes {_pc(s)}")
-    return _ok(step)
+        raise ValueError(f"side condition violated: context changes {_pc(s)}")
 
 
-def _check_let(step, premises):
-    if len(premises) < 2:
-        return _bad(step, "let takes the binding premises plus a body premise")
-    c = _eq_conclusion(step)
-    if c is None:
-        return _bad(step, "expected an equality conclusion")
-    ps = [_eq_conclusion(p) for p in premises]
-    if any(p is None for p in ps):
-        return _bad(step, "premises must be equality judgments")
-    *vals, body = ps
-    n = len(vals)
-    for p in vals:
-        if not contexts_equal(p.ctx, c.ctx):
-            return _bad(step, "binding premise context differs from the conclusion context")
-    prefix, tail = _split_context(body.ctx, 1)
-    if prefix is None or not isinstance(tail[0], Map) or len(tail[0].pairs) != n:
-        return _bad(step, f"body premise context must end with a mapping of {n} variables")
-    if not contexts_equal(prefix, c.ctx):
-        return _bad(step, "body premise context does not extend the conclusion context")
-    pairs = tail[0].pairs
-    for (x, s), p in zip(pairs, vals):
+def _check_let(step, premises, max_steps):
+    c, (*vals, body) = _judgments(step, premises, None)
+    _same_context(c, vals)
+    (mapping,) = _appended(c, body, len(vals))
+    for (x, s), p in zip(mapping.pairs, vals):
         if not alpha_eq(s, p.rhs):
-            return _bad(step, f"mapped term for {x.name} does not match its premise")
+            raise ValueError(f"mapped term for {x.name} does not match its premise")
         if not alpha_eq(apply_context(c.ctx, s), s):
-            return _bad(step, f"side condition violated: context changes {_pc(s)}")
+            raise ValueError(f"side condition violated: context changes {_pc(s)}")
     if not isinstance(c.lhs, Let):
-        return _bad(step, "conclusion left side must be a let")
-    expected = Let(tuple((x, p.lhs) for (x, _), p in zip(pairs, vals)), body.lhs)
+        raise ValueError("conclusion left side must be a let")
+    expected = Let(tuple((x, p.lhs) for (x, _), p in zip(mapping.pairs, vals)),
+                   body.lhs)
     if not alpha_eq(c.lhs, expected):
-        return _bad(step, "let bindings or body do not match the premises")
+        raise ValueError("let bindings or body do not match the premises")
     if not alpha_eq(c.rhs, body.rhs):
-        return _bad(step, "conclusion right side does not match the body premise")
-    return _ok(step)
+        raise ValueError("conclusion right side does not match the body premise")
 
 
-def _check_sko(step, premises, qkind, negate):
-    if len(premises) != 1:
-        return _bad(step, "skolemization takes one premise")
-    c = _eq_conclusion(step)
-    p = _eq_conclusion(premises[0])
-    if c is None or p is None:
-        return _bad(step, "expected equality judgments")
-    prefix, tail = _split_context(p.ctx, 1)
-    if prefix is None or not isinstance(tail[0], Map) or len(tail[0].pairs) != 1:
-        return _bad(step, "premise context must end with a single mapping")
-    if not contexts_equal(prefix, c.ctx):
-        return _bad(step, "premise context does not extend the conclusion context")
-    x, img = tail[0].pairs[0]
-    body = not_term(p.lhs) if negate else p.lhs
-    if not alpha_eq(img, Quant("eps", x, body)):
-        return _bad(step, "mapped term is not the matching choice term")
-    if not alpha_eq(c.lhs, Quant(qkind, x, p.lhs)):
-        return _bad(step, "conclusion left side does not quantify the premise's left term")
+def _check_sko(step, premises, max_steps):
+    c, (p,) = _judgments(step, premises, 1)
+    (mapping,) = _appended(c, p, 1)
+    (x, img), = mapping.pairs
+    forall = step.rule == "sko_all"
+    if not alpha_eq(img, Quant("eps", x, not_term(p.lhs) if forall else p.lhs)):
+        raise ValueError("mapped term is not the matching choice term")
+    if not alpha_eq(c.lhs, Quant("forall" if forall else "exists", x, p.lhs)):
+        raise ValueError("conclusion left side does not quantify the premise's "
+                         "left term")
     if not alpha_eq(c.rhs, p.rhs):
-        return _bad(step, "conclusion right side does not match the premise")
-    return _ok(step)
+        raise ValueError("conclusion right side does not match the premise")
 
 
-def _check_sko_ex(step, premises):
-    return _check_sko(step, premises, "exists", negate=False)
+def _check_taut(step, premises, max_steps):
+    c, _ = _judgments(step, premises, 0)
+    if step.theory != BETA_THEORY:
+        return StepResult(step.id, "trusted", f"taut step {step.id} trusted "
+                          f"for theory {step.theory or '<untagged>'}")
+    if not alpha_eq(beta_normal_form(c.lhs, max_steps),
+                    beta_normal_form(c.rhs, max_steps)):
+        raise ValueError("sides have different beta-normal forms")
 
 
-def _check_sko_all(step, premises):
-    return _check_sko(step, premises, "forall", negate=True)
-
-
-def _check_taut(step, premises):
+def _check_inst(step, premises, max_steps):
     if premises:
-        return _bad(step, "taut takes no premises")
-    c = _eq_conclusion(step)
-    if c is None:
-        return _bad(step, "expected an equality conclusion")
-    if step.theory == BETA_THEORY:
-        if alpha_eq(beta_normal_form(c.lhs), beta_normal_form(c.rhs)):
-            return _ok(step)
-        return _bad(step, "sides have different beta-normal forms")
-    tag = step.theory or "<untagged>"
-    return StepResult(step.id, "trusted",
-                      f"taut step {step.id} trusted for theory {tag}")
-
-
-def _strip_quant(t, kind):
-    bp = binder_parts(t)
-    if bp is None or bp[0] != kind:
-        return None
-    return bp[1], bp[2]
-
-
-def _check_inst(step, premises, forall):
-    if premises:
-        return _bad(step, "instantiation lemmas take no premises")
+        raise ValueError(f"{step.rule} takes no premises")
     if not isinstance(step.conclusion, LemmaFormula):
-        return _bad(step, "expected a lemma formula conclusion")
+        raise ValueError("expected a lemma formula conclusion")
     f = step.conclusion.formula
     if not (isinstance(f, App) and isinstance(f.fn, App)
             and isinstance(f.fn.fn, Const) and f.fn.fn.name == "=>"):
-        return _bad(step, "lemma must be an implication")
-    quant_side, inst_side = (f.fn.arg, f.arg) if forall else (f.arg, f.fn.arg)
-    sq = _strip_quant(quant_side, "forall" if forall else "exists")
-    if sq is None:
-        kind = "forall" if forall else "exists"
-        return _bad(step, f"lemma lacks a {kind} on the quantified side")
-    x, body = sq
+        raise ValueError("lemma must be an implication")
+    kind = "forall" if step.rule == "inst_forall" else "exists"
+    quant_side, inst_side = (f.fn.arg, f.arg) if kind == "forall" else (f.arg, f.fn.arg)
+    bp = binder_parts(quant_side)
+    if bp is None or bp[0] != kind:
+        raise ValueError(f"lemma lacks a {kind} on the quantified side")
+    _, x, body = bp
     if len(step.binding) != 1:
-        return _bad(step, "binding must name exactly one variable")
+        raise ValueError("binding must name exactly one variable")
     name, t = step.binding[0]
     if name != x.name:
-        return _bad(step, f"binding names {name}, the quantifier binds {x.name}")
+        raise ValueError(f"binding names {name}, the quantifier binds {x.name}")
     if sort_of(t) != x.sort:
-        return _bad(step, "instantiation term has the wrong sort")
+        raise ValueError("instantiation term has the wrong sort")
     if not alpha_eq(inst_side, substitute(body, {x.id: t})):
-        return _bad(step, "instance side is not the substituted body")
-    return _ok(step)
-
-
-def _check_inst_forall(step, premises):
-    return _check_inst(step, premises, forall=True)
-
-
-def _check_inst_exists(step, premises):
-    return _check_inst(step, premises, forall=False)
+        raise ValueError("instance side is not the substituted body")
 
 
 _HANDLERS = {
     "refl": _check_refl,
-    "cong": _check_cong,
     "trans": _check_trans,
+    "cong": _check_cong,
     "bind": _check_bind,
     "beta": _check_beta,
     "let": _check_let,
-    "sko_ex": _check_sko_ex,
-    "sko_all": _check_sko_all,
+    "sko_ex": _check_sko,
+    "sko_all": _check_sko,
     "taut": _check_taut,
-    "inst_forall": _check_inst_forall,
-    "inst_exists": _check_inst_exists,
+    "inst_forall": _check_inst,
+    "inst_exists": _check_inst,
 }
+RULES = tuple(_HANDLERS)
 
 
-def check_certificate(cert):
+def check_step(step, premises, max_steps=core.DEFAULT_STEP_CAP):
+    """Check one rule application given its premise steps (already checked).
+
+    `max_steps` caps the beta-steps a `taut :theory beta` step may spend.
+    """
+    handler = _HANDLERS.get(step.rule)
+    if handler is None:
+        return _bad(step, f"unknown rule {step.rule}")
+    try:
+        return handler(step, premises, max_steps) or StepResult(step.id, "ok")
+    except (ValueError, TypeError) as e:
+        return _bad(step, str(e))
+
+
+def check_certificate(cert, max_steps=core.DEFAULT_STEP_CAP):
     """Check all steps in order and summarize the verdict."""
     by_id = {}
     results = []
@@ -411,7 +340,7 @@ def check_certificate(cert):
             by_id[step.id] = step
             ok = False
             continue
-        r = check_step(step, [by_id[p] for p in step.premises])
+        r = check_step(step, [by_id[p] for p in step.premises], max_steps)
         by_id[step.id] = step
         results.append(r)
         if r.status == "invalid":
@@ -432,10 +361,6 @@ def check_certificate(cert):
     return Report(results, verdict, final, trusted)
 
 
-def _pc(t):
-    return typecheck.print_core(t)
-
-
 # ---------------------------------------------------------------- parsing
 
 def _is_sym(e, text=None):
@@ -444,8 +369,8 @@ def _is_sym(e, text=None):
 
 
 class _CertParser:
-    def __init__(self, signature, filename):
-        self.sig = signature.copy() if signature is not None else Signature()
+    def __init__(self, filename):
+        self.sig = Signature()
         self.filename = filename
         # one core variable per (name, sort) across the whole certificate,
         # so identical contexts in different steps share variable identity
@@ -457,6 +382,9 @@ class _CertParser:
             self.registry[key] = core.fresh_var(name, sort)
         return self.registry[key]
 
+    def error(self, msg, e):
+        return CertificateError(msg, *sexpr.sexpr_pos(e), self.filename)
+
     def elab(self, e, scope):
         term = surface.term_from_sexpr(e, self.filename)
         env = TypingEnv(self.sig, arith=True, filename=self.filename)
@@ -464,23 +392,20 @@ class _CertParser:
         t, s = infer_sort(env, term)
         return t, s
 
-    def parse_context(self, e, where):
+    def parse_context(self, e):
         ctx = EMPTY
         scope = {}
         if e is None:
             return ctx, scope
         if not isinstance(e, SList):
-            raise CertificateError("expected a context entry list",
-                                   *sexpr.sexpr_pos(e), self.filename)
+            raise self.error("expected a context entry list", e)
         for entry in e.items:
             if not isinstance(entry, SList) or not entry.items:
-                raise CertificateError("expected (fix ...) or (map ...)",
-                                       *sexpr.sexpr_pos(entry), self.filename)
+                raise self.error("expected (fix ...) or (map ...)", entry)
             head = entry.items[0]
             if _is_sym(head, "fix"):
                 if len(entry.items) != 3 or not _is_sym(entry.items[1]):
-                    raise CertificateError("expected (fix <name> <sort>)",
-                                           *sexpr.sexpr_pos(entry), self.filename)
+                    raise self.error("expected (fix <name> <sort>)", entry)
                 name = entry.items[1].text
                 ssort = surface.sort_from_sexpr(entry.items[2], self.filename)
                 sort = normalize_sort(ssort, self.sig, self.filename)
@@ -489,115 +414,98 @@ class _CertParser:
                 scope[name] = v
             elif _is_sym(head, "map"):
                 if len(entry.items) < 2:
-                    raise CertificateError("expected (map (<name> <term>)+)",
-                                           *sexpr.sexpr_pos(entry), self.filename)
+                    raise self.error("expected (map (<name> <term>)+)", entry)
                 pairs = []
                 for item in entry.items[1:]:
                     if (not isinstance(item, SList) or len(item.items) != 2
                             or not _is_sym(item.items[0])):
-                        raise CertificateError("expected (<name> <term>)",
-                                               *sexpr.sexpr_pos(item), self.filename)
+                        raise self.error("expected (<name> <term>)", item)
                     name = item.items[0].text
                     img, sort = self.elab(item.items[1], scope)
                     pairs.append((self.var_for(name, sort), img))
                 try:
                     ctx = ctx.map(pairs)
                 except ValueError as err:
-                    raise CertificateError(str(err), *sexpr.sexpr_pos(entry),
-                                           self.filename)
+                    raise self.error(str(err), entry)
                 for v, _ in pairs:
                     scope[v.name] = v
             else:
-                raise CertificateError("unknown context entry",
-                                       *sexpr.sexpr_pos(entry), self.filename)
+                raise self.error("unknown context entry", entry)
         return ctx, scope
 
     def parse_step(self, e):
         items = e.items
         if len(items) < 2 or not _is_sym(items[0], "step") or not _is_sym(items[1]):
-            raise CertificateError("expected (step <id> ...)", e.line, e.col,
-                                   self.filename)
+            raise self.error("expected (step <id> ...)", e)
         step_id = items[1].text
         kw = {}
         i = 2
         while i < len(items):
             k = items[i]
             if not (isinstance(k, Token) and k.kind == sexpr.KEYWORD):
-                raise CertificateError("expected a keyword",
-                                       *sexpr.sexpr_pos(k), self.filename)
+                raise self.error("expected a keyword", k)
             if i + 1 >= len(items):
-                raise CertificateError(f"missing value for {k.text}",
-                                       k.line, k.col, self.filename)
+                raise self.error(f"missing value for {k.text}", k)
             kw[k.text] = items[i + 1]
             i += 2
         if ":rule" not in kw or not _is_sym(kw[":rule"]):
-            raise CertificateError("step lacks a :rule", e.line, e.col, self.filename)
+            raise self.error("step lacks a :rule", e)
         rule = kw[":rule"].text
         if rule not in RULES:
-            raise CertificateError(f"unknown rule {rule}",
-                                   *sexpr.sexpr_pos(kw[":rule"]), self.filename)
+            raise self.error(f"unknown rule {rule}", kw[":rule"])
         premises = ()
         if ":premises" in kw:
             pe = kw[":premises"]
             if not isinstance(pe, SList) or not all(_is_sym(x) for x in pe.items):
-                raise CertificateError("expected a list of step ids",
-                                       *sexpr.sexpr_pos(pe), self.filename)
+                raise self.error("expected a list of step ids", pe)
             premises = tuple(x.text for x in pe.items)
         theory = None
         if ":theory" in kw:
             if not _is_sym(kw[":theory"]):
-                raise CertificateError("expected a theory tag",
-                                       *sexpr.sexpr_pos(kw[":theory"]), self.filename)
+                raise self.error("expected a theory tag", kw[":theory"])
             theory = kw[":theory"].text
         if ":conclusion" not in kw:
-            raise CertificateError("step lacks a :conclusion", e.line, e.col,
-                                   self.filename)
+            raise self.error("step lacks a :conclusion", e)
         binding = ()
         if ":binding" in kw:
             be = kw[":binding"]
             if not isinstance(be, SList):
-                raise CertificateError("expected a binding list",
-                                       *sexpr.sexpr_pos(be), self.filename)
+                raise self.error("expected a binding list", be)
             bs = []
             for item in be.items:
                 if (not isinstance(item, SList) or len(item.items) != 2
                         or not _is_sym(item.items[0])):
-                    raise CertificateError("expected (<name> <term>)",
-                                           *sexpr.sexpr_pos(item), self.filename)
+                    raise self.error("expected (<name> <term>)", item)
                 t, _ = self.elab(item.items[1], {})
                 bs.append((item.items[0].text, t))
             binding = tuple(bs)
         if rule in LEMMA_RULES:
             formula, fsort = self.elab(kw[":conclusion"], {})
             if fsort != BOOL:
-                raise CertificateError("lemma formula must have sort Bool",
-                                       *sexpr.sexpr_pos(kw[":conclusion"]),
-                                       self.filename)
+                raise self.error("lemma formula must have sort Bool",
+                                 kw[":conclusion"])
             conclusion = LemmaFormula(formula)
         else:
-            ctx, scope = self.parse_context(kw.get(":context"), e)
+            ctx, scope = self.parse_context(kw.get(":context"))
             ce = kw[":conclusion"]
             if (not isinstance(ce, SList) or len(ce.items) != 3
                     or not _is_sym(ce.items[0], "=")):
-                raise CertificateError("expected (= <term> <term>)",
-                                       *sexpr.sexpr_pos(ce), self.filename)
+                raise self.error("expected (= <term> <term>)", ce)
             lhs, ls = self.elab(ce.items[1], scope)
             rhs, rs = self.elab(ce.items[2], scope)
             if ls != rs:
-                raise CertificateError("conclusion sides have different sorts",
-                                       *sexpr.sexpr_pos(ce), self.filename)
+                raise self.error("conclusion sides have different sorts", ce)
             conclusion = EqJudgment(ctx, lhs, rhs)
         return ProofStep(step_id, rule, premises, conclusion, binding, theory)
 
 
-def parse_certificate(text, signature=None, filename="<certificate>"):
+def parse_certificate(text, filename="<certificate>"):
     exprs = sexpr.parse_text(text, filename)
-    parser = _CertParser(signature, filename)
+    parser = _CertParser(filename)
     steps = []
     for e in exprs:
         if not isinstance(e, SList) or not e.items:
-            raise CertificateError("expected a command or step",
-                                   *sexpr.sexpr_pos(e), filename)
+            raise parser.error("expected a command or step", e)
         if _is_sym(e.items[0], "step"):
             steps.append(parser.parse_step(e))
             continue
@@ -609,8 +517,7 @@ def parse_certificate(text, signature=None, filename="<certificate>"):
                                             parser.sig, filename)
             parser.sig.declare_fun(cmd.name, sort, cmd.pos, filename)
         else:
-            raise CertificateError("only declarations and steps are allowed",
-                                   e.line, e.col, filename)
+            raise parser.error("only declarations and steps are allowed", e)
     if not steps:
         raise CertificateError("certificate has no steps", 1, 1, filename)
     return Certificate(tuple(steps), parser.sig)

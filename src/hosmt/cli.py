@@ -82,7 +82,7 @@ def _run_process(path, args, out, err):
 def _run_verify(path, args, out, err):
     text, name = _read(path)
     cert = calculus.parse_certificate(text, filename=name)
-    report = calculus.check_certificate(cert)
+    report = calculus.check_certificate(cert, max_steps=args.max_steps)
     if report.verdict == "invalid":
         fail = report.first_failure
         err.write(f"{name}: invalid: {fail.message}\n")
@@ -146,9 +146,13 @@ def make_parser():
     for name, help_ in specs.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("files", nargs="+", help="input files, or - for stdin")
-        p.add_argument("--verbose", action="store_true")
-        p.add_argument("--max-steps", type=int, default=core.DEFAULT_STEP_CAP,
-                       help="beta-reduction step cap")
+        if name == "check":
+            p.add_argument("--verbose", action="store_true",
+                           help="print each elaborated assertion")
+        if name in ("process", "verify"):
+            p.add_argument("--max-steps", type=int,
+                           default=core.DEFAULT_STEP_CAP,
+                           help="beta-reduction step cap")
         if name == "process":
             p.add_argument("--proof", metavar="PATH",
                            help="write one certificate per assertion of a "
@@ -163,7 +167,10 @@ def make_parser():
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 on --help
+        return EXIT_INPUT_ERROR if e.code else EXIT_OK
     if args.command == "process" and args.proof and len(args.files) > 1:
         sys.stderr.write(f"hosmt: error: --proof takes one input file, "
                          f"got {len(args.files)}\n")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hosmt.calculus import (BETA_THEORY, CertificateError, EqJudgment,
+from hosmt.calculus import (BETA_THEORY, RULES, CertificateError, EqJudgment,
                             LemmaFormula, ProofStep, check_certificate,
                             check_step, parse_certificate, print_certificate)
 from hosmt.context import EMPTY, apply_context
@@ -264,6 +264,89 @@ class TestInst:
         report = check_certificate(cert)
         assert report.verdict == "invalid"
         assert "wrong sort" in report.first_failure.message
+
+
+# premises each rule takes; let takes two or more
+PREMISE_COUNTS = {"refl": 0, "trans": 2, "cong": 2, "bind": 1, "beta": 2,
+                  "let": 2, "sko_ex": 1, "sko_all": 1, "taut": 0,
+                  "inst_forall": 0, "inst_exists": 0}
+
+
+class TestEveryRule:
+    """Shape errors that every rule rejects the same way."""
+
+    a = Const("a", INT)
+    leaf = step("p", "refl", (), EMPTY, a, a)
+    eq = EqJudgment(EMPTY, a, a)
+    lemma = LemmaFormula(Const("c", BOOL))
+
+    def rejected(self, rule, conclusion, n):
+        s = ProofStep("s9", rule, ("p",) * n, conclusion, theory=BETA_THEORY)
+        r = check_step(s, [self.leaf] * n)
+        assert r.status == "invalid"
+        assert r.message.startswith(f"{rule} step s9: ")
+        return r.message
+
+    def test_table_covers_every_rule(self):
+        assert set(PREMISE_COUNTS) == set(RULES) and len(RULES) == 11
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_wrong_premise_count(self, rule):
+        conclusion = self.lemma if rule.startswith("inst_") else self.eq
+        n = 2 if PREMISE_COUNTS[rule] == 1 else 1
+        assert "takes" in self.rejected(rule, conclusion, n)
+
+    @pytest.mark.parametrize("rule", [r for r in RULES
+                                      if not r.startswith("inst_")])
+    def test_equality_rule_rejects_lemma(self, rule):
+        message = self.rejected(rule, self.lemma, PREMISE_COUNTS[rule])
+        assert "expected an equality conclusion" in message
+
+    @pytest.mark.parametrize("rule", ("inst_forall", "inst_exists"))
+    def test_lemma_rule_rejects_equality(self, rule):
+        message = self.rejected(rule, self.eq, 0)
+        assert "expected a lemma formula conclusion" in message
+
+    def test_zero_premise_cong_is_refl(self):
+        b = Const("b", INT)
+        assert check_step(step("s", "cong", (), EMPTY, self.a, self.a),
+                          []).status == "ok"
+        r = check_step(step("s", "cong", (), EMPTY, self.a, b), [])
+        assert r.status == "invalid" and "right side" in r.message
+
+
+class TestContextExtension:
+    """A premise context is the conclusion context plus the rule's entries."""
+
+    def setup_method(self):
+        self.p = Const("p", Fun(INT, BOOL))
+        self.x, self.y, self.w = (fresh_var(n, INT) for n in "xyw")
+
+    @pytest.mark.parametrize("extra, status", ((False, "ok"),
+                                               (True, "invalid")))
+    def test_bind(self, extra, status):
+        p, x, y = self.p, self.x, self.y
+        base = EMPTY.fix(self.w) if extra else EMPTY
+        prem = step("p1", "refl", (), base.fix(y).map([(x, y)]),
+                    App(p, x), App(p, y))
+        conc = step("c", "bind", ("p1",), EMPTY,
+                    Lam(x, App(p, x)), Lam(y, App(p, y)))
+        assert check_step(prem, []).status == "ok"
+        assert check_step(conc, [prem]).status == status
+
+    @pytest.mark.parametrize("extra, status", ((False, "ok"),
+                                               (True, "invalid")))
+    def test_sko_ex(self, extra, status):
+        p, x = self.p, self.x
+        base = EMPTY.fix(self.w) if extra else EMPTY
+        eps = Quant("eps", x, App(p, x))
+        prem = step("p1", "refl", (), base.map([(x, eps)]),
+                    App(p, x), App(p, eps))
+        conc = step("c", "sko_ex", ("p1",), EMPTY,
+                    Quant("exists", x, App(p, x)), App(p, eps))
+        r = check_step(conc, [prem])
+        assert r.status == status
+        assert extra == ("followed by a mapping of 1 variable" in r.message)
 
 
 class TestSideConditions:

@@ -179,6 +179,18 @@ class TestVerify:
         assert code == 0
         assert "step s1 is needs-theory" in out
 
+    def test_max_steps_reaches_checker(self, capsys, tmp_path):
+        # the left side needs two beta-steps to reach (g a a)
+        cert = tmp_path / "two.hoproof"
+        cert.write_text("(declare-fun g (Int Int) Int)(declare-fun a () Int)\n"
+                        "(step s1 :rule taut :theory beta :conclusion "
+                        "(= ((lambda ((x Int)) ((lambda ((y Int)) (g y y)) x)) a)"
+                        " (g a a)))\n")
+        code, _, err = run(capsys, "verify", "--max-steps", "1", str(cert))
+        assert code == 3 and "exceeded 1 steps" in err
+        code, out, _ = run(capsys, "verify", str(cert))
+        assert code == 0 and "valid (1 steps)" in out
+
     def test_deep_context_exit_3(self, capsys, tmp_path):
         # a context chain 1,000 entries deep, as in the certificate of 200
         # nested beta-redexes but without its 1.7 MB of restated contexts
@@ -209,3 +221,28 @@ class TestBatch:
         assert code == 4
         # the good file's result is still printed
         assert "example1.hoproof: valid" in out
+
+
+class TestUsage:
+    GOLDEN = str(DATA / "example1.hoproof")
+
+    @pytest.mark.parametrize("argv", (
+        [],
+        ["verify"],
+        ["bogus", GOLDEN],
+        ["verify", "--max-steps", "x", GOLDEN],
+        ["parse", "--verbose", GOLDEN],
+        ["process", "--verbose", GOLDEN],
+        ["verify", "--verbose", GOLDEN],
+        ["parse", "--max-steps", "3", GOLDEN],
+        ["check", "--max-steps", "3", GOLDEN],
+    ))
+    def test_usage_error_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "usage:" in err
+
+    @pytest.mark.parametrize("argv", (["--help"], ["verify", "--help"]))
+    def test_help_exit_0(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "usage:" in out

@@ -1,15 +1,44 @@
 """Smoke tests for the scripts under scripts/."""
 
+import os
 import pathlib
 import subprocess
 import sys
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+from conftest import DATA
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+GOLDEN = sorted(str(p) for p in DATA.glob("*.hoproof"))
+
+
+def run_script(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, timeout=120, env=env)
 
 
 def test_random_pipeline():
-    done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "random_pipeline.py"), "--count", "20"],
-        capture_output=True, text=True, timeout=120)
+    done = run_script(str(SCRIPTS / "random_pipeline.py"), "--count", "20")
     assert done.returncode == 0, done.stdout + done.stderr
     assert "verdicts: {'valid': 20}" in done.stdout
+
+
+def test_certstats_oracle_on_goldens():
+    done = run_script(str(SCRIPTS / "certstats.py"), "--oracle", *GOLDEN)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len([l for l in lines if ": valid, " in l]) == len(GOLDEN) == 3
+    oracle = [l.strip() for l in lines if l.strip().startswith("oracle:")]
+    assert len(oracle) == 3
+    assert all(l.split(":", 1)[1].split()[0] == "lambda-valid"
+               and "," not in l for l in oracle)
+
+
+def test_certstats_reports_first_failure(tmp_path):
+    text = (DATA / "example1.hoproof").read_text()
+    bad = tmp_path / "bad.hoproof"
+    bad.write_text(text.replace("(= x a))", "(= x (p a a)))"))
+    done = run_script(str(SCRIPTS / "certstats.py"), "--oracle", str(bad))
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "  first failure: refl step r3: " in done.stdout
