@@ -2,25 +2,35 @@
 """Print statistics for proof certificate files.
 
 For each .hoproof file: verdict, step and trusted-step counts, rule
-histogram, and (with --oracle) the oracle verdict per certificate.
+histogram, size in bytes and per step, the number of (context ...)
+definitions, and (with --oracle) the oracle verdict per certificate.
 """
 
 import argparse
 from collections import Counter
 
+from hosmt import sexpr
 from hosmt.calculus import check_certificate, parse_certificate
 from hosmt.oracle import check_certificate_oracle
+
+CONTEXT = sexpr.Token(sexpr.SYMBOL, "context")
 
 
 def describe(path, use_oracle):
     with open(path, encoding="utf-8") as fh:
-        cert = parse_certificate(fh.read(), filename=path)
+        text = fh.read()
+    cert = parse_certificate(text, filename=path)
     report = check_certificate(cert)
     rules = Counter(s.rule for s in cert.steps)
+    size = len(text.encode())
+    contexts = sum(isinstance(e, sexpr.SList) and e.items[:1] == (CONTEXT,)
+                   for e in sexpr.parse_text(text, path))
     print(f"{path}: {report.verdict}, {len(cert.steps)} steps"
           + (f", {report.trusted_count} trusted" if report.trusted_count
              else ""))
     print("  rules: " + ", ".join(f"{r} {n}" for r, n in rules.most_common()))
+    print(f"  size: {size} bytes, {size / len(cert.steps):.1f} bytes/step, "
+          f"{contexts} context lines")
     if report.first_failure is not None:
         print(f"  first failure: {report.first_failure.message}")
     if use_oracle and report.verdict != "invalid":

@@ -1,23 +1,38 @@
 """The extended fine-grained proof calculus.
 
-Certificates are DAGs of steps, each carrying its full context and an
-equality conclusion `ctx |> lhs ~ rhs` (or, for instantiation lemmas, a
-closed Boolean formula).  The checker validates every rule locally from the
-step, its premises' conclusions, and the context; terms are always compared
-up to alpha.
+Certificates are DAGs of steps, each carrying a context and an equality
+conclusion `ctx |> lhs ~ rhs` (or, for instantiation lemmas, a closed
+Boolean formula).  The checker validates every rule locally from the step,
+its premises' conclusions, and the context; terms are always compared up to
+alpha.
 
 Concrete syntax, one step per line:
 
-    (step <id> :rule <name> :premises (<id>*) :context (<entry>*)
+    (step <id> :rule <name> :premises (<id>*) :context <ctx>
           :conclusion (= <term> <term>))
 
-with context entries `(fix <name> <sort>)` or `(map (<name> <term>)+)`,
-ordered outermost-first.  Lemma steps use `:conclusion <formula>` and
-`:binding ((<name> <term>)+)`; taut steps name their theory with
-`:theory <tag>`.  Files may open with declare-sort/declare-fun commands.
+A context `<ctx>` is either an inline entry list `(<entry>*)`, ordered
+outermost-first, with `()` for the empty context, or the name of a context
+defined on an earlier line by
+
+    (context <name> <ctx> <entry>)
+
+which names `<ctx>` extended by one entry.  Entries are `(fix <name> <sort>)`
+or `(map (<name> <term>)+)`.  For example
+
+    (context c1 () (fix y Int))
+    (context c2 c1 (map (x y)))
+    (step s1 :rule refl :context c2 :conclusion (= x y))
+
+A name must be defined before it is used and only once; context names are a
+namespace of their own, apart from symbols and step ids.  The printer
+defines each context node once, just before the first step that uses it.
+Lemma steps use `:conclusion <formula>` and `:binding ((<name> <term>)+)`;
+taut steps name their theory with `:theory <tag>`.  Files may open with
+declare-sort/declare-fun commands.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import core, sexpr, surface, typecheck
 from .context import EMPTY, Fix, Map, apply_context, contexts_equal
@@ -58,6 +73,8 @@ class ProofStep:
     conclusion: object  # EqJudgment | LemmaFormula
     binding: tuple = ()  # ((name, term), ...) for lemma steps
     theory: str = None  # for taut steps
+    line: int = field(compare=False, default=0)  # of the (step ...) form
+    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
@@ -75,6 +92,8 @@ class StepResult:
     id: str
     status: str  # "ok" | "trusted" | "invalid"
     message: str = ""
+    line: int = 0  # the step's source position, 0 if it has none
+    col: int = 0
 
 
 @dataclass
@@ -92,8 +111,12 @@ class Report:
         return None
 
 
+def _result(step, status, msg=""):
+    return StepResult(step.id, status, msg, step.line, step.col)
+
+
 def _bad(step, msg):
-    return StepResult(step.id, "invalid", f"{step.rule} step {step.id}: {msg}")
+    return _result(step, "invalid", f"{step.rule} step {step.id}: {msg}")
 
 
 def _pc(t):
@@ -257,8 +280,8 @@ def _check_sko(step, premises, max_steps):
 def _check_taut(step, premises, max_steps):
     c, _ = _judgments(step, premises, 0)
     if step.theory != BETA_THEORY:
-        return StepResult(step.id, "trusted", f"taut step {step.id} trusted "
-                          f"for theory {step.theory or '<untagged>'}")
+        return _result(step, "trusted", f"taut step {step.id} trusted "
+                       f"for theory {step.theory or '<untagged>'}")
     if not alpha_eq(beta_normal_form(c.lhs, max_steps),
                     beta_normal_form(c.rhs, max_steps)):
         raise ValueError("sides have different beta-normal forms")
@@ -315,7 +338,7 @@ def check_step(step, premises, max_steps=core.DEFAULT_STEP_CAP):
     if handler is None:
         return _bad(step, f"unknown rule {step.rule}")
     try:
-        return handler(step, premises, max_steps) or StepResult(step.id, "ok")
+        return handler(step, premises, max_steps) or _result(step, "ok")
     except (ValueError, TypeError) as e:
         return _bad(step, str(e))
 
@@ -328,14 +351,14 @@ def check_certificate(cert, max_steps=core.DEFAULT_STEP_CAP):
     trusted = 0
     for step in cert.steps:
         if step.id in by_id:
-            results.append(StepResult(step.id, "invalid",
-                                      f"duplicate step id {step.id}"))
+            results.append(_result(step, "invalid",
+                                   f"duplicate step id {step.id}"))
             ok = False
             continue
         missing = [p for p in step.premises if p not in by_id]
         if missing:
-            results.append(StepResult(
-                step.id, "invalid",
+            results.append(_result(
+                step, "invalid",
                 f"step {step.id} references unknown or later step {missing[0]}"))
             by_id[step.id] = step
             ok = False
@@ -349,8 +372,8 @@ def check_certificate(cert, max_steps=core.DEFAULT_STEP_CAP):
             trusted += 1
     final = cert.final.conclusion if cert.steps else None
     if isinstance(final, EqJudgment) and not final.ctx.is_empty():
-        results.append(StepResult(cert.final.id, "invalid",
-                                  "final judgment has a non-empty context"))
+        results.append(_result(cert.final, "invalid",
+                               "final judgment has a non-empty context"))
         ok = False
     if not ok:
         verdict = "invalid"
@@ -375,6 +398,7 @@ class _CertParser:
         # one core variable per (name, sort) across the whole certificate,
         # so identical contexts in different steps share variable identity
         self.registry = {}
+        self.contexts = {}  # context name -> (Context, scope)
 
     def var_for(self, name, sort):
         key = (name, sort)
@@ -393,45 +417,67 @@ class _CertParser:
         return t, s
 
     def parse_context(self, e):
-        ctx = EMPTY
-        scope = {}
+        """The context a :context value denotes, with its name -> variable
+        scope.  A named context's scope is shared: callers only read it."""
         if e is None:
-            return ctx, scope
+            return EMPTY, {}
+        if _is_sym(e):
+            if e.text not in self.contexts:
+                raise self.error(f"unknown context {e.text}", e)
+            return self.contexts[e.text]
         if not isinstance(e, SList):
-            raise self.error("expected a context entry list", e)
+            raise self.error("expected a context name or entry list", e)
+        ctx, scope = EMPTY, {}
         for entry in e.items:
-            if not isinstance(entry, SList) or not entry.items:
-                raise self.error("expected (fix ...) or (map ...)", entry)
-            head = entry.items[0]
-            if _is_sym(head, "fix"):
-                if len(entry.items) != 3 or not _is_sym(entry.items[1]):
-                    raise self.error("expected (fix <name> <sort>)", entry)
-                name = entry.items[1].text
-                ssort = surface.sort_from_sexpr(entry.items[2], self.filename)
-                sort = normalize_sort(ssort, self.sig, self.filename)
-                v = self.var_for(name, sort)
-                ctx = ctx.fix(v)
-                scope[name] = v
-            elif _is_sym(head, "map"):
-                if len(entry.items) < 2:
-                    raise self.error("expected (map (<name> <term>)+)", entry)
-                pairs = []
-                for item in entry.items[1:]:
-                    if (not isinstance(item, SList) or len(item.items) != 2
-                            or not _is_sym(item.items[0])):
-                        raise self.error("expected (<name> <term>)", item)
-                    name = item.items[0].text
-                    img, sort = self.elab(item.items[1], scope)
-                    pairs.append((self.var_for(name, sort), img))
-                try:
-                    ctx = ctx.map(pairs)
-                except ValueError as err:
-                    raise self.error(str(err), entry)
-                for v, _ in pairs:
-                    scope[v.name] = v
-            else:
-                raise self.error("unknown context entry", entry)
+            ctx = self.extend(ctx, scope, entry)
         return ctx, scope
+
+    def define_context(self, e):
+        """(context <name> <ctx> <entry>): name <ctx> extended by <entry>."""
+        items = e.items
+        if len(items) != 4 or not _is_sym(items[1]):
+            raise self.error("expected (context <name> <context> <entry>)", e)
+        name = items[1]
+        if name.text in self.contexts:
+            raise self.error(f"context {name.text} defined twice", name)
+        ctx, scope = self.parse_context(items[2])
+        scope = dict(scope)
+        self.contexts[name.text] = self.extend(ctx, scope, items[3]), scope
+
+    def extend(self, ctx, scope, entry):
+        """ctx extended by one (fix ...) or (map ...) entry; binds the
+        entry's variables in `scope`."""
+        if not isinstance(entry, SList) or not entry.items:
+            raise self.error("expected (fix ...) or (map ...)", entry)
+        head = entry.items[0]
+        if _is_sym(head, "fix"):
+            if len(entry.items) != 3 or not _is_sym(entry.items[1]):
+                raise self.error("expected (fix <name> <sort>)", entry)
+            name = entry.items[1].text
+            ssort = surface.sort_from_sexpr(entry.items[2], self.filename)
+            sort = normalize_sort(ssort, self.sig, self.filename)
+            v = self.var_for(name, sort)
+            scope[name] = v
+            return ctx.fix(v)
+        if not _is_sym(head, "map"):
+            raise self.error("unknown context entry", entry)
+        if len(entry.items) < 2:
+            raise self.error("expected (map (<name> <term>)+)", entry)
+        pairs = []
+        for item in entry.items[1:]:
+            if (not isinstance(item, SList) or len(item.items) != 2
+                    or not _is_sym(item.items[0])):
+                raise self.error("expected (<name> <term>)", item)
+            name = item.items[0].text
+            img, sort = self.elab(item.items[1], scope)
+            pairs.append((self.var_for(name, sort), img))
+        try:
+            ctx = ctx.map(pairs)
+        except ValueError as err:
+            raise self.error(str(err), entry)
+        for v, _ in pairs:
+            scope[v.name] = v
+        return ctx
 
     def parse_step(self, e):
         items = e.items
@@ -496,7 +542,8 @@ class _CertParser:
             if ls != rs:
                 raise self.error("conclusion sides have different sorts", ce)
             conclusion = EqJudgment(ctx, lhs, rhs)
-        return ProofStep(step_id, rule, premises, conclusion, binding, theory)
+        return ProofStep(step_id, rule, premises, conclusion, binding, theory,
+                         *sexpr.sexpr_pos(e))
 
 
 def parse_certificate(text, filename="<certificate>"):
@@ -508,6 +555,9 @@ def parse_certificate(text, filename="<certificate>"):
             raise parser.error("expected a command or step", e)
         if _is_sym(e.items[0], "step"):
             steps.append(parser.parse_step(e))
+            continue
+        if _is_sym(e.items[0], "context"):
+            parser.define_context(e)
             continue
         cmd = surface.command_from_sexpr(e, filename)
         if isinstance(cmd, surface.CDeclareSort):
@@ -524,6 +574,19 @@ def parse_certificate(text, filename="<certificate>"):
 
 
 # --------------------------------------------------------------- printing
+
+def _unseen(ctx, seen):
+    """The nodes of ctx's chain that are not in `seen`, outermost first.
+
+    A node in `seen` has all its ancestors there too, so the walk stops at
+    the first one."""
+    out = []
+    while ctx.entry is not None and id(ctx) not in seen:
+        out.append(ctx)
+        ctx = ctx.parent
+    out.reverse()
+    return out
+
 
 def _assign_names(cert):
     """Unique printed name per context-variable id across the certificate."""
@@ -542,9 +605,12 @@ def _assign_names(cert):
         names[v.id] = name
         used.add(name)
 
+    seen = set()
     for step in cert.steps:
         if isinstance(step.conclusion, EqJudgment):
-            for e in step.conclusion.ctx.entries():
+            for node in _unseen(step.conclusion.ctx, seen):
+                seen.add(id(node))
+                e = node.entry
                 if isinstance(e, Fix):
                     claim(e.var)
                 else:
@@ -561,16 +627,16 @@ def _print_entry(e, names):
     return f"(map {pairs})"
 
 
-def print_step(step, names):
+def print_step(step, names, ctx_names):
+    """One step line; `ctx_names` maps id(node) to the name of every
+    non-empty context node the step uses."""
     parts = [f"(step {step.id} :rule {step.rule}"]
     if step.premises:
         parts.append(":premises (" + " ".join(step.premises) + ")")
     if isinstance(step.conclusion, EqJudgment):
         c = step.conclusion
-        entries = c.ctx.entries()
-        if entries:
-            parts.append(":context ("
-                         + " ".join(_print_entry(e, names) for e in entries) + ")")
+        if not c.ctx.is_empty():
+            parts.append(f":context {ctx_names[id(c.ctx)]}")
         if step.theory is not None:
             parts.append(f":theory {step.theory}")
         parts.append(f":conclusion (= {typecheck.print_core(c.lhs, names)} "
@@ -586,6 +652,9 @@ def print_step(step, names):
 
 
 def print_certificate(cert):
+    """The certificate text.  Each context node is defined once, by a
+    (context ...) line just before the first step that uses it, and named
+    c1, c2, ... by identity."""
     lines = []
     if cert.signature is not None:
         for name, arity in cert.signature.sorts.items():
@@ -600,6 +669,14 @@ def print_certificate(cert):
             astr = " ".join(core.sort_str(a) for a in args)
             lines.append(f"(declare-fun {name} ({astr}) {core.sort_str(s)})")
     names = _assign_names(cert)
+    ctx_names = {}
     for step in cert.steps:
-        lines.append(print_step(step, names))
+        if isinstance(step.conclusion, EqJudgment):
+            for node in _unseen(step.conclusion.ctx, ctx_names):
+                name = ctx_names[id(node)] = f"c{len(ctx_names) + 1}"
+                parent = ("()" if node.parent.is_empty()
+                          else ctx_names[id(node.parent)])
+                lines.append(f"(context {name} {parent} "
+                             f"{_print_entry(node.entry, names)})")
+        lines.append(print_step(step, names, ctx_names))
     return "\n".join(lines) + "\n"

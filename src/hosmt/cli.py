@@ -85,7 +85,7 @@ def _run_verify(path, args, out, err):
     report = calculus.check_certificate(cert, max_steps=args.max_steps)
     if report.verdict == "invalid":
         fail = report.first_failure
-        err.write(f"{name}: invalid: {fail.message}\n")
+        err.write(f"{name}:{fail.line}:{fail.col}: invalid: {fail.message}\n")
         return EXIT_INVALID
     if args.oracle:
         for step_id, verdict in oracle.check_certificate_oracle(

@@ -99,5 +99,13 @@ def entry_eq(e1, e2):
 
 
 def contexts_equal(c1, c2):
-    es1, es2 = c1.entries(), c2.entries()
-    return len(es1) == len(es2) and all(entry_eq(a, b) for a, b in zip(es1, es2))
+    """Same entries in the same order.  The chains are walked innermost
+    first, up to the first node they share: a context parsed from a named
+    definition is the very parent of its extensions' nodes."""
+    while c1 is not c2:
+        if c1.entry is None or c2.entry is None:
+            return c1.entry is None and c2.entry is None
+        if not entry_eq(c1.entry, c2.entry):
+            return False
+        c1, c2 = c1.parent, c2.parent
+    return True

@@ -1,9 +1,12 @@
-"""Structural mutations over certificates, for soundness testing.
+"""Mutations over certificates, for soundness testing.
 
-Each mutation returns a new Certificate differing from the input in exactly
-one place; a sound checker should reject (almost) all of them.
+Each structural mutation returns a new Certificate differing from the input
+in exactly one place; a sound checker should reject (almost) all of them.
+The text mutations edit one context-name reference or definition of a
+printed certificate, one `(context ...)` or `(step ...)` per line.
 """
 
+import re
 from dataclasses import replace
 
 from hosmt.calculus import Certificate, EqJudgment
@@ -133,3 +136,102 @@ def random_mutation(cert, rng):
         out = m(cert, rng)
         if out is not None:
             return m.__name__, out
+
+
+# ------------------------------------------------------- text mutations
+
+_DEF = re.compile(r"\(context ([^\s()]+) (\(\)|[^\s()]+) ")
+_USE = re.compile(r"\(step .*:context ([^\s()]+)")
+
+
+def _scan_names(text):
+    """(lines, defs, uses): defs are (line index, match of _DEF), uses are
+    (line index, match of _USE) for steps that name their context."""
+    lines = text.split("\n")
+    defs, uses = [], []
+    for i, line in enumerate(lines):
+        m = _DEF.match(line)
+        if m:
+            defs.append((i, m))
+        m = _USE.match(line)
+        if m:
+            uses.append((i, m))
+    return lines, defs, uses
+
+
+def _edit(lines, i, m, group, new):
+    """The text with group `group` of match m on line i replaced by new,
+    and the 1-based (line, col) of the edit."""
+    lines = list(lines)
+    lines[i] = lines[i][:m.start(group)] + new + lines[i][m.end(group):]
+    return "\n".join(lines), (i + 1, m.start(group) + 1)
+
+
+def reparent_context(text, rng):
+    """Point one (context ...) line at another earlier context or ()."""
+    lines, defs, _ = _scan_names(text)
+    pool = []
+    for k, (i, m) in enumerate(defs):
+        others = [d.group(1) for _, d in defs[:k]] + ["()"]
+        others = [n for n in others if n != m.group(2)]
+        if others:
+            pool.append((i, m, others))
+    if not pool:
+        return None
+    i, m, others = rng.choice(pool)
+    return _edit(lines, i, m, 2, rng.choice(others))
+
+
+def repoint_context(text, rng):
+    """Point one step's :context at another context defined before it."""
+    lines, defs, uses = _scan_names(text)
+    pool = []
+    for i, m in uses:
+        others = [d.group(1) for j, d in defs
+                  if j < i and d.group(1) != m.group(1)]
+        if others:
+            pool.append((i, m, others))
+    if not pool:
+        return None
+    i, m, others = rng.choice(pool)
+    return _edit(lines, i, m, 1, rng.choice(others))
+
+
+def dangling_context(text, rng):
+    """Make one context reference name an undefined or a later context."""
+    lines, defs, uses = _scan_names(text)
+    refs = [(i, m, 2) for i, m in defs if m.group(2) != "()"]
+    refs += [(i, m, 1) for i, m in uses]
+    if not refs:
+        return None
+    i, m, group = rng.choice(refs)
+    defined = {d.group(1) for _, d in defs}
+    later = [d.group(1) for j, d in defs if j >= i]
+    fresh = "c0"
+    while fresh in defined:
+        fresh += "0"
+    return _edit(lines, i, m, group, rng.choice(later + [fresh]))
+
+
+def duplicate_context(text, rng):
+    """Give one (context ...) line the name of an earlier one."""
+    lines, defs, _ = _scan_names(text)
+    if len(defs) < 2:
+        return None
+    k = rng.randrange(1, len(defs))
+    i, m = defs[k]
+    return _edit(lines, i, m, 1, rng.choice(defs[:k])[1].group(1))
+
+
+TEXT_MUTATIONS = (reparent_context, repoint_context, dangling_context,
+                  duplicate_context)
+
+
+def random_text_mutation(text, rng):
+    """(name, mutated text, (line, col) of the edit), or None when no text
+    mutation applies."""
+    for m in rng.sample(TEXT_MUTATIONS, len(TEXT_MUTATIONS)):
+        out = m(text, rng)
+        if out is not None:
+            return (m.__name__, *out)
+    return None

@@ -4,15 +4,19 @@ import random
 
 import pytest
 
+from hosmt import calculus, processor, surface, typecheck
 from hosmt.calculus import (BETA_THEORY, RULES, CertificateError, EqJudgment,
                             LemmaFormula, ProofStep, check_certificate,
                             check_step, parse_certificate, print_certificate)
 from hosmt.context import EMPTY, apply_context
 from hosmt.core import (App, BOOL, Const, Fun, INT, Lam, Let, Quant,
                         alpha_eq, fresh_var, not_term)
+from hosmt.sexpr import SourceError
 
 from conftest import DATA
 
+import cert_ref
+import gen
 import mutate
 
 GOLDEN = ("example1.hoproof", "example2.hoproof", "example3.hoproof")
@@ -405,3 +409,223 @@ class TestMutations:
         cert = load("example3.hoproof")
         for m in mutate.MUTATIONS:
             assert m(cert, rng) is not None
+
+    def test_each_text_mutation_kind_applies(self):
+        rng = random.Random(7)
+        text = print_certificate(load("example3.hoproof"))
+        for m in mutate.TEXT_MUTATIONS:
+            assert m(text, rng) is not None
+
+    def test_text_kit_rejection_rate(self):
+        rng = random.Random(101)
+        texts = [print_certificate(c) for c in
+                 [load(n) for n in GOLDEN] + generated_certificates(103, 60)]
+        texts = [t for t in texts if "(context " in t]
+        total = rejected = 0
+        for k in range(600):
+            out = mutate.random_text_mutation(texts[k % len(texts)], rng)
+            if out is None:
+                continue
+            total += 1
+            try:
+                cert = parse_certificate(out[1])
+            except CertificateError:
+                rejected += 1
+                continue
+            except SourceError:  # a term out of its variables' scope
+                rejected += 1
+                continue
+            if check_certificate(cert).verdict == "invalid":
+                rejected += 1
+        assert total >= 500
+        assert rejected / total >= 0.95
+
+    @pytest.mark.parametrize("kind", (mutate.dangling_context,
+                                      mutate.duplicate_context))
+    def test_bad_names_rejected_at_reference(self, kind):
+        rng = random.Random(107)
+        texts = [print_certificate(c) for c in
+                 [load(n) for n in GOLDEN] + generated_certificates(109, 30)]
+        for text in texts:
+            out = kind(text, rng)
+            if out is None:
+                continue
+            bad, pos = out
+            with pytest.raises(CertificateError) as e:
+                parse_certificate(bad)
+            assert (e.value.line, e.value.col) == pos
+            assert "defined twice" in e.value.message or \
+                "unknown context" in e.value.message
+
+
+def forall_script(n):
+    """(forall ((x1 Int)) ... (forall ((xn Int)) (= (g xn (... (g x1 a))) a)))"""
+    inner = "a"
+    for i in range(1, n + 1):
+        inner = f"(g x{i} {inner})"
+    term = f"(= {inner} a)"
+    for i in range(n, 0, -1):
+        term = f"(forall ((x{i} Int)) {term})"
+    return ("(declare-fun g (Int Int) Int)(declare-fun a () Int)"
+            f"(assert {term})")
+
+
+def processed_certificates(script):
+    checked = typecheck.check_script(surface.parse_script(script), "<script>")
+    return [processor.process(t, checked.signature).certificate
+            for t in checked.asserts]
+
+
+def generated_certificates(seed, count, depth=4):
+    rng = random.Random(seed)
+    return [processor.process(gen.gen_closed(rng, depth=depth)).certificate
+            for _ in range(count)]
+
+
+def context_nodes(cert):
+    """Distinct non-empty context nodes the certificate's steps use."""
+    seen = set()
+    for s in cert.steps:
+        if isinstance(s.conclusion, EqJudgment):
+            ctx = s.conclusion.ctx
+            while ctx.entry is not None and id(ctx) not in seen:
+                seen.add(id(ctx))
+                ctx = ctx.parent
+    return len(seen)
+
+
+class TestNamedContexts:
+    TEXT = ("(declare-fun f (Int) Int)\n"
+            "(context c1 () (fix w Int))\n"
+            "(context c2 c1 (map (x w)))\n"
+            "(step s1 :rule refl :context c2 :conclusion (= (f x) (f w)))\n"
+            "(step s2 :rule refl :context ((fix w Int) (map (x w))) "
+            ":conclusion (= x w))\n")
+
+    def test_named_and_inline_contexts_agree(self):
+        cert = parse_certificate(self.TEXT)
+        c1, c2 = (s.conclusion.ctx for s in cert.steps)
+        assert c1 is not c2
+        assert [type(e) for e in c1.entries()] == [type(e) for e in c2.entries()]
+        assert c1.entries()[0].var.id == c2.entries()[0].var.id
+        assert check_certificate(cert).verdict == "invalid"  # s2 is not empty
+
+    def test_named_context_is_shared(self):
+        cert = parse_certificate(self.TEXT.replace(
+            "((fix w Int) (map (x w)))", "c2"))
+        c1, c2 = (s.conclusion.ctx for s in cert.steps)
+        assert c1 is c2
+
+    def test_inline_parent(self):
+        cert = parse_certificate(
+            "(declare-fun a () Int)\n"
+            "(context k ((fix w Int)) (map (x w)))\n"
+            "(step s1 :rule refl :context k :conclusion (= x w))\n"
+            "(step s2 :rule refl :context () :conclusion (= a a))\n")
+        assert len(cert.steps[0].conclusion.ctx.entries()) == 2
+        assert cert.steps[1].conclusion.ctx.is_empty()
+
+    def test_own_namespace(self):
+        # a context may share its name with a symbol, a variable or a step
+        cert = parse_certificate(
+            "(declare-fun a () Int)\n"
+            "(context a () (map (x a)))\n"
+            "(context s1 a (fix x Int))\n"
+            "(step s1 :rule refl :context a :conclusion (= x a))\n"
+            "(step s2 :rule refl :context s1 :conclusion (= x x))\n")
+        assert check_certificate(cert).results[0].status == "ok"
+        assert len(cert.steps[1].conclusion.ctx.entries()) == 2
+
+    @pytest.mark.parametrize("text,msg,pos", [
+        ("(step s1 :rule refl :context c9 :conclusion (= 1 1))",
+         "unknown context c9", (1, 30)),
+        ("(context c1 () (fix w Int))\n(context c2 c3 (fix y Int))",
+         "unknown context c3", (2, 13)),
+        ("(context c1 c1 (fix w Int))", "unknown context c1", (1, 13)),
+        ("(context c1 () (fix w Int))\n(context c1 () (fix y Int))",
+         "context c1 defined twice", (2, 10)),
+        ("(context c1 () (fix w Int) (fix y Int))",
+         "expected (context <name> <context> <entry>)", (1, 1)),
+        ("(context c1 () (bind w Int))", "unknown context entry", (1, 16)),
+        ("(step s1 :rule refl :context 3 :conclusion (= 1 1))",
+         "expected a context name or entry list", (1, 30)),
+    ])
+    def test_errors_at_position(self, text, msg, pos):
+        with pytest.raises(CertificateError) as e:
+            parse_certificate(text)
+        assert e.value.message == msg
+        assert (e.value.line, e.value.col) == pos
+
+    def test_one_line_per_context_node(self):
+        (cert,) = processed_certificates(forall_script(24))
+        text = print_certificate(cert)
+        lines = text.splitlines()
+        assert sum(l.startswith("(context ") for l in lines) == 48
+        assert context_nodes(cert) == 48
+        assert ":context ((" not in text
+        assert len(text) < len(cert_ref.print_certificate(cert)) / 2
+
+    def test_definitions_precede_use(self):
+        for cert in generated_certificates(61, 30):
+            defined = set()
+            for line in print_certificate(cert).splitlines():
+                m = mutate._DEF.match(line)
+                if m:
+                    assert m.group(2) == "()" or m.group(2) in defined
+                    defined.add(m.group(1))
+                m = mutate._USE.match(line)
+                if m:
+                    assert m.group(1) in defined
+
+    def test_premise_contexts_share_nodes(self):
+        # once parsed, a bind premise's context extends the very conclusion
+        # context, so the checker's comparison stops at the first node
+        (cert,) = processed_certificates(forall_script(6))
+        cert = parse_certificate(print_certificate(cert))
+        by_id = {s.id: s for s in cert.steps}
+        binds = [s for s in cert.steps if s.rule == "bind"]
+        assert len(binds) == 6
+        for s in binds:
+            (p,) = (by_id[i] for i in s.premises)
+            assert p.conclusion.ctx.parent.parent is s.conclusion.ctx
+
+    def test_variable_names_unchanged(self):
+        certs = (generated_certificates(67, 40)
+                 + processed_certificates(forall_script(8)))
+        for cert in certs:
+            assert calculus._assign_names(cert) == cert_ref._assign_names(cert)
+
+
+class TestReferencePrinter:
+    """The named printer against the inline one it replaced."""
+
+    @staticmethod
+    def statuses(text):
+        try:
+            cert = parse_certificate(text)
+        except SourceError as e:
+            return type(e).__name__
+        report = check_certificate(cert)
+        return report.verdict, [(r.id, r.status) for r in report.results]
+
+    def certificates(self, depth):
+        return ([load(n) for n in GOLDEN]
+                + processed_certificates(forall_script(5))
+                + generated_certificates(71, 40, depth))
+
+    def test_same_statuses(self):
+        for cert in self.certificates(4):
+            named = self.statuses(print_certificate(cert))
+            assert named == self.statuses(cert_ref.print_certificate(cert))
+            assert named[0] == "valid"
+
+    def test_same_statuses_on_mutants(self):
+        rng = random.Random(73)
+        certs = self.certificates(3)
+        verdicts = []
+        for k in range(1000):
+            _, bad = mutate.random_mutation(certs[k % len(certs)], rng)
+            named = self.statuses(print_certificate(bad))
+            assert named == self.statuses(cert_ref.print_certificate(bad))
+            verdicts.append(named if isinstance(named, str) else named[0])
+        assert verdicts.count("valid") < len(verdicts) / 20

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, and pipelines."""
 
+import contextlib
 import io
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hosmt import cli
+from hosmt import calculus, cli, processor, surface, typecheck
 
 from conftest import DATA
 
@@ -161,6 +165,26 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(bad))
         assert code == 4 and "invalid" in err and "r3" in err
 
+    def test_failure_reports_step_position(self, capsys, tmp_path):
+        lines = (DATA / "example1.hoproof").read_text().splitlines()
+        (i,) = [i for i, l in enumerate(lines) if l.startswith("(step r3 ")]
+        lines[i] = "  " + lines[i].replace("(= x a))", "(= x (p a a)))")
+        bad = tmp_path / "bad.hoproof"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 4
+        assert err == f"{bad}:{i + 1}:3: invalid: refl step r3: context " \
+            "applied to the left side does not match the right side\n"
+
+    def test_dangling_context_name_exit_1(self, capsys, tmp_path):
+        bad = tmp_path / "bad.hoproof"
+        bad.write_text("(declare-fun a () Int)\n"
+                       "(context c1 () (map (x a)))\n"
+                       "(step s1 :rule refl :context c2 :conclusion (= x a))\n")
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 1
+        assert err == f"{bad}:3:30: error: unknown context c2\n"
+
     def test_trusted_exit_5(self, capsys, tmp_path):
         cert = tmp_path / "arith.hoproof"
         cert.write_text("(step s1 :rule taut :theory arith "
@@ -246,3 +270,45 @@ class TestUsage:
     def test_help_exit_0(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "usage:" in out
+
+
+def _named_certificate():
+    script = ("(declare-fun g (Int Int) Int)(declare-fun a () Int)"
+              "(assert (forall ((x Int)) (= (let ((y (g x a))) "
+              "((lambda ((z Int)) (g z y)) x)) a)))")
+    checked = typecheck.check_script(surface.parse_script(script), "<script>")
+    cert = processor.process(checked.asserts[0], checked.signature).certificate
+    return calculus.print_certificate(cert).encode()
+
+
+NAMED = _named_certificate()
+_BYTES = st.sampled_from(b"()c0123456789 :;|\"\nxyzw-") | st.integers(0, 255)
+
+
+class TestRobustness:
+    def test_certificate_has_named_contexts(self):
+        assert NAMED.count(b"(context ") >= 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                              st.sampled_from("rdi"), _BYTES),
+                    min_size=1, max_size=4))
+    def test_byte_edits_end_in_an_exit_code(self, edits):
+        data = bytearray(NAMED)
+        for where, op, byte in edits:
+            i = int(where * len(data))
+            if op == "r":
+                data[i] = byte
+            elif op == "d":
+                del data[i]
+            else:
+                data.insert(i, byte)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "edited.hoproof")
+            with open(path, "wb") as fh:
+                fh.write(bytes(data))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["verify", "--oracle", path])
+        assert 0 <= code <= 5
+        assert "Traceback" not in err.getvalue()

@@ -35,6 +35,28 @@ def test_certstats_oracle_on_goldens():
                and "," not in l for l in oracle)
 
 
+def test_certstats_sizes_on_goldens():
+    done = run_script(str(SCRIPTS / "certstats.py"), *GOLDEN)
+    assert done.returncode == 0, done.stdout + done.stderr
+    sizes = [l.strip() for l in done.stdout.splitlines()
+             if l.strip().startswith("size:")]
+    assert sizes == ["size: 627 bytes, 89.6 bytes/step, 0 context lines",
+                     "size: 1161 bytes, 145.1 bytes/step, 0 context lines",
+                     "size: 2593 bytes, 172.9 bytes/step, 0 context lines"]
+
+
+def test_certstats_counts_context_lines(tmp_path):
+    cert = tmp_path / "named.hoproof"
+    cert.write_text("(declare-fun a () Int)\n"
+                    "(context c1 () (fix w Int))\n"
+                    "(context c2 c1 (map (x w)))\n"
+                    "(step s1 :rule refl :context c2 :conclusion (= x w))\n"
+                    "(step s2 :rule refl :conclusion (= a a))\n")
+    done = run_script(str(SCRIPTS / "certstats.py"), str(cert))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "  size: 173 bytes, 86.5 bytes/step, 2 context lines" in done.stdout
+
+
 def test_certstats_reports_first_failure(tmp_path):
     text = (DATA / "example1.hoproof").read_text()
     bad = tmp_path / "bad.hoproof"
