@@ -32,13 +32,12 @@ taut steps name their theory with `:theory <tag>`.  Files may open with
 declare-sort/declare-fun commands.
 """
 
-from dataclasses import dataclass, field
-
 from . import core, sexpr, surface, typecheck
 from .context import EMPTY, Fix, Map, apply_context, contexts_equal
 from .core import (App, BOOL, Const, Lam, Let, Quant, Var, alpha_eq,
                    beta_normal_form, binder_parts, free_vars,
                    make_binder, not_term, sort_of, substitute)
+from .nodes import Record
 from .sexpr import ParseError, SList, Token
 from .typecheck import Signature, TypingEnv, infer_sort, normalize_sort
 
@@ -53,55 +52,70 @@ class CertificateError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class EqJudgment:
-    ctx: object  # Context
-    lhs: object
-    rhs: object
+class EqJudgment(Record):
+    __slots__ = ("ctx", "lhs", "rhs")
+
+    def __init__(self, ctx, lhs, rhs):
+        self.ctx = ctx  # Context
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass(frozen=True)
-class LemmaFormula:
-    formula: object  # closed core term of sort Bool
+class LemmaFormula(Record):
+    __slots__ = ("formula",)
+
+    def __init__(self, formula):
+        self.formula = formula  # closed core term of sort Bool
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    id: str
-    rule: str
-    premises: tuple  # step ids
-    conclusion: object  # EqJudgment | LemmaFormula
-    binding: tuple = ()  # ((name, term), ...) for lemma steps
-    theory: str = None  # for taut steps
-    line: int = field(compare=False, default=0)  # of the (step ...) form
-    col: int = field(compare=False, default=0)
+class ProofStep(Record):
+    __slots__ = ("id", "rule", "premises", "conclusion", "binding", "theory",
+                 "line", "col")
+
+    def __init__(self, id, rule, premises, conclusion, binding=(),
+                 theory=None, line=0, col=0):
+        self.id = id
+        self.rule = rule
+        self.premises = premises  # step ids
+        self.conclusion = conclusion  # EqJudgment | LemmaFormula
+        self.binding = binding  # ((name, term), ...) for lemma steps
+        self.theory = theory  # for taut steps
+        self.line = line  # of the (step ...) form
+        self.col = col
 
 
-@dataclass(frozen=True)
-class Certificate:
-    steps: tuple
-    signature: object = None
+class Certificate(Record):
+    __slots__ = ("steps", "signature")
+
+    def __init__(self, steps, signature=None):
+        self.steps = steps
+        self.signature = signature
 
     @property
     def final(self):
         return self.steps[-1]
 
 
-@dataclass
-class StepResult:
-    id: str
-    status: str  # "ok" | "trusted" | "invalid"
-    message: str = ""
-    line: int = 0  # the step's source position, 0 if it has none
-    col: int = 0
+class StepResult(Record):
+    __slots__ = ("id", "status", "message", "line", "col")
+
+    def __init__(self, id, status, message="", line=0, col=0):
+        self.id = id
+        self.status = status  # "ok" | "trusted" | "invalid"
+        self.message = message
+        self.line = line  # the step's source position, 0 if it has none
+        self.col = col
 
 
-@dataclass
-class Report:
-    results: list
-    verdict: str  # "valid" | "invalid" | "valid-with-trust"
-    final_conclusion: object = None
-    trusted_count: int = 0
+class Report(Record):
+    __slots__ = ("results", "verdict", "final_conclusion", "trusted_count")
+
+    def __init__(self, results, verdict, final_conclusion=None,
+                 trusted_count=0):
+        self.results = results
+        self.verdict = verdict  # "valid" | "invalid" | "valid-with-trust"
+        self.final_conclusion = final_conclusion
+        self.trusted_count = trusted_count
 
     @property
     def first_failure(self):

@@ -2,31 +2,33 @@
 substitutions, the induced substitution, and capture-avoiding application.
 
 Contexts are persistent: extension returns a new context sharing its prefix,
-and the induced substitution is memoized per context node.
+and the induced substitution is memoized per context node.  Entries and
+contexts are hash-consed like core terms (`nodes.Interned`): equal contexts
+are one node, `==` on them is identity, and `Context()` is `EMPTY`.
 """
 
-from dataclasses import dataclass
+import weakref
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Optional
 
-from .core import Var, alpha_eq, sort_of, substitute
-
-
-@dataclass(frozen=True)
-class Fix:
-    var: Var
+from .core import alpha_eq, sort_of, substitute
+from .nodes import Interned
 
 
-@dataclass(frozen=True)
-class Map:
-    pairs: tuple  # ((Var, term), ...), nonempty, vars pairwise distinct
+class Fix(Interned):
+    __slots__ = ("var",)
 
 
-@dataclass(frozen=True)
-class Context:
-    parent: Optional["Context"] = None
-    entry: object = None
+class Map(Interned):
+    # pairs: ((Var, term), ...), nonempty, vars pairwise distinct
+    __slots__ = ("pairs",)
+
+
+class Context(Interned):
+    __slots__ = ("parent", "entry")
+
+    def __new__(cls, parent=None, entry=None):
+        return super().__new__(cls, parent, entry)
 
     def fix(self, var):
         return Context(self, Fix(var))
@@ -61,6 +63,10 @@ class Context:
 EMPTY = Context()
 
 
+# the context nodes whose substitution is in context_subst's cache
+_folded = weakref.WeakSet()
+
+
 @lru_cache(maxsize=None)
 def context_subst(ctx):
     """The substitution induced by a context, folded outermost-first.
@@ -68,17 +74,31 @@ def context_subst(ctx):
     Fixing x shadows (removes) any replacement of x; appending a mapping
     composes it under the substitution so far: new images receive the old
     substitution, old entries persist unless remapped.
+
+    Ancestors not yet in the cache are folded first, outermost first, so
+    each of those calls finds its parent cached: the length of the chain
+    does not bound the call depth.
     """
+    if not context_subst.cache_info().currsize:
+        _folded.clear()  # the cache was cleared
     if ctx.entry is None:
         return MappingProxyType({})
-    base = dict(context_subst(ctx.parent))
+    todo = []
+    c = ctx.parent
+    while c.entry is not None and c not in _folded:
+        todo.append(c)
+        c = c.parent
+    for c in reversed(todo):
+        context_subst(c)
+    base = context_subst(ctx.parent)
+    out = dict(base)
     e = ctx.entry
     if isinstance(e, Fix):
-        base.pop(e.var.id, None)
-        return MappingProxyType(base)
-    out = {k: v for k, v in base.items()}
-    for v, img in e.pairs:
-        out[v.id] = substitute(img, base)
+        out.pop(e.var.id, None)
+    else:
+        for v, img in e.pairs:
+            out[v.id] = substitute(img, base)
+    _folded.add(ctx)
     return MappingProxyType(out)
 
 
@@ -99,9 +119,11 @@ def entry_eq(e1, e2):
 
 
 def contexts_equal(c1, c2):
-    """Same entries in the same order.  The chains are walked innermost
-    first, up to the first node they share: a context parsed from a named
-    definition is the very parent of its extensions' nodes."""
+    """Same entries in the same order, map images compared up to alpha.
+
+    The chains are walked innermost first, up to the first node they
+    share; equal contexts are one node, so only contexts whose images
+    differ by bound names take more than one step."""
     while c1 is not c2:
         if c1.entry is None or c2.entry is None:
             return c1.entry is None and c2.entry is None

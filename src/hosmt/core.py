@@ -4,29 +4,30 @@ Terms are immutable; applications are binary (curried) and every bound
 variable carries a globally unique numeric id, which makes alpha-equivalence
 and capture-avoiding substitution mechanical.  Formulas are terms of sort
 Bool.
+
+Sorts and terms are hash-consed (`nodes.Interned`): a constructor returns
+the one live node with those fields, so `==` on sorts and terms is
+identity and hashing is O(1).  Nodes are built only through their
+constructors.
 """
 
 import itertools
-from dataclasses import dataclass
+
+from .nodes import Interned
 
 
 # ---------------------------------------------------------------- sorts
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(Interned):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Applied:
-    name: str
-    args: tuple
+class Applied(Interned):
+    __slots__ = ("name", "args")
 
 
-@dataclass(frozen=True)
-class Fun:
-    dom: object
-    cod: object
+class Fun(Interned):
+    __slots__ = ("dom", "cod")
 
 
 BOOL = Atom("Bool")
@@ -56,42 +57,29 @@ def sort_str(s):
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
-class Var:
-    id: int
-    name: str
-    sort: object
+class Var(Interned):
+    __slots__ = ("id", "name", "sort")
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-    sort: object
+class Const(Interned):
+    __slots__ = ("name", "sort")
 
 
-@dataclass(frozen=True)
-class App:
-    fn: object
-    arg: object
+class App(Interned):
+    __slots__ = ("fn", "arg")
 
 
-@dataclass(frozen=True)
-class Lam:
-    var: Var
-    body: object
+class Lam(Interned):
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
-class Quant:
-    kind: str  # "forall" | "exists" | "eps"
-    var: Var
-    body: object
+class Quant(Interned):
+    __slots__ = ("kind", "var", "body")  # kind: "forall" | "exists" | "eps"
 
 
-@dataclass(frozen=True)
-class Let:
-    bindings: tuple  # ((Var, term), ...), nonempty, vars pairwise distinct
-    body: object
+class Let(Interned):
+    # bindings: ((Var, term), ...), nonempty, vars pairwise distinct
+    __slots__ = ("bindings", "body")
 
 
 QUANT_KINDS = ("forall", "exists", "eps")
@@ -188,7 +176,9 @@ def free_vars(t):
 
 def alpha_eq(s, t):
     """Equality up to consistent renaming of bound variables."""
-    return _alpha(s, t, {}, {}, 0)
+    # one node is alpha-equal to itself; below the top, identical subterms
+    # may sit under different variable maps
+    return s is t or _alpha(s, t, {}, {}, 0)
 
 
 def _alpha(s, t, ms, mt, depth):
@@ -199,7 +189,7 @@ def _alpha(s, t, ms, mt, depth):
             return s.id == t.id
         return bs is not None and bs == bt
     if isinstance(s, Const) and isinstance(t, Const):
-        return s.name == t.name and s.sort == t.sort
+        return s is t
     if isinstance(s, App) and isinstance(t, App):
         return (_alpha(s.fn, t.fn, ms, mt, depth)
                 and _alpha(s.arg, t.arg, ms, mt, depth))
@@ -223,6 +213,23 @@ def _alpha(s, t, ms, mt, depth):
             mt2[vt.id] = depth + i
         return _alpha(s.body, t.body, ms2, mt2, depth + len(s.bindings))
     return False
+
+
+# ------------------------------------------------------------ rebuilding
+# Each returns the node itself when no child changed, which saves an
+# intern-table lookup.
+
+def _app(t, fn, arg):
+    return t if fn is t.fn and arg is t.arg else App(fn, arg)
+
+
+def _rebind(t, kind, var, body):
+    return t if body is t.body and var is t.var else make_binder(kind, var, body)
+
+
+def _relet(t, pairs, body):
+    pairs = tuple(pairs)  # equal pairs hold the same nodes
+    return t if body is t.body and pairs == t.bindings else Let(pairs, body)
 
 
 # --------------------------------------------------------- substitution
@@ -249,7 +256,7 @@ def _subst(t, sigma, img_fv):
     if isinstance(t, Const):
         return t
     if isinstance(t, App):
-        return App(_subst(t.fn, sigma, img_fv), _subst(t.arg, sigma, img_fv))
+        return _app(t, _subst(t.fn, sigma, img_fv), _subst(t.arg, sigma, img_fv))
     bp = binder_parts(t)
     if bp is not None:
         kind, v, body = bp
@@ -260,7 +267,7 @@ def _subst(t, sigma, img_fv):
             v2 = fresh_var(v.name, v.sort)
             sigma2[v.id] = v2
             return make_binder(kind, v2, _subst(body, sigma2, img_fv))
-        return make_binder(kind, v, _subst(body, sigma2, img_fv))
+        return _rebind(t, kind, v, _subst(body, sigma2, img_fv))
     if isinstance(t, Let):
         new_imgs = [(v, _subst(img, sigma, img_fv)) for v, img in t.bindings]
         bound_ids = {v.id for v, _ in t.bindings}
@@ -271,7 +278,7 @@ def _subst(t, sigma, img_fv):
                 sigma2[v.id] = v2
                 new_imgs[i] = (v2, img)
         body = _subst(t.body, sigma2, img_fv) if sigma2 else t.body
-        return Let(tuple(new_imgs), body)
+        return _relet(t, new_imgs, body)
     raise TypeError(f"not a core term: {t!r}")
 
 
@@ -337,13 +344,13 @@ def beta_normal_form(t, max_steps=DEFAULT_STEP_CAP):
         if isinstance(u, (Var, Const)):
             return u
         if isinstance(u, App):
-            return App(nf(u.fn), nf(u.arg))
+            return _app(u, nf(u.fn), nf(u.arg))
         bp = binder_parts(u)
         if bp is not None:
             kind, v, body = bp
-            return make_binder(kind, v, nf(body))
+            return _rebind(u, kind, v, nf(body))
         if isinstance(u, Let):
-            return Let(tuple((v, nf(img)) for v, img in u.bindings), nf(u.body))
+            return _relet(u, [(v, nf(img)) for v, img in u.bindings], nf(u.body))
         raise TypeError(f"not a core term: {u!r}")
 
     return nf(t)
@@ -354,11 +361,11 @@ def expand_lets(t):
     if isinstance(t, (Var, Const)):
         return t
     if isinstance(t, App):
-        return App(expand_lets(t.fn), expand_lets(t.arg))
+        return _app(t, expand_lets(t.fn), expand_lets(t.arg))
     bp = binder_parts(t)
     if bp is not None:
         kind, v, body = bp
-        return make_binder(kind, v, expand_lets(body))
+        return _rebind(t, kind, v, expand_lets(body))
     if isinstance(t, Let):
         body = expand_lets(t.body)
         sigma = {v.id: expand_lets(img) for v, img in t.bindings}

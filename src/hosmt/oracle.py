@@ -15,37 +15,42 @@ not share `context_subst` with the checker, which is what makes it a second
 opinion.
 """
 
-from dataclasses import dataclass
-
 from . import core
-from .core import (Quant, Var, alpha_eq, beta_normal_form, eq_term,
+from .core import (Quant, alpha_eq, beta_normal_form, eq_term,
                    expand_lets, free_vars, fresh_var, substitute)
 from .context import Fix
+from .nodes import Record
 
 
 class EncodingError(Exception):
     """The two encodings do not share a lambda-prefix."""
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """A leaf holding an (opaque) core term."""
-    term: object
+    __slots__ = ("term",)
+
+    def __init__(self, term):
+        self.term = term
 
 
-@dataclass(frozen=True)
-class BAbs:
+class BAbs(Record):
     """lambda x. M at the encoding level."""
-    var: Var
-    body: object
+    __slots__ = ("var", "body")
+
+    def __init__(self, var, body):
+        self.var = var
+        self.body = body
 
 
-@dataclass(frozen=True)
-class BRedex:
+class BRedex(Record):
     """(lambda x1 ... xn. M) t1 ... tn at the encoding level."""
-    vars: tuple
-    body: object
-    args: tuple  # core terms, len(args) == len(vars)
+    __slots__ = ("vars", "body", "args")
+
+    def __init__(self, vars, body, args):
+        self.vars = vars
+        self.body = body
+        self.args = args  # core terms, len(args) == len(vars)
 
 
 def encode_left(ctx, t):

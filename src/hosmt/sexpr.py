@@ -12,7 +12,8 @@ lists are `SList` nodes at the position of their opening parenthesis.
 """
 
 import re
-from dataclasses import dataclass, field
+
+from .nodes import Record
 
 
 class SourceError(Exception):
@@ -43,19 +44,23 @@ DECIMAL = "decimal"
 STRING = "string"
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line=0, col=0):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
-@dataclass(frozen=True)
-class SList:
-    items: tuple
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class SList(Record):
+    __slots__ = ("items", "line", "col")
+
+    def __init__(self, items, line=0, col=0):
+        self.items = items
+        self.line = line
+        self.col = col
 
 
 # Alternatives are tried in order at each offset and together match every

@@ -6,134 +6,180 @@ grammar admits arrow sorts `(-> S1 ... Sn R)` and applications may have any
 term in head position.
 """
 
-from dataclasses import dataclass, field
-
 from . import sexpr
+from .nodes import Record
 from .sexpr import (KEYWORD, NUMERAL, DECIMAL, STRING, SYMBOL,
                     ParseError, SList, Token)
 
 
 # ---------------------------------------------------------------- sorts
 
-@dataclass(frozen=True)
-class SIdent:
-    name: str
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class SIdent(Record):
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name, pos=(0, 0)):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class SParam:
-    name: str
-    args: tuple  # nonempty
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class SParam(Record):
+    # args: nonempty
+    __slots__ = ("name", "args", "pos")
+
+    def __init__(self, name, args, pos=(0, 0)):
+        self.name = name
+        self.args = args
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class SArrow:
-    args: tuple  # nonempty
-    result: object
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class SArrow(Record):
+    # args: nonempty
+    __slots__ = ("args", "result", "pos")
+
+    def __init__(self, args, result, pos=(0, 0)):
+        self.args = args
+        self.result = result
+        self.pos = pos
 
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
-class SLit:
-    kind: str  # "numeral" | "decimal" | "string"
-    text: str
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class SLit(Record):
+    # kind: "numeral" | "decimal" | "string"
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind, text, pos=(0, 0)):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class SId:
-    name: str
-    ascribed: object = None  # sort from (as f S), or None
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class SId(Record):
+    # ascribed: sort from (as f S), or None
+    __slots__ = ("name", "ascribed", "pos")
+
+    def __init__(self, name, ascribed=None, pos=(0, 0)):
+        self.name = name
+        self.ascribed = ascribed
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class SApply:
-    head: object
-    args: tuple  # nonempty
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class SApply(Record):
+    # args: nonempty
+    __slots__ = ("head", "args", "pos")
+
+    def __init__(self, head, args, pos=(0, 0)):
+        self.head = head
+        self.args = args
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class SBinder:
-    kind: str  # "lambda" | "forall" | "exists" | "eps"
-    binders: tuple  # ((name, sort), ...), nonempty, names distinct
-    body: object
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class SBinder(Record):
+    # kind: "lambda" | "forall" | "exists" | "eps"
+    # binders: ((name, sort), ...), nonempty, names distinct
+    __slots__ = ("kind", "binders", "body", "pos")
+
+    def __init__(self, kind, binders, body, pos=(0, 0)):
+        self.kind = kind
+        self.binders = binders
+        self.body = body
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class SLet:
-    bindings: tuple  # ((name, term), ...), nonempty, names distinct
-    body: object
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class SLet(Record):
+    # bindings: ((name, term), ...), nonempty, names distinct
+    __slots__ = ("bindings", "body", "pos")
+
+    def __init__(self, bindings, body, pos=(0, 0)):
+        self.bindings = bindings
+        self.body = body
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class SMatch:
-    scrutinee: object
-    cases: tuple  # ((pattern-sexpr-as-string, term), ...)
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class SMatch(Record):
+    # cases: ((pattern-sexpr-as-string, term), ...)
+    __slots__ = ("scrutinee", "cases", "pos")
+
+    def __init__(self, scrutinee, cases, pos=(0, 0)):
+        self.scrutinee = scrutinee
+        self.cases = cases
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class SAnnot:
-    term: object
-    attributes: tuple  # ((keyword, value-string-or-None), ...)
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class SAnnot(Record):
+    # attributes: ((keyword, value-string-or-None), ...)
+    __slots__ = ("term", "attributes", "pos")
+
+    def __init__(self, term, attributes, pos=(0, 0)):
+        self.term = term
+        self.attributes = attributes
+        self.pos = pos
 
 
 # -------------------------------------------------------------- commands
 
-@dataclass(frozen=True)
-class CSetLogic:
-    name: str
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class CSetLogic(Record):
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name, pos=(0, 0)):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class CDeclareSort:
-    name: str
-    arity: int
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class CDeclareSort(Record):
+    __slots__ = ("name", "arity", "pos")
+
+    def __init__(self, name, arity, pos=(0, 0)):
+        self.name = name
+        self.arity = arity
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class CDeclareFun:
-    name: str
-    arg_sorts: tuple  # may be empty
-    result: object
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class CDeclareFun(Record):
+    # arg_sorts: may be empty
+    __slots__ = ("name", "arg_sorts", "result", "pos")
+
+    def __init__(self, name, arg_sorts, result, pos=(0, 0)):
+        self.name = name
+        self.arg_sorts = arg_sorts
+        self.result = result
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class CDefineFun:
-    name: str
-    params: tuple  # ((name, sort), ...)
-    result: object
-    body: object
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class CDefineFun(Record):
+    # params: ((name, sort), ...)
+    __slots__ = ("name", "params", "result", "body", "pos")
+
+    def __init__(self, name, params, result, body, pos=(0, 0)):
+        self.name = name
+        self.params = params
+        self.result = result
+        self.body = body
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class CAssert:
-    term: object
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class CAssert(Record):
+    __slots__ = ("term", "pos")
+
+    def __init__(self, term, pos=(0, 0)):
+        self.term = term
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class CExit:
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class CExit(Record):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos=(0, 0)):
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class CUnknown:
-    text: str  # verbatim canonical s-expression, preserved for round-trips
-    pos: tuple = field(default=(0, 0), compare=False, repr=False)
+class CUnknown(Record):
+    # text: verbatim canonical s-expression, preserved for round-trips
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text, pos=(0, 0)):
+        self.text = text
+        self.pos = pos
 
 
 BINDER_WORDS = ("lambda", "forall", "exists", "eps")

@@ -6,11 +6,10 @@ well-typed for every symbol.  Elaboration and sort inference happen in one
 pass.
 """
 
-from dataclasses import dataclass, field
-
 from . import core, surface
 from .core import (Applied, Atom, BOOL, Const, Fun, INT, REAL,
                    Lam, Let, Quant, Var, fresh_var, fun_sort, sort_of, sort_str)
+from .nodes import Record
 from .sexpr import SourceError
 from .surface import (CAssert, CDeclareFun, CDeclareSort, CDefineFun, CExit,
                       CSetLogic, CUnknown, SAnnot, SApply, SArrow, SBinder,
@@ -46,12 +45,14 @@ def logic_has_arith(logic):
     return logic is not None and ("IA" in logic or "RA" in logic or logic == "ALL")
 
 
-@dataclass
-class Signature:
+class Signature(Record):
     """Declared symbols and sort names.  Symbols map to curried core sorts."""
 
-    symbols: dict = field(default_factory=dict)
-    sorts: dict = field(default_factory=lambda: dict(BUILTIN_SORTS))
+    __slots__ = ("symbols", "sorts")
+
+    def __init__(self, symbols=None, sorts=None):
+        self.symbols = {} if symbols is None else symbols
+        self.sorts = dict(BUILTIN_SORTS) if sorts is None else sorts
 
     def copy(self):
         return Signature(dict(self.symbols), dict(self.sorts))
@@ -234,12 +235,14 @@ def infer_sort(env, t):
     raise TypeError(f"not a surface term: {t!r}")
 
 
-@dataclass
-class CheckedScript:
-    signature: Signature
-    asserts: list  # core terms of sort Bool
-    logic: str = None
-    commands: list = None
+class CheckedScript(Record):
+    __slots__ = ("signature", "asserts", "logic", "commands")
+
+    def __init__(self, signature, asserts, logic=None, commands=None):
+        self.signature = signature
+        self.asserts = asserts  # core terms of sort Bool
+        self.logic = logic
+        self.commands = commands
 
 
 def check_script(cmds, filename="<input>"):

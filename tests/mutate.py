@@ -7,9 +7,8 @@ printed certificate, one `(context ...)` or `(step ...)` per line.
 """
 
 import re
-from dataclasses import replace
 
-from hosmt.calculus import Certificate, EqJudgment
+from hosmt.calculus import Certificate, EqJudgment, ProofStep
 from hosmt.context import Context
 from hosmt.core import (App, Const, Lam, Let, Quant, Var, alpha_eq,
                         fresh_var, sort_of)
@@ -51,6 +50,14 @@ def _replace_leaf(t, k):
     return go(t)
 
 
+def _step(step, premises=None, conclusion=None):
+    """A copy of step with its premises or its conclusion replaced."""
+    return ProofStep(step.id, step.rule,
+                     step.premises if premises is None else premises,
+                     step.conclusion if conclusion is None else conclusion,
+                     step.binding, step.theory, step.line, step.col)
+
+
 def _with_step(cert, i, step):
     steps = list(cert.steps)
     steps[i] = step
@@ -71,8 +78,7 @@ def swap_sides(cert, rng):
         return None
     i = rng.choice(pool)
     c = cert.steps[i].conclusion
-    new = replace(cert.steps[i],
-                  conclusion=EqJudgment(c.ctx, c.rhs, c.lhs))
+    new = _step(cert.steps[i], conclusion=EqJudgment(c.ctx, c.rhs, c.lhs))
     return _with_step(cert, i, new)
 
 
@@ -89,7 +95,7 @@ def drop_context_entry(cert, rng):
     ctx = Context()
     for e in entries:
         ctx = Context(ctx, e)
-    new = replace(cert.steps[i], conclusion=EqJudgment(ctx, c.lhs, c.rhs))
+    new = _step(cert.steps[i], conclusion=EqJudgment(ctx, c.lhs, c.rhs))
     return _with_step(cert, i, new)
 
 
@@ -105,7 +111,7 @@ def rename_premise(cert, rng):
     other = rng.choice([x for x in ids if x != step.premises[j]])
     premises = list(step.premises)
     premises[j] = other
-    return _with_step(cert, i, replace(step, premises=tuple(premises)))
+    return _with_step(cert, i, _step(step, premises=tuple(premises)))
 
 
 def alter_leaf(cert, rng):
@@ -123,7 +129,7 @@ def alter_leaf(cert, rng):
     t2 = _replace_leaf(t, rng.randrange(n))
     new_c = (EqJudgment(c.ctx, t2, c.rhs) if side == "lhs"
              else EqJudgment(c.ctx, c.lhs, t2))
-    return _with_step(cert, i, replace(cert.steps[i], conclusion=new_c))
+    return _with_step(cert, i, _step(cert.steps[i], conclusion=new_c))
 
 
 MUTATIONS = (swap_sides, drop_context_entry, rename_premise, alter_leaf)

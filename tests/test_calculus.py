@@ -8,7 +8,7 @@ from hosmt import calculus, processor, surface, typecheck
 from hosmt.calculus import (BETA_THEORY, RULES, CertificateError, EqJudgment,
                             LemmaFormula, ProofStep, check_certificate,
                             check_step, parse_certificate, print_certificate)
-from hosmt.context import EMPTY, apply_context
+from hosmt.context import EMPTY, apply_context, contexts_equal
 from hosmt.core import (App, BOOL, Const, Fun, INT, Lam, Let, Quant,
                         alpha_eq, fresh_var, not_term)
 from hosmt.sexpr import SourceError
@@ -505,10 +505,22 @@ class TestNamedContexts:
     def test_named_and_inline_contexts_agree(self):
         cert = parse_certificate(self.TEXT)
         c1, c2 = (s.conclusion.ctx for s in cert.steps)
-        assert c1 is not c2
+        assert c1 is c2  # equal contexts are one node
         assert [type(e) for e in c1.entries()] == [type(e) for e in c2.entries()]
         assert c1.entries()[0].var.id == c2.entries()[0].var.id
         assert check_certificate(cert).verdict == "invalid"  # s2 is not empty
+
+    def test_alpha_equal_images_compare_equal(self):
+        # images that differ only by a bound name: distinct nodes that
+        # contexts_equal still identifies
+        cert = parse_certificate(
+            "(step s1 :rule refl :context ((map (h (lambda ((z Int)) z)))) "
+            ":conclusion (= h (lambda ((z Int)) z)))\n"
+            "(step s2 :rule refl :context ((map (h (lambda ((u Int)) u)))) "
+            ":conclusion (= h (lambda ((u Int)) u)))\n")
+        c1, c2 = (s.conclusion.ctx for s in cert.steps)
+        assert c1 is not c2
+        assert contexts_equal(c1, c2)
 
     def test_named_context_is_shared(self):
         cert = parse_certificate(self.TEXT.replace(

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -215,7 +218,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(cert))
         assert code == 0 and "valid (1 steps)" in out
 
-    def test_deep_context_exit_3(self, capsys, tmp_path):
+    def test_deep_context_gets_its_verdict(self, capsys, tmp_path):
         # a context chain 1,000 entries deep, as in the certificate of 200
         # nested beta-redexes but without its 1.7 MB of restated contexts
         ctx = " ".join(["(map (y a))"] * 1000)
@@ -223,6 +226,30 @@ class TestVerify:
         cert.write_text("(declare-fun a () Int)\n"
                         f"(step s1 :rule refl :context ({ctx}) "
                         ":conclusion (= y a))\n")
+        code, _, err = run(capsys, "verify", str(cert))
+        assert code == 4
+        assert "final judgment has a non-empty context" in err
+        assert "Traceback" not in err
+
+    def test_deep_named_context_chain(self, capsys, tmp_path):
+        # 10,000 named contexts, each extending the one before
+        lines = ["(declare-fun a () Int)", "(context c1 () (map (y a)))"]
+        lines += [f"(context c{k} c{k - 1} (map (y a)))"
+                  for k in range(2, 10001)]
+        lines.append("(step s1 :rule refl :context c10000 :conclusion (= y a))")
+        cert = tmp_path / "chain.hoproof"
+        cert.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "verify", str(cert))
+        assert code == 4
+        assert "final judgment has a non-empty context" in err
+        assert "Traceback" not in err
+
+    def test_deep_term_exit_3(self, capsys, tmp_path):
+        # a conclusion nested 3,000 deep still exhausts the call stack
+        deep = "(f " * 3000 + "a" + ")" * 3000
+        cert = tmp_path / "deep.hoproof"
+        cert.write_text("(declare-fun a () Int)(declare-fun f (Int) Int)\n"
+                        f"(step s1 :rule refl :conclusion (= {deep} {deep}))\n")
         code, _, err = run(capsys, "verify", str(cert))
         assert code == 3 and "nested too deeply" in err
         assert "Traceback" not in err
@@ -312,3 +339,16 @@ class TestRobustness:
                 code = cli.main(["verify", "--oracle", path])
         assert 0 <= code <= 5
         assert "Traceback" not in err.getvalue()
+
+
+def test_cli_import_loads_no_dataclasses():
+    # a dataclass on the CLI path costs every call its import and its
+    # class creation
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import hosmt.cli, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,16 +1,22 @@
-"""Core terms: alpha-equivalence, substitution, beta-reduction."""
+"""Core terms: alpha-equivalence, substitution, beta-reduction, interning."""
 
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hosmt.core import (App, BOOL, Const, DivergenceError, Fun, INT, Lam, Let,
-                        Quant, Var, alpha_eq, beta_normal_form, beta_step,
-                        expand_lets, free_vars, fresh_var, fun_sort, sort_of,
-                        sort_str, substitute, subterms)
+from hosmt import nodes
+from hosmt.context import EMPTY, Context
+from hosmt.core import (App, Applied, Atom, BOOL, Const, DivergenceError, Fun,
+                        INT, Lam, Let, Quant, Var, alpha_eq, beta_normal_form,
+                        beta_step, expand_lets, free_vars, fresh_var, fun_sort,
+                        sort_of, sort_str, substitute, subterms)
 
 import gen
+import mutate
 import nameless
 
 INTI = Fun(INT, INT)
@@ -251,3 +257,79 @@ def test_sort_of():
     assert sort_of(lam(x, App(f1, x))) == INTI
     assert sort_of(Quant("forall", x, App(Const("p", Fun(INT, BOOL)), x))) == BOOL
     assert sort_of(Quant("eps", x, Const("true", BOOL))) == INT
+
+
+def _rebuild(t):
+    """t built afresh through the constructors, sorts included."""
+    if isinstance(t, Atom):
+        return Atom(t.name)
+    if isinstance(t, Applied):
+        return Applied(t.name, tuple(_rebuild(a) for a in t.args))
+    if isinstance(t, Fun):
+        return Fun(_rebuild(t.dom), _rebuild(t.cod))
+    if isinstance(t, Var):
+        return Var(t.id, t.name, _rebuild(t.sort))
+    if isinstance(t, Const):
+        return Const(t.name, _rebuild(t.sort))
+    if isinstance(t, App):
+        return App(_rebuild(t.fn), _rebuild(t.arg))
+    if isinstance(t, Lam):
+        return Lam(_rebuild(t.var), _rebuild(t.body))
+    if isinstance(t, Quant):
+        return Quant(t.kind, _rebuild(t.var), _rebuild(t.body))
+    return Let(tuple((_rebuild(v), _rebuild(i)) for v, i in t.bindings),
+               _rebuild(t.body))
+
+
+class TestInterning:
+    def test_rebuilt_term_is_the_original(self):
+        rng = random.Random(41)
+        for _ in range(500):
+            t = gen.gen_closed(rng)
+            assert _rebuild(t) is t
+
+    def test_changed_leaf_is_another_node(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            t = gen.gen_closed(rng)
+            k = rng.randrange(mutate._count_leaves(t))
+            u = mutate._replace_leaf(t, k)
+            assert u is not t and u != t
+
+    def test_equal_contexts_are_one_node(self):
+        x = fresh_var("x", INT)
+        assert Context() is EMPTY
+        assert EMPTY.fix(x).map([(x, a)]) is EMPTY.fix(x).map([(x, a)])
+
+    def test_copies_are_the_node(self):
+        t = gen.gen_closed(random.Random(53))
+        ctx = EMPTY.fix(fresh_var("x", INT))
+        for node in (t, ctx):
+            assert copy.copy(node) is node
+            assert copy.deepcopy(node) is node
+            assert pickle.loads(pickle.dumps(node)) is node
+
+    def test_wrong_field_count_refused(self):
+        with pytest.raises(TypeError):
+            App(f1)
+        with pytest.raises(TypeError):
+            Var(1, "x", INT, INT)
+
+    def test_nodes_are_immutable(self):
+        x = fresh_var("x", INT)
+        for node, field in ((App(f1, a), "fn"), (x, "id"), (INT, "name"),
+                            (EMPTY.fix(x), "entry"), (EMPTY.fix(x).entry, "var")):
+            with pytest.raises(AttributeError):
+                setattr(node, field, a)
+            with pytest.raises(AttributeError):
+                delattr(node, field)
+
+    def test_table_forgets_dead_nodes(self):
+        rng = random.Random(47)
+        gen.gen_closed(rng)  # module constants the generator builds once
+        gc.collect()
+        before = len(nodes._table)
+        for _ in range(10000):
+            gen.gen_closed(rng, depth=4)
+        gc.collect()
+        assert len(nodes._table) - before < 20
