@@ -32,10 +32,12 @@ taut steps name their theory with `:theory <tag>`.  Files may open with
 declare-sort/declare-fun commands.
 """
 
+import itertools
+
 from . import core, sexpr, surface, typecheck
 from .context import EMPTY, Fix, Map, apply_context, contexts_equal
 from .core import (App, BOOL, Const, Lam, Let, Quant, Var, alpha_eq,
-                   beta_normal_form, binder_parts, free_vars,
+                   beta_normal_form, binder_parts, const_names, free_vars,
                    make_binder, not_term, sort_of, substitute)
 from .nodes import Record
 from .sexpr import ParseError, SList, Token
@@ -410,25 +412,80 @@ class _CertParser:
         self.sig = Signature()
         self.filename = filename
         # one core variable per (name, sort) across the whole certificate,
-        # so identical contexts in different steps share variable identity
+        # binders included, so one text denotes one node in every scope
         self.registry = {}
+        self.by_id = {}
         self.contexts = {}  # context name -> (Context, scope)
+        self.terms = {}  # term name -> [surface term, node, sort]
+        self.env = TypingEnv(self.sig, arith=True, filename=filename,
+                             make_var=self.var_for, lookup_ref=self.term_ref)
 
     def var_for(self, name, sort):
         key = (name, sort)
         if key not in self.registry:
-            self.registry[key] = core.fresh_var(name, sort)
+            v = self.registry[key] = core.fresh_var(name, sort)
+            self.by_id[v.id] = v
         return self.registry[key]
 
     def error(self, msg, e):
         return CertificateError(msg, *sexpr.sexpr_pos(e), self.filename)
 
     def elab(self, e, scope):
-        term = surface.term_from_sexpr(e, self.filename)
-        env = TypingEnv(self.sig, arith=True, filename=self.filename)
-        env.push(scope.values())
-        t, s = infer_sort(env, term)
-        return t, s
+        self.env.scopes = [scope]
+        return infer_sort(self.env, surface.term_from_sexpr(e, self.filename))
+
+    def term_ref(self, env, sid):
+        """The node a term name denotes at this use (TypingEnv hook).
+
+        The first use elaborates the definition in its own scope; a later
+        use gets the same node when each of its free variables is what its
+        name means here and no local variable hides one of its constants.
+        """
+        name = sid.name
+        d = self.terms.get(name)
+        if d is None:
+            if name in self.sig.symbols:
+                return None
+            raise CertificateError(f"unknown term {name}", *sid.pos,
+                                   self.filename)
+        if d[1] is None:
+            d[1], d[2] = infer_sort(env, d[0])
+            return d[1], d[2]
+        for i in free_vars(d[1]):
+            v = self.by_id[i]
+            if env.lookup_var(v.name) is not v:
+                raise CertificateError(f"term {name} uses {v.name}, which "
+                                       "means another variable here",
+                                       *sid.pos, self.filename)
+        for c in const_names(d[1]):
+            if env.lookup_var(c) is not None:
+                raise CertificateError(f"term {name} uses constant {c}, "
+                                       "which a variable hides here",
+                                       *sid.pos, self.filename)
+        return d[1], d[2]
+
+    def define_term(self, e):
+        """(define @<name> <term>): its body may name earlier terms only."""
+        items = e.items
+        if (len(items) != 3 or not _is_sym(items[1])
+                or not items[1].text.startswith("@")):
+            raise self.error("expected (define @<name> <term>)", e)
+        name = items[1]
+        if name.text in self.terms:
+            raise self.error(f"term {name.text} defined twice", name)
+        if name.text in self.sig.symbols:
+            raise self.error(f"term {name.text} is a declared symbol", name)
+        todo = [items[2]]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, SList):
+                todo += x.items
+            elif (_is_sym(x) and x.text.startswith("@")
+                  and x.text not in self.terms
+                  and x.text not in self.sig.symbols):
+                raise self.error(f"unknown term {x.text}", x)
+        self.terms[name.text] = [
+            surface.term_from_sexpr(items[2], self.filename), None, None]
 
     def parse_context(self, e):
         """The context a :context value denotes, with its name -> variable
@@ -573,10 +630,16 @@ def parse_certificate(text, filename="<certificate>"):
         if _is_sym(e.items[0], "context"):
             parser.define_context(e)
             continue
+        if _is_sym(e.items[0], "define"):
+            parser.define_term(e)
+            continue
         cmd = surface.command_from_sexpr(e, filename)
         if isinstance(cmd, surface.CDeclareSort):
             parser.sig.declare_sort(cmd.name, cmd.arity, cmd.pos, filename)
         elif isinstance(cmd, surface.CDeclareFun):
+            if cmd.name in parser.terms:
+                raise parser.error(f"term {cmd.name} is a declared symbol",
+                                   e.items[1])
             sort = typecheck.normalize_decl(cmd.arg_sorts, cmd.result,
                                             parser.sig, filename)
             parser.sig.declare_fun(cmd.name, sort, cmd.pos, filename)
@@ -633,42 +696,187 @@ def _assign_names(cert):
     return names
 
 
-def _print_entry(e, names):
-    if isinstance(e, Fix):
-        return f"(fix {names[e.var.id]} {core.sort_str(e.var.sort)})"
-    pairs = " ".join(
-        f"({names[v.id]} {typecheck.print_core(img, names)})" for v, img in e.pairs)
-    return f"(map {pairs})"
+def _is_eq(t):
+    """Whether t is a full application of =, which prints as (= a b)."""
+    return (isinstance(t, App) and isinstance(t.fn, App)
+            and isinstance(t.fn.fn, Const) and t.fn.fn.name == "=")
 
 
-def print_step(step, names, ctx_names):
-    """One step line; `ctx_names` maps id(node) to the name of every
-    non-empty context node the step uses."""
-    parts = [f"(step {step.id} :rule {step.rule}"]
-    if step.premises:
-        parts.append(":premises (" + " ".join(step.premises) + ")")
-    if isinstance(step.conclusion, EqJudgment):
+class _Printer:
+    """Writes one certificate; see print_certificate."""
+
+    def __init__(self, cert):
+        self.names = _assign_names(cert)
+        self.ctx_names = {}  # id(context node) -> c1, c2, ...
+        self.uses = {}  # non-leaf node -> parent occurrences in the roots
+        self.vars = {}  # id -> Var, for every variable that occurs
+        self.defs = {}  # node -> (@name, ((var id, printed name), ...))
+        self.lines = []
+        self.scope_of = (None, None)  # the last step context and its scope
+        symbols = cert.signature.symbols if cert.signature else {}
+        self.term_names = (f"@t{k}" for k in itertools.count(1)
+                           if f"@t{k}" not in symbols)
+        seen = set()
+        for step in cert.steps:
+            c = step.conclusion
+            if isinstance(c, EqJudgment):
+                for node in _unseen(c.ctx, seen):
+                    seen.add(id(node))
+                    if isinstance(node.entry, Map):
+                        for _, img in node.entry.pairs:
+                            self.count(img)
+                self.count(c.lhs)
+                self.count(c.rhs)
+            else:
+                for _, t in step.binding:
+                    self.count(t)
+                self.count(c.formula)
+
+    def count(self, root):
+        todo = [root]
+        while todo:
+            u = todo.pop()
+            if isinstance(u, Var):
+                self.vars[u.id] = u
+                continue
+            if isinstance(u, Const):
+                continue
+            n = self.uses.get(u, 0)
+            self.uses[u] = n + 1
+            if not n:
+                todo += (u.fn.arg, u.arg) if _is_eq(u) else core._children(u)
+
+    def name(self, i, scope):
+        """The printed name of variable id i: its binder's or context's
+        name in scope, or else the name it would print with unbound."""
+        return scope.get(i) or self.names.get(i) or self.vars[i].name
+
+    def term(self, t, scope):
+        """t as text in `scope` (var id -> printed name of every variable
+        bound there).  A node used twice is defined at its first use and
+        referred to wherever its free variables print as they did there."""
+        if isinstance(t, Var):
+            return self.name(t.id, scope)
+        if isinstance(t, Const):
+            if t.name == "=":
+                return f"(as = {core.sort_str(t.sort)})"
+            return t.name
+        if self.uses.get(t, 0) > 1:
+            d = self.defs.get(t)
+            if d is None:
+                env = tuple((i, scope.get(i)) for i in free_vars(t))
+                if all(n for _, n in env):
+                    text = self.inline(t, scope)
+                    d = self.defs[t] = next(self.term_names), env
+                    self.lines.append(f"(define {d[0]} {text})")
+                    return d[0]
+            elif all(scope.get(i) == n for i, n in d[1]):
+                return d[0]
+        return self.inline(t, scope)
+
+    def pick(self, v, taken):
+        """A binder's printed name: a context variable keeps its own, so
+        terms named under it stay valid; renamed apart from `taken`."""
+        name = self.names.get(v.id, v.name)
+        k = 1
+        while name in taken:
+            name = f"{v.name}{k}"
+            k += 1
+        return name
+
+    def visible(self, body, scope, bound):
+        """Names a binder of `bound` must avoid: the body's free variables
+        and constants."""
+        return ({self.name(i, scope) for i in free_vars(body) if i not in bound}
+                | const_names(body))
+
+    def inline(self, t, scope):
+        if isinstance(t, App):
+            if _is_eq(t):
+                return (f"(= {self.term(t.fn.arg, scope)} "
+                        f"{self.term(t.arg, scope)})")
+            args = []
+            while isinstance(t, App) and (not args or self.uses.get(t, 0) < 2):
+                args.append(t.arg)
+                t = t.fn
+            parts = [self.term(t, scope)]
+            parts += [self.term(a, scope) for a in reversed(args)]
+            return "(" + " ".join(parts) + ")"
+        bp = binder_parts(t)
+        if bp is not None:
+            kind, v, body = bp
+            name = self.pick(v, self.visible(body, scope, (v.id,)))
+            body = self.term(body, {**scope, v.id: name})
+            return f"({kind} (({name} {core.sort_str(v.sort)})) {body})"
+        bound = [v.id for v, _ in t.bindings]
+        taken = self.visible(t.body, scope, bound)
+        inner = dict(scope)
+        pairs = []
+        for v, img in t.bindings:
+            name = inner[v.id] = self.pick(v, taken)
+            taken.add(name)
+            pairs.append(f"({name} {self.term(img, scope)})")
+        return f"(let ({' '.join(pairs)}) {self.term(t.body, inner)})"
+
+    def entry(self, e, scope):
+        if isinstance(e, Fix):
+            return f"(fix {self.names[e.var.id]} {core.sort_str(e.var.sort)})"
+        pairs = " ".join(f"({self.names[v.id]} {self.term(img, scope)})"
+                         for v, img in e.pairs)
+        return f"(map {pairs})"
+
+    def context(self, ctx):
+        """Writes the (context ...) lines ctx still needs; returns its scope."""
+        if self.scope_of[0] is ctx:
+            return self.scope_of[1]
+        unseen = _unseen(ctx, self.ctx_names)
+        scope = {}
+        node = unseen[0].parent if unseen else ctx
+        while node.entry is not None:
+            scope.update(self.entry_vars(node.entry))
+            node = node.parent
+        for node in unseen:
+            name = self.ctx_names[id(node)] = f"c{len(self.ctx_names) + 1}"
+            parent = ("()" if node.parent.is_empty()
+                      else self.ctx_names[id(node.parent)])
+            self.lines.append(f"(context {name} {parent} "
+                              f"{self.entry(node.entry, scope)})")
+            scope.update(self.entry_vars(node.entry))
+        self.scope_of = ctx, scope
+        return scope
+
+    def entry_vars(self, e):
+        vs = (e.var,) if isinstance(e, Fix) else (v for v, _ in e.pairs)
+        return ((v.id, self.names[v.id]) for v in vs)
+
+    def step(self, step):
+        parts = [f"(step {step.id} :rule {step.rule}"]
+        if step.premises:
+            parts.append(":premises (" + " ".join(step.premises) + ")")
         c = step.conclusion
-        if not c.ctx.is_empty():
-            parts.append(f":context {ctx_names[id(c.ctx)]}")
-        if step.theory is not None:
-            parts.append(f":theory {step.theory}")
-        parts.append(f":conclusion (= {typecheck.print_core(c.lhs, names)} "
-                     f"{typecheck.print_core(c.rhs, names)}))")
-    else:
-        if step.binding:
-            bs = " ".join(f"({n} {typecheck.print_core(t, names)})"
-                          for n, t in step.binding)
-            parts.append(f":binding ({bs})")
-        parts.append(
-            f":conclusion {typecheck.print_core(step.conclusion.formula, names)})")
-    return " ".join(parts)
+        if isinstance(c, EqJudgment):
+            scope = self.context(c.ctx)
+            if not c.ctx.is_empty():
+                parts.append(f":context {self.ctx_names[id(c.ctx)]}")
+            if step.theory is not None:
+                parts.append(f":theory {step.theory}")
+            parts.append(f":conclusion (= {self.term(c.lhs, scope)} "
+                         f"{self.term(c.rhs, scope)}))")
+        else:
+            if step.binding:
+                bs = " ".join(f"({n} {self.term(t, {})})"
+                              for n, t in step.binding)
+                parts.append(f":binding ({bs})")
+            parts.append(f":conclusion {self.term(c.formula, {})})")
+        self.lines.append(" ".join(parts))
 
 
 def print_certificate(cert):
     """The certificate text.  Each context node is defined once, by a
-    (context ...) line just before the first step that uses it, and named
-    c1, c2, ... by identity."""
+    (context ...) line, and named c1, c2, ... by identity; each non-leaf
+    term node used twice is defined once, by a (define ...) line, and
+    named @t1, @t2, ...  Both kinds of line sit just before the first line
+    that uses them."""
     lines = []
     if cert.signature is not None:
         for name, arity in cert.signature.sorts.items():
@@ -682,15 +890,8 @@ def print_certificate(cert):
                 s = s.cod
             astr = " ".join(core.sort_str(a) for a in args)
             lines.append(f"(declare-fun {name} ({astr}) {core.sort_str(s)})")
-    names = _assign_names(cert)
-    ctx_names = {}
+    printer = _Printer(cert)
+    printer.lines = lines
     for step in cert.steps:
-        if isinstance(step.conclusion, EqJudgment):
-            for node in _unseen(step.conclusion.ctx, ctx_names):
-                name = ctx_names[id(node)] = f"c{len(ctx_names) + 1}"
-                parent = ("()" if node.parent.is_empty()
-                          else ctx_names[id(node.parent)])
-                lines.append(f"(context {name} {parent} "
-                             f"{_print_entry(node.entry, names)})")
-        lines.append(print_step(step, names, ctx_names))
+        printer.step(step)
     return "\n".join(lines) + "\n"

@@ -14,8 +14,11 @@ import argparse
 import os
 import sys
 
-from . import calculus, core, oracle, processor, surface, typecheck
+from . import core, surface, typecheck
 from .sexpr import SourceError
+
+# The proof modules are imported by the subcommands that use them: every
+# call starts a fresh interpreter, and `parse` and `check` need none of them.
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -58,6 +61,8 @@ def _proof_path(base, index, count):
 
 
 def _run_process(path, args, out, err):
+    from . import calculus, processor
+
     text, name = _read(path)
     cmds = surface.parse_script(text, name)
     checked = typecheck.check_script(cmds, name)
@@ -80,6 +85,8 @@ def _run_process(path, args, out, err):
 
 
 def _run_verify(path, args, out, err):
+    from . import calculus
+
     text, name = _read(path)
     cert = calculus.parse_certificate(text, filename=name)
     report = calculus.check_certificate(cert, max_steps=args.max_steps)
@@ -88,6 +95,8 @@ def _run_verify(path, args, out, err):
         err.write(f"{name}:{fail.line}:{fail.col}: invalid: {fail.message}\n")
         return EXIT_INVALID
     if args.oracle:
+        from . import oracle
+
         for step_id, verdict in oracle.check_certificate_oracle(
                 cert, max_steps=args.max_steps):
             if verdict != "lambda-valid":

@@ -57,27 +57,32 @@ def sort_str(s):
 
 # ---------------------------------------------------------------- terms
 
-class Var(Interned):
+class Term(Interned):
+    # caches filled on first use by free_vars and const_names; not fields
+    __slots__ = ("_fv", "_cn")
+
+
+class Var(Term):
     __slots__ = ("id", "name", "sort")
 
 
-class Const(Interned):
+class Const(Term):
     __slots__ = ("name", "sort")
 
 
-class App(Interned):
+class App(Term):
     __slots__ = ("fn", "arg")
 
 
-class Lam(Interned):
+class Lam(Term):
     __slots__ = ("var", "body")
 
 
-class Quant(Interned):
+class Quant(Term):
     __slots__ = ("kind", "var", "body")  # kind: "forall" | "exists" | "eps"
 
 
-class Let(Interned):
+class Let(Term):
     # bindings: ((Var, term), ...), nonempty, vars pairwise distinct
     __slots__ = ("bindings", "body")
 
@@ -154,22 +159,88 @@ def subterms(t):
                 todo += (img, v)
 
 
-def free_vars(t):
-    """Set of ids of the variables occurring free in t."""
-    if isinstance(t, Var):
-        return {t.id}
-    if isinstance(t, Const):
-        return set()
+def _children(t):
     if isinstance(t, App):
-        return free_vars(t.fn) | free_vars(t.arg)
+        return (t.fn, t.arg)
     if isinstance(t, (Lam, Quant)):
-        return free_vars(t.body) - {t.var.id}
+        return (t.body,)
     if isinstance(t, Let):
-        fv = free_vars(t.body) - {v.id for v, _ in t.bindings}
-        for _, img in t.bindings:
-            fv |= free_vars(img)
-        return fv
-    raise TypeError(f"not a core term: {t!r}")
+        return (*(img for _, img in t.bindings), t.body)
+    return ()
+
+
+def _union(a, b):
+    # reuses an operand, so most nodes share their set with a child
+    return a if b <= a else b if a <= b else a | b
+
+
+def _cached(t, slot, combine):
+    """The value of `slot` on t, computing it bottom-up, iteratively, for
+    every node below t that lacks it; `combine(u, kids)` derives a node's
+    value from its children's."""
+    todo = [t]
+    while todo:
+        u = todo[-1]
+        if hasattr(u, slot):
+            todo.pop()
+            continue
+        kids = _children(u)
+        missing = [k for k in kids if not hasattr(k, slot)]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        object.__setattr__(u, slot,
+                           combine(u, [getattr(k, slot) for k in kids]))
+    return getattr(t, slot)
+
+
+_NONE = frozenset()
+
+
+def _fv(u, kids):
+    if isinstance(u, Var):
+        return frozenset((u.id,))
+    out = _NONE
+    for k in kids:
+        out = _union(out, k)
+    if isinstance(u, (Lam, Quant)):
+        return out - {u.var.id} if u.var.id in out else out
+    if isinstance(u, Let):
+        bound = {v.id for v, _ in u.bindings}
+        body = kids[-1]
+        if not bound.isdisjoint(body):
+            out = body - bound
+            for k in kids[:-1]:
+                out = _union(out, k)
+    return out
+
+
+def _cn(u, kids):
+    if isinstance(u, Const):
+        return frozenset((u.name,))
+    out = _NONE
+    for k in kids:
+        out = _union(out, k)
+    return out
+
+
+def free_vars(t):
+    """Frozen set of ids of the variables occurring free in t; computed
+    once per node."""
+    try:
+        return t._fv
+    except AttributeError:
+        return _cached(t, "_fv", _fv)
+
+
+def const_names(t):
+    """Frozen set of the names of the constants in t; computed once per
+    node."""
+    try:
+        return t._cn
+    except AttributeError:
+        return _cached(t, "_cn", _cn)
 
 
 # ---------------------------------------------------------------- alpha
@@ -237,48 +308,53 @@ def _relet(t, pairs, body):
 def substitute(t, sigma):
     """Simultaneous capture-avoiding substitution.
 
-    sigma maps variable ids to terms; images are not re-substituted, and
-    binders whose variable occurs free in an image are renamed fresh.
+    sigma maps variable ids to terms; images are not re-substituted.  A
+    subterm with no free variable in sigma is returned as it is, and a
+    binder is renamed fresh when its variable occurs free in an image that
+    is substituted below it.
     """
-    if not sigma:
-        return t
-    img_fv = set()
-    for img in sigma.values():
-        img_fv |= free_vars(img)
-    return _subst(t, dict(sigma), img_fv)
+    return _subst(t, sigma) if sigma else t
 
 
-def _subst(t, sigma, img_fv):
-    if not sigma:
-        return t
+def _captures(var_id, fv, sigma):
+    """Whether some image of a variable in fv mentions var_id."""
+    return any(k in sigma and var_id in free_vars(sigma[k]) for k in fv)
+
+
+def _without(sigma, ids):
+    if not any(i in sigma for i in ids):
+        return sigma
+    return {k: x for k, x in sigma.items() if k not in ids}
+
+
+def _subst(t, sigma):
     if isinstance(t, Var):
         return sigma.get(t.id, t)
     if isinstance(t, Const):
         return t
+    fv = free_vars(t)
+    if sigma.keys().isdisjoint(fv):
+        return t
     if isinstance(t, App):
-        return _app(t, _subst(t.fn, sigma, img_fv), _subst(t.arg, sigma, img_fv))
+        return _app(t, _subst(t.fn, sigma), _subst(t.arg, sigma))
     bp = binder_parts(t)
     if bp is not None:
         kind, v, body = bp
-        sigma2 = {k: x for k, x in sigma.items() if k != v.id}
-        if not sigma2:
-            return t
-        if v.id in img_fv:
+        sigma = _without(sigma, (v.id,))
+        if _captures(v.id, fv, sigma):
             v2 = fresh_var(v.name, v.sort)
-            sigma2[v.id] = v2
-            return make_binder(kind, v2, _subst(body, sigma2, img_fv))
-        return _rebind(t, kind, v, _subst(body, sigma2, img_fv))
+            return make_binder(kind, v2, _subst(body, {**sigma, v.id: v2}))
+        return _rebind(t, kind, v, _subst(body, sigma))
     if isinstance(t, Let):
-        new_imgs = [(v, _subst(img, sigma, img_fv)) for v, img in t.bindings]
-        bound_ids = {v.id for v, _ in t.bindings}
-        sigma2 = {k: x for k, x in sigma.items() if k not in bound_ids}
-        for i, (v, img) in enumerate(new_imgs):
-            if v.id in img_fv:
+        pairs = [(v, _subst(img, sigma)) for v, img in t.bindings]
+        inner = _without(sigma, [v.id for v, _ in t.bindings])
+        body_fv = free_vars(t.body)
+        for i, (v, img) in enumerate(pairs):
+            if _captures(v.id, body_fv, inner):
                 v2 = fresh_var(v.name, v.sort)
-                sigma2[v.id] = v2
-                new_imgs[i] = (v2, img)
-        body = _subst(t.body, sigma2, img_fv) if sigma2 else t.body
-        return _relet(t, new_imgs, body)
+                inner = {**inner, v.id: v2}
+                pairs[i] = (v2, img)
+        return _relet(t, pairs, _subst(t.body, inner) if inner else t.body)
     raise TypeError(f"not a core term: {t!r}")
 
 

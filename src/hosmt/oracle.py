@@ -90,7 +90,7 @@ def _normalize(m):
                 img_fv.add(v.id)
             prefix.append(v)
         else:
-            imgs = [core._subst(a, sigma, img_fv) for a in m.args]
+            imgs = [substitute(a, sigma) for a in m.args]
             for v, img in zip(m.vars, imgs):
                 sigma[v.id] = img
                 img_fv |= free_vars(img)

@@ -78,13 +78,23 @@ class Signature(Record):
 
 
 class TypingEnv:
-    """A signature plus a scoped stack of local binder variables."""
+    """A signature plus a scoped stack of local binder variables.
 
-    def __init__(self, signature, arith=False, filename="<input>"):
+    Two hooks let a reader change how names are elaborated: `make_var(name,
+    sort)` makes each binder and let variable (a fresh one by default), and
+    `lookup_ref(env, sid)`, when set, is asked first about every identifier
+    that starts with `@`; it returns (term, sort), or None to look the name
+    up as usual.
+    """
+
+    def __init__(self, signature, arith=False, filename="<input>",
+                 make_var=fresh_var, lookup_ref=None):
         self.signature = signature
         self.arith = arith
         self.filename = filename
         self.scopes = []
+        self.make_var = make_var
+        self.lookup_ref = lookup_ref
 
     def push(self, vars_):
         self.scopes.append({v.name: v for v in vars_})
@@ -149,8 +159,13 @@ def infer_sort(env, t):
                 raise SortError("= must be ascribed a sort (-> S S Bool)",
                                 *t.pos, f)
             return Const("=", s), s
-        v = env.lookup_var(t.name)
-        if v is not None:
+        found = None
+        if env.lookup_ref is not None and t.name[:1] == "@":
+            found = env.lookup_ref(env, t)
+        v = env.lookup_var(t.name) if found is None else None
+        if found is not None:
+            result, s = found
+        elif v is not None:
             result, s = v, v.sort
         else:
             s = env.signature.lookup(t.name, env.arith)
@@ -189,7 +204,7 @@ def infer_sort(env, t):
             head, hs = core.App(head, arg), hs.cod
         return head, hs
     if isinstance(t, SBinder):
-        vars_ = [fresh_var(n, normalize_sort(s, env.signature, f))
+        vars_ = [env.make_var(n, normalize_sort(s, env.signature, f))
                  for n, s in t.binders]
         env.push(vars_)
         try:
@@ -220,7 +235,7 @@ def infer_sort(env, t):
         pairs = []
         for n, img in t.bindings:
             cimg, s = infer_sort(env, img)
-            pairs.append((fresh_var(n, s), cimg))
+            pairs.append((env.make_var(n, s), cimg))
         env.push([v for v, _ in pairs])
         try:
             body, bs = infer_sort(env, t.body)
