@@ -703,16 +703,27 @@ def _is_eq(t):
 
 
 class _Printer:
-    """Writes one certificate; see print_certificate."""
+    """Writes one certificate; see print_certificate.
+
+    A variable prints under its canonical name, its context name or else
+    its own, unless a binder had to be renamed.  A term is printed in a
+    scope: `scope` maps the id of every variable bound there to its printed
+    name, and `odd` holds the ids printed under another name than their
+    canonical one.  A node used twice is defined at its first use whose
+    free variables are all bound there and print canonically, and is
+    referred to wherever that holds again: its text is then the same.
+    """
 
     def __init__(self, cert):
         self.names = _assign_names(cert)
         self.ctx_names = {}  # id(context node) -> c1, c2, ...
         self.uses = {}  # non-leaf node -> parent occurrences in the roots
-        self.vars = {}  # id -> Var, for every variable that occurs
-        self.defs = {}  # node -> (@name, ((var id, printed name), ...))
+        self.canon = {}  # var id -> canonical name
+        self.by_canon = {}  # canonical name -> ids
+        self.defs = {}  # node -> @name
         self.lines = []
-        self.scope_of = (None, None)  # the last step context and its scope
+        # the variables of the context at `at`, with their multiplicity
+        self.at, self.scope, self.held, self.depths = EMPTY, {}, {}, {EMPTY: 0}
         symbols = cert.signature.symbols if cert.signature else {}
         self.term_names = (f"@t{k}" for k in itertools.count(1)
                            if f"@t{k}" not in symbols)
@@ -737,7 +748,9 @@ class _Printer:
         while todo:
             u = todo.pop()
             if isinstance(u, Var):
-                self.vars[u.id] = u
+                if u.id not in self.canon:
+                    name = self.canon[u.id] = self.names.get(u.id, u.name)
+                    self.by_canon.setdefault(name, []).append(u.id)
                 continue
             if isinstance(u, Const):
                 continue
@@ -746,128 +759,154 @@ class _Printer:
             if not n:
                 todo += (u.fn.arg, u.arg) if _is_eq(u) else core._children(u)
 
-    def name(self, i, scope):
-        """The printed name of variable id i: its binder's or context's
-        name in scope, or else the name it would print with unbound."""
-        return scope.get(i) or self.names.get(i) or self.vars[i].name
-
-    def term(self, t, scope):
-        """t as text in `scope` (var id -> printed name of every variable
-        bound there).  A node used twice is defined at its first use and
-        referred to wherever its free variables print as they did there."""
+    def term(self, t, scope, odd):
+        """t as text; see the class docstring."""
         if isinstance(t, Var):
-            return self.name(t.id, scope)
+            return scope.get(t.id) or self.canon[t.id]
         if isinstance(t, Const):
             if t.name == "=":
                 return f"(as = {core.sort_str(t.sort)})"
             return t.name
         if self.uses.get(t, 0) > 1:
-            d = self.defs.get(t)
-            if d is None:
-                env = tuple((i, scope.get(i)) for i in free_vars(t))
-                if all(n for _, n in env):
-                    text = self.inline(t, scope)
-                    d = self.defs[t] = next(self.term_names), env
-                    self.lines.append(f"(define {d[0]} {text})")
-                    return d[0]
-            elif all(scope.get(i) == n for i, n in d[1]):
-                return d[0]
-        return self.inline(t, scope)
+            fv = free_vars(t)
+            if scope.keys() >= fv and odd.isdisjoint(fv):
+                name = self.defs.get(t)
+                if name is None:
+                    text = self.inline(t, scope, odd)
+                    name = self.defs[t] = next(self.term_names)
+                    self.lines.append(f"(define {name} {text})")
+                return name
+        return self.inline(t, scope, odd)
 
-    def pick(self, v, taken):
-        """A binder's printed name: a context variable keeps its own, so
-        terms named under it stay valid; renamed apart from `taken`."""
+    def pick(self, v, body, bound, scope, odd, taken=()):
+        """A binder's printed name: its canonical one, so that terms named
+        under it stay valid, unless the body shows that name free."""
+        fv, consts = free_vars(body), const_names(body)
+
+        def visible(name):
+            return (name in taken or name in consts
+                    or any(i in fv and i not in bound and i not in odd
+                           for i in self.by_canon.get(name, ()))
+                    or any(i in fv and i not in bound and scope[i] == name
+                           for i in odd))
+
         name = self.names.get(v.id, v.name)
         k = 1
-        while name in taken:
+        while visible(name):
             name = f"{v.name}{k}"
             k += 1
         return name
 
-    def visible(self, body, scope, bound):
-        """Names a binder of `bound` must avoid: the body's free variables
-        and constants."""
-        return ({self.name(i, scope) for i in free_vars(body) if i not in bound}
-                | const_names(body))
+    def bind(self, scope, odd, v, name):
+        """The scope and odd set under a binder of v printed as name."""
+        if name != self.canon.get(v.id, name):
+            return {**scope, v.id: name}, odd | {v.id}
+        return {**scope, v.id: name}, odd - {v.id}
 
-    def inline(self, t, scope):
+    def inline(self, t, scope, odd):
         if isinstance(t, App):
             if _is_eq(t):
-                return (f"(= {self.term(t.fn.arg, scope)} "
-                        f"{self.term(t.arg, scope)})")
+                return (f"(= {self.term(t.fn.arg, scope, odd)} "
+                        f"{self.term(t.arg, scope, odd)})")
             args = []
             while isinstance(t, App) and (not args or self.uses.get(t, 0) < 2):
                 args.append(t.arg)
                 t = t.fn
-            parts = [self.term(t, scope)]
-            parts += [self.term(a, scope) for a in reversed(args)]
+            parts = [self.term(t, scope, odd)]
+            parts += [self.term(a, scope, odd) for a in reversed(args)]
             return "(" + " ".join(parts) + ")"
         bp = binder_parts(t)
         if bp is not None:
             kind, v, body = bp
-            name = self.pick(v, self.visible(body, scope, (v.id,)))
-            body = self.term(body, {**scope, v.id: name})
+            name = self.pick(v, body, (v.id,), scope, odd)
+            body = self.term(body, *self.bind(scope, odd, v, name))
             return f"({kind} (({name} {core.sort_str(v.sort)})) {body})"
-        bound = [v.id for v, _ in t.bindings]
-        taken = self.visible(t.body, scope, bound)
-        inner = dict(scope)
-        pairs = []
+        bound = {v.id for v, _ in t.bindings}
+        inner, inner_odd, taken, pairs = scope, odd, set(), []
         for v, img in t.bindings:
-            name = inner[v.id] = self.pick(v, taken)
+            name = self.pick(v, t.body, bound, scope, odd, taken)
             taken.add(name)
-            pairs.append(f"({name} {self.term(img, scope)})")
-        return f"(let ({' '.join(pairs)}) {self.term(t.body, inner)})"
+            inner, inner_odd = self.bind(inner, inner_odd, v, name)
+            pairs.append(f"({name} {self.term(img, scope, odd)})")
+        return (f"(let ({' '.join(pairs)}) "
+                f"{self.term(t.body, inner, inner_odd)})")
 
-    def entry(self, e, scope):
-        if isinstance(e, Fix):
-            return f"(fix {self.names[e.var.id]} {core.sort_str(e.var.sort)})"
-        pairs = " ".join(f"({self.names[v.id]} {self.term(img, scope)})"
-                         for v, img in e.pairs)
-        return f"(map {pairs})"
+    def depth(self, ctx):
+        todo = []
+        while ctx not in self.depths:
+            todo.append(ctx)
+            ctx = ctx.parent
+        for node in reversed(todo):
+            self.depths[node] = self.depths[node.parent] + 1
+        return self.depths[todo[0] if todo else ctx]
+
+    def move(self, ctx):
+        """Brings the scope's context part from self.at to ctx."""
+        up, path = self.at, []
+        while up is not ctx:
+            if self.depth(up) >= self.depth(ctx):
+                for i in self.entry_ids(up.entry):
+                    self.held[i] -= 1
+                    if not self.held[i]:
+                        del self.held[i], self.scope[i]
+                up = up.parent
+            else:
+                path.append(ctx)
+                ctx = ctx.parent
+        self.at = up
+        for node in reversed(path):
+            self.enter(node)
+
+    def enter(self, node):
+        for i in self.entry_ids(node.entry):
+            self.held[i] = self.held.get(i, 0) + 1
+            self.scope[i] = self.names[i]
+        self.at = node
+
+    @staticmethod
+    def entry_ids(e):
+        return (e.var.id,) if isinstance(e, Fix) else [v.id for v, _ in e.pairs]
 
     def context(self, ctx):
-        """Writes the (context ...) lines ctx still needs; returns its scope."""
-        if self.scope_of[0] is ctx:
-            return self.scope_of[1]
+        """Writes the (context ...) lines ctx still needs; the scope then
+        holds ctx's variables."""
         unseen = _unseen(ctx, self.ctx_names)
-        scope = {}
-        node = unseen[0].parent if unseen else ctx
-        while node.entry is not None:
-            scope.update(self.entry_vars(node.entry))
-            node = node.parent
+        self.move(unseen[0].parent if unseen else ctx)
+        none = frozenset()
         for node in unseen:
             name = self.ctx_names[id(node)] = f"c{len(self.ctx_names) + 1}"
             parent = ("()" if node.parent.is_empty()
                       else self.ctx_names[id(node.parent)])
-            self.lines.append(f"(context {name} {parent} "
-                              f"{self.entry(node.entry, scope)})")
-            scope.update(self.entry_vars(node.entry))
-        self.scope_of = ctx, scope
-        return scope
-
-    def entry_vars(self, e):
-        vs = (e.var,) if isinstance(e, Fix) else (v for v, _ in e.pairs)
-        return ((v.id, self.names[v.id]) for v in vs)
+            e = node.entry
+            if isinstance(e, Fix):
+                entry = f"(fix {self.names[e.var.id]} {core.sort_str(e.var.sort)})"
+            else:
+                entry = "(map " + " ".join(
+                    f"({self.names[v.id]} {self.term(img, self.scope, none)})"
+                    for v, img in e.pairs) + ")"
+            self.lines.append(f"(context {name} {parent} {entry})")
+            self.enter(node)
 
     def step(self, step):
         parts = [f"(step {step.id} :rule {step.rule}"]
         if step.premises:
             parts.append(":premises (" + " ".join(step.premises) + ")")
         c = step.conclusion
+        none = frozenset()
         if isinstance(c, EqJudgment):
-            scope = self.context(c.ctx)
+            self.context(c.ctx)
             if not c.ctx.is_empty():
                 parts.append(f":context {self.ctx_names[id(c.ctx)]}")
             if step.theory is not None:
                 parts.append(f":theory {step.theory}")
-            parts.append(f":conclusion (= {self.term(c.lhs, scope)} "
-                         f"{self.term(c.rhs, scope)}))")
+            parts.append(f":conclusion (= {self.term(c.lhs, self.scope, none)} "
+                         f"{self.term(c.rhs, self.scope, none)}))")
         else:
             if step.binding:
-                bs = " ".join(f"({n} {self.term(t, {})})"
+                bs = " ".join(f"({n} {self.term(t, {}, none)})"
                               for n, t in step.binding)
                 parts.append(f":binding ({bs})")
-            parts.append(f":conclusion {self.term(c.formula, {})})")
+            parts.append(f":conclusion {self.term(c.formula, {}, none)})")
         self.lines.append(" ".join(parts))
 
 
