@@ -18,30 +18,51 @@ defined on an earlier line by
     (context <name> <ctx> <entry>)
 
 which names `<ctx>` extended by one entry.  Entries are `(fix <name> <sort>)`
-or `(map (<name> <term>)+)`.  For example
+or `(map (<name> <term>)+)`.  A term may be defined once and then named,
+by
+
+    (define @<name> <term>)
+
+For example
 
     (context c1 () (fix y Int))
     (context c2 c1 (map (x y)))
-    (step s1 :rule refl :context c2 :conclusion (= x y))
+    (define @t1 (f x))
+    (step s1 :rule refl :context c2 :conclusion (= @t1 (f y)))
+    (step s2 :rule bind :premises (s1) :conclusion
+          (= (lambda ((x Int)) @t1) (lambda ((y Int)) (f y))))
 
-A name must be defined before it is used and only once; context names are a
-namespace of their own, apart from symbols and step ids.  The printer
-defines each context node once, just before the first step that uses it.
-Lemma steps use `:conclusion <formula>` and `:binding ((<name> <term>)+)`;
-taut steps name their theory with `:theory <tag>`.  Files may open with
-declare-sort/declare-fun commands.
+A name must be defined before it is used and only once.  Context names are
+a namespace of their own, apart from symbols and step ids; term names
+start with `@`, which SMT-LIB leaves to solvers, and may not be declared
+symbols.  A definition may use earlier term names only.
+
+A term name means its text written in place.  The reader elaborates a
+definition at its first use, in that use's scope, and reuses the node at
+every later use where each of its free variables is what its name means
+there and no local variable hides one of its constants; any other use is
+an error at the reference.  Variables, binders and `let`s included, are
+read as one variable per (name, sort) across the certificate, so one text
+denotes one node in every scope: a binder over a context variable of the
+same name, as `bind` conclusions have, takes a term named under that
+context as its body.
+
+The printer (`hosmt.certprinter`) defines each context node and each
+non-leaf term node used twice once, just before the first line that uses
+it.  Lemma steps use `:conclusion <formula>` and `:binding ((<name>
+<term>)+)`; taut steps name their theory with `:theory <tag>`.  Files may
+open with declare-sort/declare-fun commands.  The reader is
+`hosmt.certreader`.  Both are imported on first use, so that a call that
+only reads, or only writes, certificates compiles one of them.
 """
 
-import itertools
-
-from . import core, sexpr, surface, typecheck
-from .context import EMPTY, Fix, Map, apply_context, contexts_equal
-from .core import (App, BOOL, Const, Lam, Let, Quant, Var, alpha_eq,
-                   beta_normal_form, binder_parts, const_names, free_vars,
+from . import core, typecheck
+from .context import Fix, Map, apply_context, contexts_equal
+from .core import (App, Const, Lam, Let, Quant, Var, alpha_eq,
+                   beta_normal_form, binder_parts, free_vars,
                    make_binder, not_term, sort_of, substitute)
 from .nodes import Record
-from .sexpr import ParseError, SList, Token
-from .typecheck import Signature, TypingEnv, infer_sort, normalize_sort
+from .sexpr import ParseError
 
 
 LEMMA_RULES = ("inst_forall", "inst_exists")
@@ -400,257 +421,7 @@ def check_certificate(cert, max_steps=core.DEFAULT_STEP_CAP):
     return Report(results, verdict, final, trusted)
 
 
-# ---------------------------------------------------------------- parsing
-
-def _is_sym(e, text=None):
-    return (isinstance(e, Token) and e.kind == sexpr.SYMBOL
-            and (text is None or e.text == text))
-
-
-class _CertParser:
-    def __init__(self, filename):
-        self.sig = Signature()
-        self.filename = filename
-        # one core variable per (name, sort) across the whole certificate,
-        # binders included, so one text denotes one node in every scope
-        self.registry = {}
-        self.by_id = {}
-        self.contexts = {}  # context name -> (Context, scope)
-        self.terms = {}  # term name -> [surface term, node, sort]
-        self.env = TypingEnv(self.sig, arith=True, filename=filename,
-                             make_var=self.var_for, lookup_ref=self.term_ref)
-
-    def var_for(self, name, sort):
-        key = (name, sort)
-        if key not in self.registry:
-            v = self.registry[key] = core.fresh_var(name, sort)
-            self.by_id[v.id] = v
-        return self.registry[key]
-
-    def error(self, msg, e):
-        return CertificateError(msg, *sexpr.sexpr_pos(e), self.filename)
-
-    def elab(self, e, scope):
-        self.env.scopes = [scope]
-        return infer_sort(self.env, surface.term_from_sexpr(e, self.filename))
-
-    def term_ref(self, env, sid):
-        """The node a term name denotes at this use (TypingEnv hook).
-
-        The first use elaborates the definition in its own scope; a later
-        use gets the same node when each of its free variables is what its
-        name means here and no local variable hides one of its constants.
-        """
-        name = sid.name
-        d = self.terms.get(name)
-        if d is None:
-            if name in self.sig.symbols:
-                return None
-            raise CertificateError(f"unknown term {name}", *sid.pos,
-                                   self.filename)
-        if d[1] is None:
-            d[1], d[2] = infer_sort(env, d[0])
-            return d[1], d[2]
-        for i in free_vars(d[1]):
-            v = self.by_id[i]
-            if env.lookup_var(v.name) is not v:
-                raise CertificateError(f"term {name} uses {v.name}, which "
-                                       "means another variable here",
-                                       *sid.pos, self.filename)
-        for c in const_names(d[1]):
-            if env.lookup_var(c) is not None:
-                raise CertificateError(f"term {name} uses constant {c}, "
-                                       "which a variable hides here",
-                                       *sid.pos, self.filename)
-        return d[1], d[2]
-
-    def define_term(self, e):
-        """(define @<name> <term>): its body may name earlier terms only."""
-        items = e.items
-        if (len(items) != 3 or not _is_sym(items[1])
-                or not items[1].text.startswith("@")):
-            raise self.error("expected (define @<name> <term>)", e)
-        name = items[1]
-        if name.text in self.terms:
-            raise self.error(f"term {name.text} defined twice", name)
-        if name.text in self.sig.symbols:
-            raise self.error(f"term {name.text} is a declared symbol", name)
-        todo = [items[2]]
-        while todo:
-            x = todo.pop()
-            if isinstance(x, SList):
-                todo += x.items
-            elif (_is_sym(x) and x.text.startswith("@")
-                  and x.text not in self.terms
-                  and x.text not in self.sig.symbols):
-                raise self.error(f"unknown term {x.text}", x)
-        self.terms[name.text] = [
-            surface.term_from_sexpr(items[2], self.filename), None, None]
-
-    def parse_context(self, e):
-        """The context a :context value denotes, with its name -> variable
-        scope.  A named context's scope is shared: callers only read it."""
-        if e is None:
-            return EMPTY, {}
-        if _is_sym(e):
-            if e.text not in self.contexts:
-                raise self.error(f"unknown context {e.text}", e)
-            return self.contexts[e.text]
-        if not isinstance(e, SList):
-            raise self.error("expected a context name or entry list", e)
-        ctx, scope = EMPTY, {}
-        for entry in e.items:
-            ctx = self.extend(ctx, scope, entry)
-        return ctx, scope
-
-    def define_context(self, e):
-        """(context <name> <ctx> <entry>): name <ctx> extended by <entry>."""
-        items = e.items
-        if len(items) != 4 or not _is_sym(items[1]):
-            raise self.error("expected (context <name> <context> <entry>)", e)
-        name = items[1]
-        if name.text in self.contexts:
-            raise self.error(f"context {name.text} defined twice", name)
-        ctx, scope = self.parse_context(items[2])
-        scope = dict(scope)
-        self.contexts[name.text] = self.extend(ctx, scope, items[3]), scope
-
-    def extend(self, ctx, scope, entry):
-        """ctx extended by one (fix ...) or (map ...) entry; binds the
-        entry's variables in `scope`."""
-        if not isinstance(entry, SList) or not entry.items:
-            raise self.error("expected (fix ...) or (map ...)", entry)
-        head = entry.items[0]
-        if _is_sym(head, "fix"):
-            if len(entry.items) != 3 or not _is_sym(entry.items[1]):
-                raise self.error("expected (fix <name> <sort>)", entry)
-            name = entry.items[1].text
-            ssort = surface.sort_from_sexpr(entry.items[2], self.filename)
-            sort = normalize_sort(ssort, self.sig, self.filename)
-            v = self.var_for(name, sort)
-            scope[name] = v
-            return ctx.fix(v)
-        if not _is_sym(head, "map"):
-            raise self.error("unknown context entry", entry)
-        if len(entry.items) < 2:
-            raise self.error("expected (map (<name> <term>)+)", entry)
-        pairs = []
-        for item in entry.items[1:]:
-            if (not isinstance(item, SList) or len(item.items) != 2
-                    or not _is_sym(item.items[0])):
-                raise self.error("expected (<name> <term>)", item)
-            name = item.items[0].text
-            img, sort = self.elab(item.items[1], scope)
-            pairs.append((self.var_for(name, sort), img))
-        try:
-            ctx = ctx.map(pairs)
-        except ValueError as err:
-            raise self.error(str(err), entry)
-        for v, _ in pairs:
-            scope[v.name] = v
-        return ctx
-
-    def parse_step(self, e):
-        items = e.items
-        if len(items) < 2 or not _is_sym(items[0], "step") or not _is_sym(items[1]):
-            raise self.error("expected (step <id> ...)", e)
-        step_id = items[1].text
-        kw = {}
-        i = 2
-        while i < len(items):
-            k = items[i]
-            if not (isinstance(k, Token) and k.kind == sexpr.KEYWORD):
-                raise self.error("expected a keyword", k)
-            if i + 1 >= len(items):
-                raise self.error(f"missing value for {k.text}", k)
-            kw[k.text] = items[i + 1]
-            i += 2
-        if ":rule" not in kw or not _is_sym(kw[":rule"]):
-            raise self.error("step lacks a :rule", e)
-        rule = kw[":rule"].text
-        if rule not in RULES:
-            raise self.error(f"unknown rule {rule}", kw[":rule"])
-        premises = ()
-        if ":premises" in kw:
-            pe = kw[":premises"]
-            if not isinstance(pe, SList) or not all(_is_sym(x) for x in pe.items):
-                raise self.error("expected a list of step ids", pe)
-            premises = tuple(x.text for x in pe.items)
-        theory = None
-        if ":theory" in kw:
-            if not _is_sym(kw[":theory"]):
-                raise self.error("expected a theory tag", kw[":theory"])
-            theory = kw[":theory"].text
-        if ":conclusion" not in kw:
-            raise self.error("step lacks a :conclusion", e)
-        binding = ()
-        if ":binding" in kw:
-            be = kw[":binding"]
-            if not isinstance(be, SList):
-                raise self.error("expected a binding list", be)
-            bs = []
-            for item in be.items:
-                if (not isinstance(item, SList) or len(item.items) != 2
-                        or not _is_sym(item.items[0])):
-                    raise self.error("expected (<name> <term>)", item)
-                t, _ = self.elab(item.items[1], {})
-                bs.append((item.items[0].text, t))
-            binding = tuple(bs)
-        if rule in LEMMA_RULES:
-            formula, fsort = self.elab(kw[":conclusion"], {})
-            if fsort != BOOL:
-                raise self.error("lemma formula must have sort Bool",
-                                 kw[":conclusion"])
-            conclusion = LemmaFormula(formula)
-        else:
-            ctx, scope = self.parse_context(kw.get(":context"))
-            ce = kw[":conclusion"]
-            if (not isinstance(ce, SList) or len(ce.items) != 3
-                    or not _is_sym(ce.items[0], "=")):
-                raise self.error("expected (= <term> <term>)", ce)
-            lhs, ls = self.elab(ce.items[1], scope)
-            rhs, rs = self.elab(ce.items[2], scope)
-            if ls != rs:
-                raise self.error("conclusion sides have different sorts", ce)
-            conclusion = EqJudgment(ctx, lhs, rhs)
-        return ProofStep(step_id, rule, premises, conclusion, binding, theory,
-                         *sexpr.sexpr_pos(e))
-
-
-def parse_certificate(text, filename="<certificate>"):
-    exprs = sexpr.parse_text(text, filename)
-    parser = _CertParser(filename)
-    steps = []
-    for e in exprs:
-        if not isinstance(e, SList) or not e.items:
-            raise parser.error("expected a command or step", e)
-        if _is_sym(e.items[0], "step"):
-            steps.append(parser.parse_step(e))
-            continue
-        if _is_sym(e.items[0], "context"):
-            parser.define_context(e)
-            continue
-        if _is_sym(e.items[0], "define"):
-            parser.define_term(e)
-            continue
-        cmd = surface.command_from_sexpr(e, filename)
-        if isinstance(cmd, surface.CDeclareSort):
-            parser.sig.declare_sort(cmd.name, cmd.arity, cmd.pos, filename)
-        elif isinstance(cmd, surface.CDeclareFun):
-            if cmd.name in parser.terms:
-                raise parser.error(f"term {cmd.name} is a declared symbol",
-                                   e.items[1])
-            sort = typecheck.normalize_decl(cmd.arg_sorts, cmd.result,
-                                            parser.sig, filename)
-            parser.sig.declare_fun(cmd.name, sort, cmd.pos, filename)
-        else:
-            raise parser.error("only declarations and steps are allowed", e)
-    if not steps:
-        raise CertificateError("certificate has no steps", 1, 1, filename)
-    return Certificate(tuple(steps), parser.sig)
-
-
-# --------------------------------------------------------------- printing
+# ------------------------------------------------------- text format
 
 def _unseen(ctx, seen):
     """The nodes of ctx's chain that are not in `seen`, outermost first.
@@ -696,241 +467,16 @@ def _assign_names(cert):
     return names
 
 
-def _is_eq(t):
-    """Whether t is a full application of =, which prints as (= a b)."""
-    return (isinstance(t, App) and isinstance(t.fn, App)
-            and isinstance(t.fn.fn, Const) and t.fn.fn.name == "=")
+def parse_certificate(text, filename="<certificate>"):
+    """The Certificate that certificate text denotes; see the module
+    docstring for its syntax."""
+    from . import certreader
 
-
-class _Printer:
-    """Writes one certificate; see print_certificate.
-
-    A variable prints under its canonical name, its context name or else
-    its own, unless a binder had to be renamed.  A term is printed in a
-    scope: `scope` maps the id of every variable bound there to its printed
-    name, and `odd` holds the ids printed under another name than their
-    canonical one.  A node used twice is defined at its first use whose
-    free variables are all bound there and print canonically, and is
-    referred to wherever that holds again: its text is then the same.
-    """
-
-    def __init__(self, cert):
-        self.names = _assign_names(cert)
-        self.ctx_names = {}  # id(context node) -> c1, c2, ...
-        self.uses = {}  # non-leaf node -> parent occurrences in the roots
-        self.canon = {}  # var id -> canonical name
-        self.by_canon = {}  # canonical name -> ids
-        self.defs = {}  # node -> @name
-        self.lines = []
-        # the variables of the context at `at`, with their multiplicity
-        self.at, self.scope, self.held, self.depths = EMPTY, {}, {}, {EMPTY: 0}
-        symbols = cert.signature.symbols if cert.signature else {}
-        self.term_names = (f"@t{k}" for k in itertools.count(1)
-                           if f"@t{k}" not in symbols)
-        seen = set()
-        for step in cert.steps:
-            c = step.conclusion
-            if isinstance(c, EqJudgment):
-                for node in _unseen(c.ctx, seen):
-                    seen.add(id(node))
-                    if isinstance(node.entry, Map):
-                        for _, img in node.entry.pairs:
-                            self.count(img)
-                self.count(c.lhs)
-                self.count(c.rhs)
-            else:
-                for _, t in step.binding:
-                    self.count(t)
-                self.count(c.formula)
-
-    def count(self, root):
-        todo = [root]
-        while todo:
-            u = todo.pop()
-            if isinstance(u, Var):
-                if u.id not in self.canon:
-                    name = self.canon[u.id] = self.names.get(u.id, u.name)
-                    self.by_canon.setdefault(name, []).append(u.id)
-                continue
-            if isinstance(u, Const):
-                continue
-            n = self.uses.get(u, 0)
-            self.uses[u] = n + 1
-            if not n:
-                todo += (u.fn.arg, u.arg) if _is_eq(u) else core._children(u)
-
-    def term(self, t, scope, odd):
-        """t as text; see the class docstring."""
-        if isinstance(t, Var):
-            return scope.get(t.id) or self.canon[t.id]
-        if isinstance(t, Const):
-            if t.name == "=":
-                return f"(as = {core.sort_str(t.sort)})"
-            return t.name
-        if self.uses.get(t, 0) > 1:
-            fv = free_vars(t)
-            if scope.keys() >= fv and odd.isdisjoint(fv):
-                name = self.defs.get(t)
-                if name is None:
-                    text = self.inline(t, scope, odd)
-                    name = self.defs[t] = next(self.term_names)
-                    self.lines.append(f"(define {name} {text})")
-                return name
-        return self.inline(t, scope, odd)
-
-    def pick(self, v, body, bound, scope, odd, taken=()):
-        """A binder's printed name: its canonical one, so that terms named
-        under it stay valid, unless the body shows that name free."""
-        fv, consts = free_vars(body), const_names(body)
-
-        def visible(name):
-            return (name in taken or name in consts
-                    or any(i in fv and i not in bound and i not in odd
-                           for i in self.by_canon.get(name, ()))
-                    or any(i in fv and i not in bound and scope[i] == name
-                           for i in odd))
-
-        name = self.names.get(v.id, v.name)
-        k = 1
-        while visible(name):
-            name = f"{v.name}{k}"
-            k += 1
-        return name
-
-    def bind(self, scope, odd, v, name):
-        """The scope and odd set under a binder of v printed as name."""
-        if name != self.canon.get(v.id, name):
-            return {**scope, v.id: name}, odd | {v.id}
-        return {**scope, v.id: name}, odd - {v.id}
-
-    def inline(self, t, scope, odd):
-        if isinstance(t, App):
-            if _is_eq(t):
-                return (f"(= {self.term(t.fn.arg, scope, odd)} "
-                        f"{self.term(t.arg, scope, odd)})")
-            args = []
-            while isinstance(t, App) and (not args or self.uses.get(t, 0) < 2):
-                args.append(t.arg)
-                t = t.fn
-            parts = [self.term(t, scope, odd)]
-            parts += [self.term(a, scope, odd) for a in reversed(args)]
-            return "(" + " ".join(parts) + ")"
-        bp = binder_parts(t)
-        if bp is not None:
-            kind, v, body = bp
-            name = self.pick(v, body, (v.id,), scope, odd)
-            body = self.term(body, *self.bind(scope, odd, v, name))
-            return f"({kind} (({name} {core.sort_str(v.sort)})) {body})"
-        bound = {v.id for v, _ in t.bindings}
-        inner, inner_odd, taken, pairs = scope, odd, set(), []
-        for v, img in t.bindings:
-            name = self.pick(v, t.body, bound, scope, odd, taken)
-            taken.add(name)
-            inner, inner_odd = self.bind(inner, inner_odd, v, name)
-            pairs.append(f"({name} {self.term(img, scope, odd)})")
-        return (f"(let ({' '.join(pairs)}) "
-                f"{self.term(t.body, inner, inner_odd)})")
-
-    def depth(self, ctx):
-        todo = []
-        while ctx not in self.depths:
-            todo.append(ctx)
-            ctx = ctx.parent
-        for node in reversed(todo):
-            self.depths[node] = self.depths[node.parent] + 1
-        return self.depths[todo[0] if todo else ctx]
-
-    def move(self, ctx):
-        """Brings the scope's context part from self.at to ctx."""
-        up, path = self.at, []
-        while up is not ctx:
-            if self.depth(up) >= self.depth(ctx):
-                for i in self.entry_ids(up.entry):
-                    self.held[i] -= 1
-                    if not self.held[i]:
-                        del self.held[i], self.scope[i]
-                up = up.parent
-            else:
-                path.append(ctx)
-                ctx = ctx.parent
-        self.at = up
-        for node in reversed(path):
-            self.enter(node)
-
-    def enter(self, node):
-        for i in self.entry_ids(node.entry):
-            self.held[i] = self.held.get(i, 0) + 1
-            self.scope[i] = self.names[i]
-        self.at = node
-
-    @staticmethod
-    def entry_ids(e):
-        return (e.var.id,) if isinstance(e, Fix) else [v.id for v, _ in e.pairs]
-
-    def context(self, ctx):
-        """Writes the (context ...) lines ctx still needs; the scope then
-        holds ctx's variables."""
-        unseen = _unseen(ctx, self.ctx_names)
-        self.move(unseen[0].parent if unseen else ctx)
-        none = frozenset()
-        for node in unseen:
-            name = self.ctx_names[id(node)] = f"c{len(self.ctx_names) + 1}"
-            parent = ("()" if node.parent.is_empty()
-                      else self.ctx_names[id(node.parent)])
-            e = node.entry
-            if isinstance(e, Fix):
-                entry = f"(fix {self.names[e.var.id]} {core.sort_str(e.var.sort)})"
-            else:
-                entry = "(map " + " ".join(
-                    f"({self.names[v.id]} {self.term(img, self.scope, none)})"
-                    for v, img in e.pairs) + ")"
-            self.lines.append(f"(context {name} {parent} {entry})")
-            self.enter(node)
-
-    def step(self, step):
-        parts = [f"(step {step.id} :rule {step.rule}"]
-        if step.premises:
-            parts.append(":premises (" + " ".join(step.premises) + ")")
-        c = step.conclusion
-        none = frozenset()
-        if isinstance(c, EqJudgment):
-            self.context(c.ctx)
-            if not c.ctx.is_empty():
-                parts.append(f":context {self.ctx_names[id(c.ctx)]}")
-            if step.theory is not None:
-                parts.append(f":theory {step.theory}")
-            parts.append(f":conclusion (= {self.term(c.lhs, self.scope, none)} "
-                         f"{self.term(c.rhs, self.scope, none)}))")
-        else:
-            if step.binding:
-                bs = " ".join(f"({n} {self.term(t, {}, none)})"
-                              for n, t in step.binding)
-                parts.append(f":binding ({bs})")
-            parts.append(f":conclusion {self.term(c.formula, {}, none)})")
-        self.lines.append(" ".join(parts))
+    return certreader.read_certificate(text, filename)
 
 
 def print_certificate(cert):
-    """The certificate text.  Each context node is defined once, by a
-    (context ...) line, and named c1, c2, ... by identity; each non-leaf
-    term node used twice is defined once, by a (define ...) line, and
-    named @t1, @t2, ...  Both kinds of line sit just before the first line
-    that uses them."""
-    lines = []
-    if cert.signature is not None:
-        for name, arity in cert.signature.sorts.items():
-            if name not in typecheck.BUILTIN_SORTS:
-                lines.append(f"(declare-sort {name} {arity})")
-        for name, sort in cert.signature.symbols.items():
-            args = []
-            s = sort
-            while isinstance(s, core.Fun):
-                args.append(s.dom)
-                s = s.cod
-            astr = " ".join(core.sort_str(a) for a in args)
-            lines.append(f"(declare-fun {name} ({astr}) {core.sort_str(s)})")
-    printer = _Printer(cert)
-    printer.lines = lines
-    for step in cert.steps:
-        printer.step(step)
-    return "\n".join(lines) + "\n"
+    """The certificate text; see `hosmt.certprinter`."""
+    from . import certprinter
+
+    return certprinter.write_certificate(cert)

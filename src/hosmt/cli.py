@@ -14,11 +14,12 @@ import argparse
 import os
 import sys
 
-from . import core, surface, typecheck
+from . import core
 from .sexpr import SourceError
 
-# The proof modules are imported by the subcommands that use them: every
-# call starts a fresh interpreter, and `parse` and `check` need none of them.
+# Each subcommand imports the modules it uses, since every call starts a
+# fresh interpreter that compiles them.  The largest is imported first,
+# while the least else is resident, which keeps the call's peak memory low.
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -36,6 +37,8 @@ def _read(path):
 
 
 def _run_parse(path, args, out, err):
+    from . import surface
+
     text, name = _read(path)
     cmds = surface.parse_script(text, name)
     out.write(surface.print_script(cmds))
@@ -43,6 +46,8 @@ def _run_parse(path, args, out, err):
 
 
 def _run_check(path, args, out, err):
+    from . import surface, typecheck
+
     text, name = _read(path)
     cmds = surface.parse_script(text, name)
     checked = typecheck.check_script(cmds, name)
@@ -61,7 +66,7 @@ def _proof_path(base, index, count):
 
 
 def _run_process(path, args, out, err):
-    from . import calculus, processor
+    from . import calculus, context, processor, surface, typecheck
 
     text, name = _read(path)
     cmds = surface.parse_script(text, name)
@@ -71,6 +76,8 @@ def _run_process(path, args, out, err):
         if isinstance(c, surface.CAssert):
             n += 1
             term = checked.asserts[n - 1]
+            # no assertion uses another's contexts: drop the cached ones
+            context.context_subst.cache_clear()
             result = processor.process(term, checked.signature,
                                        max_steps=args.max_steps)
             out.write(surface.print_command(
@@ -85,8 +92,9 @@ def _run_process(path, args, out, err):
 
 
 def _run_verify(path, args, out, err):
-    from . import calculus
+    from . import calculus, context
 
+    context.context_subst.cache_clear()  # another file's contexts
     text, name = _read(path)
     cert = calculus.parse_certificate(text, filename=name)
     report = calculus.check_certificate(cert, max_steps=args.max_steps)
