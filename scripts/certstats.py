@@ -3,7 +3,8 @@
 
 For each .hoproof file: verdict, step and trusted-step counts, rule
 histogram, size in bytes and per step, the number of (context ...)
-definitions, and (with --oracle) the oracle verdict per certificate.
+definitions, the number of (define ...) term definitions, and (with
+--oracle) the oracle verdict per certificate.
 """
 
 import argparse
@@ -14,6 +15,7 @@ from hosmt.calculus import check_certificate, parse_certificate
 from hosmt.oracle import check_certificate_oracle
 
 CONTEXT = sexpr.Token(sexpr.SYMBOL, "context")
+DEFINE = sexpr.Token(sexpr.SYMBOL, "define")
 
 
 def describe(path, use_oracle):
@@ -23,14 +25,16 @@ def describe(path, use_oracle):
     report = check_certificate(cert)
     rules = Counter(s.rule for s in cert.steps)
     size = len(text.encode())
-    contexts = sum(isinstance(e, sexpr.SList) and e.items[:1] == (CONTEXT,)
-                   for e in sexpr.parse_text(text, path))
+    heads = [e.items[:1] for e in sexpr.parse_text(text, path)
+             if isinstance(e, sexpr.SList)]
+    contexts = heads.count((CONTEXT,))
     print(f"{path}: {report.verdict}, {len(cert.steps)} steps"
           + (f", {report.trusted_count} trusted" if report.trusted_count
              else ""))
     print("  rules: " + ", ".join(f"{r} {n}" for r, n in rules.most_common()))
     print(f"  size: {size} bytes, {size / len(cert.steps):.1f} bytes/step, "
           f"{contexts} context lines")
+    print(f"  terms: {heads.count((DEFINE,))} define lines")
     if report.first_failure is not None:
         print(f"  first failure: {report.first_failure.message}")
     if use_oracle and report.verdict != "invalid":

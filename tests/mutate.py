@@ -2,8 +2,9 @@
 
 Each structural mutation returns a new Certificate differing from the input
 in exactly one place; a sound checker should reject (almost) all of them.
-The text mutations edit one context-name reference or definition of a
-printed certificate, one `(context ...)` or `(step ...)` per line.
+The text mutations edit one context-name or term-name reference or
+definition of a printed certificate, one `(context ...)`, `(define ...)` or
+`(step ...)` per line.
 """
 
 import re
@@ -229,8 +230,66 @@ def duplicate_context(text, rng):
     return _edit(lines, i, m, 1, rng.choice(defs[:k])[1].group(1))
 
 
+_TERM_DEF = re.compile(r"\(define (@[^\s()]+) ")
+_TERM_REF = re.compile(r"@[^\s()]+")
+
+
+def _scan_terms(text):
+    """(lines, defs, refs): defs are (line index, match of _TERM_DEF), refs
+    are (line index, match of _TERM_REF) for every use of a term name."""
+    lines = text.split("\n")
+    defs, refs = [], []
+    for i, line in enumerate(lines):
+        m = _TERM_DEF.match(line)
+        if m:
+            defs.append((i, m))
+        refs += [(i, r) for r in _TERM_REF.finditer(line)
+                 if not (m and r.start() == m.start(1))]
+    return lines, defs, refs
+
+
+def repoint_term(text, rng):
+    """Point one term reference at another term defined before it."""
+    lines, defs, refs = _scan_terms(text)
+    pool = []
+    for i, m in refs:
+        others = [d.group(1) for j, d in defs
+                  if j < i and d.group(1) != m.group()]
+        if others:
+            pool.append((i, m, others))
+    if not pool:
+        return None
+    i, m, others = rng.choice(pool)
+    return _edit(lines, i, m, 0, rng.choice(others))
+
+
+def dangling_term(text, rng):
+    """Make one term reference name an undefined, a later or its own term."""
+    lines, defs, refs = _scan_terms(text)
+    if not refs:
+        return None
+    i, m = rng.choice(refs)
+    defined = {d.group(1) for _, d in defs}
+    later = [d.group(1) for j, d in defs if j >= i]
+    fresh = "@t0"
+    while fresh in defined:
+        fresh += "0"
+    return _edit(lines, i, m, 0, rng.choice(later + [fresh]))
+
+
+def duplicate_term(text, rng):
+    """Give one (define ...) line the name of an earlier one."""
+    lines, defs, _ = _scan_terms(text)
+    if len(defs) < 2:
+        return None
+    k = rng.randrange(1, len(defs))
+    i, m = defs[k]
+    return _edit(lines, i, m, 1, rng.choice(defs[:k])[1].group(1))
+
+
 TEXT_MUTATIONS = (reparent_context, repoint_context, dangling_context,
-                  duplicate_context)
+                  duplicate_context, repoint_term, dangling_term,
+                  duplicate_term)
 
 
 def random_text_mutation(text, rng):

@@ -1,5 +1,6 @@
 """Certificate checking: rule contracts, parsing, printing, soundness."""
 
+import math
 import random
 
 import pytest
@@ -441,7 +442,9 @@ class TestMutations:
         assert rejected / total >= 0.95
 
     @pytest.mark.parametrize("kind", (mutate.dangling_context,
-                                      mutate.duplicate_context))
+                                      mutate.duplicate_context,
+                                      mutate.dangling_term,
+                                      mutate.duplicate_term))
     def test_bad_names_rejected_at_reference(self, kind):
         rng = random.Random(107)
         texts = [print_certificate(c) for c in
@@ -455,7 +458,8 @@ class TestMutations:
                 parse_certificate(bad)
             assert (e.value.line, e.value.col) == pos
             assert "defined twice" in e.value.message or \
-                "unknown context" in e.value.message
+                "unknown context" in e.value.message or \
+                "unknown term" in e.value.message
 
 
 def forall_script(n):
@@ -641,3 +645,124 @@ class TestReferencePrinter:
             assert named == self.statuses(cert_ref.print_certificate(bad))
             verdicts.append(named if isinstance(named, str) else named[0])
         assert verdicts.count("valid") < len(verdicts) / 20
+
+
+def let_chain_script(n):
+    """x1 := (g a a), x(i+1) := (g xi xi), ..., asserted equal to a."""
+    body = f"x{n}"
+    for i in range(n, 0, -1):
+        prev = "a" if i == 1 else f"x{i - 1}"
+        body = f"(let ((x{i} (g {prev} {prev}))) {body})"
+    return ("(declare-fun g (Int Int) Int)(declare-fun a () Int)"
+            f"(assert (= {body} a))")
+
+
+def expand(text):
+    """The certificate text with every term name written out in place."""
+    defs, out = {}, []
+    for line in text.splitlines():
+        line = mutate._TERM_REF.sub(lambda m: defs.get(m.group(), m.group()),
+                                    line)
+        m = mutate._TERM_DEF.match(line)
+        if m is None:
+            out.append(line)
+        elif m.group(1) not in defs:
+            defs[m.group(1)] = line[m.end():-1]
+    return "\n".join(out) + "\n"
+
+
+class TestTermNames:
+    """(define @<name> <term>): one node per repeated term."""
+
+    DECLS = "(declare-fun f (Int) Int)\n(declare-fun a () Int)\n"
+    USED = ("(context c1 () (fix x Int))\n"
+            "(define @t1 (f x))\n"
+            "(step s1 :rule refl :context c1 :conclusion (= @t1 @t1))\n")
+
+    def test_reference_is_the_node(self):
+        cert = parse_certificate(
+            self.DECLS + self.USED
+            + "(step s2 :rule refl :conclusion "
+              "(= (lambda ((x Int)) @t1) (lambda ((x Int)) (f x))))\n")
+        c1, c2 = (s.conclusion for s in cert.steps)
+        assert c1.lhs is c1.rhs
+        # a binder over the context variable takes the named term as its
+        # body, and one text is one node wherever it is read
+        assert c2.lhs.body is c1.lhs and c2.lhs is c2.rhs
+        assert check_certificate(cert).verdict == "valid"
+
+    # ^ marks where the error is reported
+    @pytest.mark.parametrize("text,msg", [
+        # a binder rebinds x with another sort
+        (USED + "(step s2 :rule refl :context c1 :conclusion "
+                "(= (lambda ((x Bool)) ^@t1) (lambda ((x Bool)) (f 1))))",
+         "term @t1 uses x, which means another variable here"),
+        # the step's context lacks x
+        (USED + "(step s2 :rule refl :conclusion (= ^@t1 (f 1)))",
+         "term @t1 uses x, which means another variable here"),
+        # a binder hides the constant f
+        ("(define @t2 (f a))\n(step s1 :rule refl :conclusion (= @t2 @t2))\n"
+         "(step s2 :rule refl :conclusion "
+         "(= (lambda ((f Int)) ^@t2) (lambda ((f Int)) f)))",
+         "term @t2 uses constant f, which a variable hides here"),
+        ("(define @t1 (f ^@t1))", "unknown term @t1"),
+        ("(define @t1 (f ^@t2))\n(define @t2 a)", "unknown term @t2"),
+        ("(step s1 :rule refl :conclusion (= ^@t3 a))", "unknown term @t3"),
+        ("(define @t1 a)\n(define ^@t1 (f a))", "term @t1 defined twice"),
+        ("(declare-fun @t1 () Int)\n(define ^@t1 a)",
+         "term @t1 is a declared symbol"),
+        ("(define @t1 a)\n(declare-fun ^@t1 () Int)",
+         "term @t1 is a declared symbol"),
+    ])
+    def test_rejected_at_reference(self, text, msg):
+        text = self.DECLS + text
+        at = text.index("^")
+        text = text.replace("^", "")
+        with pytest.raises(CertificateError) as e:
+            parse_certificate(text)
+        assert e.value.message == msg
+        line = text.count("\n", 0, at) + 1
+        assert (e.value.line, e.value.col) == (
+            line, at - text.rfind("\n", 0, at))
+
+    def test_bad_define_line(self):
+        with pytest.raises(CertificateError) as e:
+            parse_certificate("(define t1 1)")
+        assert e.value.message == "expected (define @<name> <term>)"
+
+    def test_declared_at_symbol_is_a_constant(self):
+        cert = parse_certificate("(declare-fun @c () Int)\n"
+                                 "(step s1 :rule refl :conclusion (= @c @c))")
+        assert check_certificate(cert).verdict == "valid"
+
+    def test_meaning_is_textual_expansion(self):
+        # accepted texts get the statuses of their expansions, mutants
+        # included
+        rng = random.Random(113)
+        texts = [print_certificate(c) for c in
+                 [load(n) for n in GOLDEN]
+                 + processed_certificates(forall_script(5))
+                 + generated_certificates(127, 40, 3)]
+        assert all("(define " in t for t in texts[:3])
+        mutants = [mutate.random_text_mutation(texts[k % len(texts)], rng)
+                   for k in range(300)]
+        accepted = 0
+        for text in texts + [m[1] for m in mutants if m is not None]:
+            named = TestReferencePrinter.statuses(text)
+            if isinstance(named, str):
+                continue
+            accepted += 1
+            assert named == TestReferencePrinter.statuses(expand(text))
+        assert accepted > len(texts)
+
+    def test_let_chain_certificate_is_small(self):
+        # 454 bytes of input, whose let-free form has 2^16 leaves
+        (cert,) = processed_certificates(let_chain_script(16))
+        text = print_certificate(cert)
+        assert len(text) < 100_000
+        assert check_certificate(parse_certificate(text)).verdict == "valid"
+
+    def test_forall_bytes_grow_linearly(self):
+        sizes = [len(print_certificate(processed_certificates(
+            forall_script(n))[0])) for n in (24, 48)]
+        assert math.log2(sizes[1] / sizes[0]) <= 1.2

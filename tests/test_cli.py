@@ -188,6 +188,39 @@ class TestVerify:
         assert code == 1
         assert err == f"{bad}:3:30: error: unknown context c2\n"
 
+    @pytest.mark.parametrize("step,msg", [
+        ("(step s2 :rule refl :conclusion (= @t1 (f 1)))",
+         "term @t1 uses x, which means another variable here"),
+        ("(step s2 :rule refl :context c1 :conclusion "
+         "(= (lambda ((x Bool)) @t1) (lambda ((x Bool)) (f 1))))",
+         "term @t1 uses x, which means another variable here"),
+        ("(step s2 :rule refl :conclusion (= @t2 (f 1)))", "unknown term @t2"),
+    ])
+    def test_bad_term_reference_exit_1(self, capsys, tmp_path, step, msg):
+        bad = tmp_path / "bad.hoproof"
+        bad.write_text("(declare-fun f (Int) Int)\n"
+                       "(context c1 () (fix x Int))\n"
+                       "(define @t1 (f x))\n"
+                       "(step s1 :rule refl :context c1 :conclusion (= @t1 @t1))\n"
+                       f"{step}\n")
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 1
+        col = step.index("@t") + 1
+        assert err == f"{bad}:5:{col}: error: {msg}\n"
+
+    def test_long_definition_chain(self, capsys, tmp_path):
+        # 5,000 definitions, each naming the one before, first used from
+        # the far end: elaborating it nests as deeply as the chain
+        lines = ["(declare-fun f (Int) Int)(declare-fun a () Int)",
+                 "(define @t1 (f a))"]
+        lines += [f"(define @t{k} (f @t{k - 1}))" for k in range(2, 5001)]
+        lines.append("(step s1 :rule refl :conclusion (= @t5000 @t5000))")
+        cert = tmp_path / "chain.hoproof"
+        cert.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "verify", str(cert))
+        assert code == 3 and "nested too deeply" in err
+        assert "Traceback" not in err
+
     def test_trusted_exit_5(self, capsys, tmp_path):
         cert = tmp_path / "arith.hoproof"
         cert.write_text("(step s1 :rule taut :theory arith "
@@ -339,6 +372,42 @@ class TestRobustness:
                 code = cli.main(["verify", "--oracle", path])
         assert 0 <= code <= 5
         assert "Traceback" not in err.getvalue()
+
+
+def test_cli_import_loads_no_proof_modules():
+    # each subcommand imports what it uses; parse and check need no proof
+    # module, and every call compiles what it imports
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import hosmt.cli, sys; print(sorted(sys.modules))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout
+    assert "'hosmt.cli'" in loaded
+    for name in ("calculus", "context", "processor", "oracle",
+                 "certreader", "certprinter"):
+        assert f"'hosmt.{name}'" not in loaded
+
+
+@pytest.mark.parametrize("argv,oracle", [
+    (["check", str(DATA / "program1.smt2")], False),
+    (["process", str(DATA / "program2.smt2")], False),
+    (["verify", str(DATA / "example1.hoproof")], False),
+    (["verify", "--oracle", str(DATA / "example1.hoproof")], True),
+])
+def test_oracle_imported_only_by_verify_oracle(argv, oracle):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import contextlib, io, sys; from hosmt import cli\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         f"    code = cli.main({argv!r})\n"
+         "print(code, 'hosmt.oracle' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.stdout.split() == ["0", str(oracle)], done.stderr
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -57,6 +57,17 @@ def test_certstats_counts_context_lines(tmp_path):
     assert "  size: 173 bytes, 86.5 bytes/step, 2 context lines" in done.stdout
 
 
+def test_certstats_counts_define_lines(tmp_path):
+    from hosmt import calculus
+
+    cert = tmp_path / "shared.hoproof"
+    cert.write_text(calculus.print_certificate(calculus.parse_certificate(
+        (DATA / "example3.hoproof").read_text())))
+    done = run_script(str(SCRIPTS / "certstats.py"), str(cert))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "  terms: 9 define lines\n" in done.stdout
+
+
 def test_certstats_reports_first_failure(tmp_path):
     text = (DATA / "example1.hoproof").read_text()
     bad = tmp_path / "bad.hoproof"
