@@ -15,6 +15,23 @@ from .context import EMPTY, Fix, Map
 from .core import App, Const, Var, binder_parts, const_names, free_vars
 
 
+def _declarations(sig):
+    lines = []
+    if sig is not None:
+        for name, arity in sig.sorts.items():
+            if name not in typecheck.BUILTIN_SORTS:
+                lines.append(f"(declare-sort {name} {arity})")
+        for name, sort in sig.symbols.items():
+            args = []
+            s = sort
+            while isinstance(s, core.Fun):
+                args.append(s.dom)
+                s = s.cod
+            astr = " ".join(core.sort_str(a) for a in args)
+            lines.append(f"(declare-fun {name} ({astr}) {core.sort_str(s)})")
+    return lines
+
+
 def _is_eq(t):
     """Whether t is a full application of =, which prints as (= a b)."""
     return (isinstance(t, App) and isinstance(t.fn, App)
@@ -40,7 +57,7 @@ class _Printer:
         self.canon = {}  # var id -> canonical name
         self.by_canon = {}  # canonical name -> ids
         self.defs = {}  # node -> @name
-        self.lines = []
+        self.lines = _declarations(cert.signature)
         # the variables of the context at `at`, with their multiplicity
         self.at, self.scope, self.held, self.depths = EMPTY, {}, {}, {EMPTY: 0}
         symbols = cert.signature.symbols if cert.signature else {}
@@ -230,26 +247,14 @@ class _Printer:
 
 
 def write_certificate(cert):
-    """The certificate text (`calculus.print_certificate`).  Each context node is defined once, by a
-    (context ...) line, and named c1, c2, ... by identity; each non-leaf
-    term node used twice is defined once, by a (define ...) line, and
-    named @t1, @t2, ...  Both kinds of line sit just before the first line
-    that uses them."""
-    lines = []
-    if cert.signature is not None:
-        for name, arity in cert.signature.sorts.items():
-            if name not in typecheck.BUILTIN_SORTS:
-                lines.append(f"(declare-sort {name} {arity})")
-        for name, sort in cert.signature.symbols.items():
-            args = []
-            s = sort
-            while isinstance(s, core.Fun):
-                args.append(s.dom)
-                s = s.cod
-            astr = " ".join(core.sort_str(a) for a in args)
-            lines.append(f"(declare-fun {name} ({astr}) {core.sort_str(s)})")
+    """The certificate text (`calculus.print_certificate`).
+
+    Each context node is defined once, by a (context ...) line, and named
+    c1, c2, ... by identity; each non-leaf term node used twice is defined
+    once, by a (define ...) line, and named @t1, @t2, ...  Both kinds of
+    line sit just before the first line that uses them.
+    """
     printer = _Printer(cert)
-    printer.lines = lines
     for step in cert.steps:
         printer.step(step)
-    return "\n".join(lines) + "\n"
+    return "\n".join(printer.lines) + "\n"
