@@ -17,9 +17,8 @@ import sys
 from . import core
 from .sexpr import SourceError
 
-# Each subcommand imports the modules it uses, since every call starts a
-# fresh interpreter that compiles them.  The largest is imported first,
-# while the least else is resident, which keeps the call's peak memory low.
+# Each subcommand imports the modules it uses: every call starts a fresh
+# interpreter, which compiles what it imports.
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1

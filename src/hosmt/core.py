@@ -8,7 +8,9 @@ Bool.
 Sorts and terms are hash-consed (`nodes.Interned`): a constructor returns
 the one live node with those fields, so `==` on sorts and terms is
 identity and hashing is O(1).  Nodes are built only through their
-constructors.
+constructors.  A term node keeps its free variables and constant names
+once they are computed (`free_vars`, `const_names`), which lets
+`substitute` skip every subterm the substitution does not touch.
 """
 
 import itertools
