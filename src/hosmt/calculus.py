@@ -41,11 +41,11 @@ A term name means its text written in place.  The reader elaborates a
 definition at its first use, in that use's scope, and reuses the node at
 every later use where each of its free variables is what its name means
 there and no local variable hides one of its constants; any other use is
-an error at the reference.  Variables, binders and `let`s included, are
-read as one variable per (name, sort) across the certificate, so one text
-denotes one node in every scope: a binder over a context variable of the
-same name, as `bind` conclusions have, takes a term named under that
-context as its body.
+an error at the reference.  Every variable, binder and `let` variables
+included, is read as the one variable of its (name, sort) in the
+certificate, so one text denotes one node in every scope: a binder over a
+context variable of the same name, as `bind` conclusions have, takes a
+term named under that context as its body.
 
 The printer (`hosmt.certprinter`) defines each context node and each
 non-leaf term node used twice once, just before the first line that uses

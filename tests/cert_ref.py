@@ -1,8 +1,8 @@
 """The certificate printer that restates every step's whole context inline.
 
 It is the reference for `hosmt.calculus.print_certificate`, which names each
-context node once: a certificate printed either way must parse to the same
-per-step verdicts.
+context node and each repeated term once: a certificate printed either way
+must parse to the same per-step verdicts.
 """
 
 from hosmt import core, typecheck

@@ -735,6 +735,14 @@ class TestTermNames:
                                  "(step s1 :rule refl :conclusion (= @c @c))")
         assert check_certificate(cert).verdict == "valid"
 
+    def test_term_names_avoid_declared_symbols(self):
+        cert = parse_certificate(self.DECLS + "(declare-fun @t1 () Int)\n"
+                                 "(step s1 :rule refl :conclusion "
+                                 "(= (f @t1) (f @t1)))")
+        text = print_certificate(cert)
+        assert "(define @t2 (f @t1))" in text
+        assert check_certificate(parse_certificate(text)).verdict == "valid"
+
     def test_meaning_is_textual_expansion(self):
         # accepted texts get the statuses of their expansions, mutants
         # included
