@@ -157,7 +157,9 @@ def _bad(step, msg):
 
 
 def _pc(t):
-    return typecheck.print_core(t)
+    from . import certprinter  # only a rejected step prints a term
+
+    return certprinter.print_term(t)
 
 
 # Each rule handler takes (step, premise steps, beta-step cap).  It raises

@@ -51,8 +51,10 @@ def _run_check(path, args, out, err):
     cmds = surface.parse_script(text, name)
     checked = typecheck.check_script(cmds, name)
     if args.verbose:
+        from . import certprinter
+
         for i, t in enumerate(checked.asserts, 1):
-            out.write(f"; assert {i}: {typecheck.print_core(t)}\n")
+            out.write(f"; assert {i}: {certprinter.print_term(t)}\n")
     out.write(f"{name}: ok ({len(checked.asserts)} assertion(s))\n")
     return EXIT_OK
 
@@ -65,7 +67,7 @@ def _proof_path(base, index, count):
 
 
 def _run_process(path, args, out, err):
-    from . import calculus, context, processor, surface, typecheck
+    from . import calculus, certprinter, context, processor, surface, typecheck
 
     text, name = _read(path)
     cmds = surface.parse_script(text, name)
@@ -79,12 +81,14 @@ def _run_process(path, args, out, err):
             context.context_subst.cache_clear()
             result = processor.process(term, checked.signature,
                                        max_steps=args.max_steps)
-            out.write(surface.print_command(
-                surface.CAssert(typecheck.erase(result.term))) + "\n")
+            out.write(f"(assert {certprinter.print_term(result.term)})\n")
             if args.proof:
+                # printed before the file is opened, so that a failure
+                # leaves no empty certificate behind
+                cert = calculus.print_certificate(result.certificate)
                 dest = _proof_path(args.proof, n, len(checked.asserts))
                 with open(dest, "w", encoding="utf-8") as fh:
-                    fh.write(calculus.print_certificate(result.certificate))
+                    fh.write(cert)
         else:
             out.write(surface.print_command(c) + "\n")
     return EXIT_OK

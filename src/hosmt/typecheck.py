@@ -3,12 +3,12 @@
 Declarations are normalized to fully curried sorts, so the three spellings
 of a binary function declaration coincide; partial application is then
 well-typed for every symbol.  Elaboration and sort inference happen in one
-pass.
+pass.  Core terms print through `hosmt.certprinter`.
 """
 
 from . import core, surface
 from .core import (Applied, Atom, BOOL, Const, Fun, INT, REAL,
-                   Lam, Let, Quant, Var, fresh_var, fun_sort, sort_of, sort_str)
+                   Lam, Let, Quant, fresh_var, fun_sort, sort_str)
 from .nodes import Record
 from .sexpr import SourceError
 from .surface import (CAssert, CDeclareFun, CDeclareSort, CDefineFun, CExit,
@@ -306,107 +306,9 @@ def check_script(cmds, filename="<input>"):
 
 # ------------------------------------------------------- core -> surface
 
-def sort_to_surface(s):
-    if isinstance(s, Atom):
-        return SIdent(s.name)
-    if isinstance(s, Applied):
-        return SParam(s.name, tuple(sort_to_surface(a) for a in s.args))
-    args = []
-    while isinstance(s, Fun):
-        args.append(sort_to_surface(s.dom))
-        s = s.cod
-    return SArrow(tuple(args), sort_to_surface(s))
+def erase(t):
+    """Core term back to a surface term that re-elaborates to it: the parse
+    of its printed text."""
+    from . import certprinter
 
-
-def _visible_names(t, scope, skip_ids, out):
-    """Names a binder must avoid: free variables and constants in its body."""
-    if isinstance(t, Var):
-        if t.id not in skip_ids:
-            out.add(scope.get(t.id, t.name))
-    elif isinstance(t, Const):
-        out.add(t.name)
-    elif isinstance(t, core.App):
-        _visible_names(t.fn, scope, skip_ids, out)
-        _visible_names(t.arg, scope, skip_ids, out)
-    elif isinstance(t, (Lam, Quant)):
-        _visible_names(t.body, scope, skip_ids | {t.var.id}, out)
-    elif isinstance(t, Let):
-        for _, img in t.bindings:
-            _visible_names(img, scope, skip_ids, out)
-        _visible_names(t.body, scope,
-                       skip_ids | {v.id for v, _ in t.bindings}, out)
-
-
-def _pick_name(var, body, scope):
-    """Display name for a binder, renamed apart from names visible in the body."""
-    taken = set()
-    _visible_names(body, scope, {var.id}, taken)
-    name = var.name
-    k = 1
-    while name in taken:
-        name = f"{var.name}{k}"
-        k += 1
-    return name
-
-
-def erase(t, scope=None):
-    """Core term back to a surface term that reparses and re-elaborates to it.
-
-    `scope` maps variable ids of free variables to their printed names.
-    """
-    scope = scope or {}
-    if isinstance(t, Var):
-        return SId(scope.get(t.id, t.name))
-    if isinstance(t, Const):
-        if t.name.isdigit() and t.sort == INT:
-            return SLit("numeral", t.name)
-        if t.sort == REAL and "." in t.name:
-            return SLit("decimal", t.name)
-        if t.name == "=":
-            # outside a full application, = carries its instance sort
-            return SId("=", sort_to_surface(t.sort))
-        return SId(t.name)
-    if isinstance(t, core.App):
-        # = must reach the surface fully applied
-        if (isinstance(t.fn, core.App) and isinstance(t.fn.fn, Const)
-                and t.fn.fn.name == "="):
-            return SApply(SId("="),
-                          (erase(t.fn.arg, scope), erase(t.arg, scope)))
-        # flatten the application spine: ((f a) b) prints as (f a b)
-        spine = []
-        head = t
-        while isinstance(head, core.App):
-            spine.append(head.arg)
-            head = head.fn
-        spine.reverse()
-        return SApply(erase(head, scope),
-                      tuple(erase(a, scope) for a in spine))
-    bp = core.binder_parts(t)
-    if bp is not None:
-        kind, v, body = bp
-        name = _pick_name(v, body, scope)
-        inner = erase(body, {**scope, v.id: name})
-        return SBinder(kind, ((name, sort_to_surface(v.sort)),), inner)
-    if isinstance(t, Let):
-        taken = set()
-        _visible_names(t.body, scope, {v.id for v, _ in t.bindings}, taken)
-        names = []
-        for v, _ in t.bindings:
-            n = v.name
-            k = 1
-            while n in taken:
-                n = f"{v.name}{k}"
-                k += 1
-            taken.add(n)
-            names.append(n)
-        bindings = tuple((n, erase(img, scope))
-                         for n, (_, img) in zip(names, t.bindings))
-        scope2 = dict(scope)
-        for n, (v, _) in zip(names, t.bindings):
-            scope2[v.id] = n
-        return SLet(bindings, erase(t.body, scope2))
-    raise TypeError(f"not a core term: {t!r}")
-
-
-def print_core(t, scope=None):
-    return surface.print_term(erase(t, scope))
+    return surface.parse_term(certprinter.print_term(t))

@@ -9,6 +9,8 @@ from hosmt import core, typecheck
 from hosmt.calculus import EqJudgment
 from hosmt.context import Fix
 
+from print_ref import print_core
+
 
 def _assign_names(cert):
     """Unique printed name per context-variable id across the certificate."""
@@ -42,7 +44,7 @@ def _print_entry(e, names):
     if isinstance(e, Fix):
         return f"(fix {names[e.var.id]} {core.sort_str(e.var.sort)})"
     pairs = " ".join(
-        f"({names[v.id]} {typecheck.print_core(img, names)})" for v, img in e.pairs)
+        f"({names[v.id]} {print_core(img, names)})" for v, img in e.pairs)
     return f"(map {pairs})"
 
 
@@ -58,15 +60,15 @@ def print_step(step, names):
                          + " ".join(_print_entry(e, names) for e in entries) + ")")
         if step.theory is not None:
             parts.append(f":theory {step.theory}")
-        parts.append(f":conclusion (= {typecheck.print_core(c.lhs, names)} "
-                     f"{typecheck.print_core(c.rhs, names)}))")
+        parts.append(f":conclusion (= {print_core(c.lhs, names)} "
+                     f"{print_core(c.rhs, names)}))")
     else:
         if step.binding:
-            bs = " ".join(f"({n} {typecheck.print_core(t, names)})"
+            bs = " ".join(f"({n} {print_core(t, names)})"
                           for n, t in step.binding)
             parts.append(f":binding ({bs})")
         parts.append(
-            f":conclusion {typecheck.print_core(step.conclusion.formula, names)})")
+            f":conclusion {print_core(step.conclusion.formula, names)})")
     return " ".join(parts)
 
 

@@ -145,6 +145,37 @@ class TestProcess:
         assert len(err.splitlines()) == 1 and "--proof" in err
         assert not list(tmp_path.glob("*.hoproof"))
 
+    def test_failed_print_leaves_no_certificate(self, capsys, tmp_path,
+                                                monkeypatch):
+        def too_deep(cert):
+            raise RecursionError
+
+        monkeypatch.setattr(calculus, "print_certificate", too_deep)
+        src = tmp_path / "p2.smt2"
+        src.write_text(PROGRAM2)
+        proof = tmp_path / "p2.hoproof"
+        code, _, err = run(capsys, "process", "--proof", str(proof), str(src))
+        assert code == 3 and "nested too deeply" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p2.smt2"]
+
+    def test_deep_chain_proof_verifies(self, tmp_path):
+        # a fresh interpreter, as a command-line call has: the printer no
+        # longer uses the call stack
+        n = 450
+        src = tmp_path / "chain.smt2"
+        src.write_text("(declare-fun f (Int) Int)\n(declare-fun a () Int)\n"
+                       f"(assert (= {'(f ' * n}a{')' * n} a))\n")
+        proof = tmp_path / "chain.hoproof"
+        path = pathlib.Path(__file__).resolve().parent.parent / "src"
+        for argv in (["process", str(src), "--proof", str(proof)],
+                     ["verify", str(proof)]):
+            done = subprocess.run(
+                [sys.executable, "-m", "hosmt.cli", *argv],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(path)))
+            assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{proof}: valid (1 steps)\n"
+
     def test_divergence_exit_3(self, capsys, tmp_path):
         src = tmp_path / "deep.smt2"
         src.write_text(
@@ -178,6 +209,22 @@ class TestVerify:
         assert code == 4
         assert err == f"{bad}:{i + 1}:3: invalid: refl step r3: context " \
             "applied to the left side does not match the right side\n"
+
+    def test_trans_message_quotes_terms(self, capsys, tmp_path):
+        # the message prints both middle terms, binders included
+        left = "(lambda ((x Int)) (g x a))"
+        right = "(lambda ((x Int)) ((lambda ((x Int)) (g x x)) x))"
+        bad = tmp_path / "trans.hoproof"
+        bad.write_text(
+            "(declare-fun g (Int Int) Int)\n(declare-fun a () Int)\n"
+            f"(step s1 :rule refl :conclusion (= {left} {left}))\n"
+            f"(step s2 :rule refl :conclusion (= {right} {right}))\n"
+            f"(step s3 :rule trans :premises (s1 s2) :conclusion "
+            f"(= {left} {right}))\n")
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 4
+        assert err == (f"{bad}:5:1: invalid: trans step s3: middle terms "
+                       f"differ ({left} vs {right})\n")
 
     def test_dangling_context_name_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.hoproof"
@@ -408,6 +455,28 @@ def test_oracle_imported_only_by_verify_oracle(argv, oracle):
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.stdout.split() == ["0", str(oracle)], done.stderr
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["check", str(DATA / "program1.smt2")],
+     {"hosmt.certprinter": False, "hosmt.calculus": False}),
+    (["check", "--verbose", str(DATA / "program1.smt2")],
+     {"hosmt.certprinter": True}),
+    (["verify", str(DATA / "example1.hoproof")], {"hosmt.certprinter": False}),
+])
+def test_printer_imported_only_to_print(argv, loaded):
+    # verify prints a term only to reject a step
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import contextlib, io, sys; from hosmt import cli\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         f"    code = cli.main({argv!r})\n"
+         f"print(code, *(m in sys.modules for m in {list(loaded)!r}))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    expected = ["0", *map(str, loaded.values())]
+    assert done.stdout.split() == expected, done.stderr
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -1,15 +1,15 @@
-"""Signatures, sort inference, elaboration, and erasure."""
+"""Signatures, sort inference, elaboration, and printing back to text."""
 
 import random
 
 import pytest
 
 from hosmt import surface
+from hosmt.certprinter import print_term
 from hosmt.core import BOOL, Fun, INT, alpha_eq, beta_step, sort_of
 from hosmt.surface import parse_script, parse_sort, parse_term
 from hosmt.typecheck import (Signature, SortError, TypingEnv, check_script,
-                             erase, infer_sort, normalize_decl,
-                             normalize_sort, print_core)
+                             infer_sort, normalize_decl, normalize_sort)
 
 from conftest import DATA
 
@@ -197,7 +197,7 @@ class TestErase:
             sig.symbols[c.name] = c.sort
         for _ in range(200):
             t = gen.gen_closed(rng, depth=4)
-            text = print_core(t)
+            text = print_term(t)
             env = TypingEnv(sig)
             t2, _ = infer_sort(env, parse_term(text))
             assert alpha_eq(t, t2)
@@ -209,7 +209,7 @@ class TestErase:
         x2 = fresh_var("x", INT)
         g = gen.CONSTS[4]  # g : Int -> Int -> Int
         t = Lam(x1, Lam(x2, App(App(g, x1), x2)))
-        text = print_core(t)
+        text = print_term(t)
         sig = Signature()
         sig.symbols["g"] = g.sort
         t2, _ = infer_sort(TypingEnv(sig), parse_term(text))
