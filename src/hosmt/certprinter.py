@@ -15,7 +15,7 @@ import itertools
 
 from . import core, typecheck
 from .calculus import EqJudgment, _assign_names, _unseen
-from .context import EMPTY, Fix, Map
+from .context import EMPTY, Fix, Map, path
 from .core import App, Const, Var, binder_parts, const_names, free_vars
 
 
@@ -74,7 +74,7 @@ class _Printer:
             return
         self.lines = _declarations(cert.signature)
         # the variables of the context at `at`, with their multiplicity
-        self.at, self.scope, self.held, self.depths = EMPTY, {}, {}, {EMPTY: 0}
+        self.at, self.scope, self.held = EMPTY, {}, {}
         symbols = cert.signature.symbols if cert.signature else {}
         self.term_names = (f"@t{k}" for k in itertools.count(1)
                            if f"@t{k}" not in symbols)
@@ -250,31 +250,17 @@ class _Printer:
         self.lines.append(f"(define {name} {body})")
         out.append(name)
 
-    def depth(self, ctx):
-        todo = []
-        while ctx not in self.depths:
-            todo.append(ctx)
-            ctx = ctx.parent
-        for node in reversed(todo):
-            self.depths[node] = self.depths[node.parent] + 1
-        return self.depths[todo[0] if todo else ctx]
-
     def move(self, ctx):
         """Brings the scope's context part from self.at to ctx."""
-        up, path = self.at, []
-        while up is not ctx:
-            if self.depth(up) >= self.depth(ctx):
-                for i in self.entry_ids(up.entry):
-                    self.held[i] -= 1
-                    if not self.held[i]:
-                        del self.held[i], self.scope[i]
-                up = up.parent
-            else:
-                path.append(ctx)
-                ctx = ctx.parent
-        self.at = up
-        for node in reversed(path):
+        up, down = path(self.at, ctx)
+        for node in up:
+            for i in self.entry_ids(node.entry):
+                self.held[i] -= 1
+                if not self.held[i]:
+                    del self.held[i], self.scope[i]
+        for node in down:
             self.enter(node)
+        self.at = ctx
 
     def enter(self, node):
         for i in self.entry_ids(node.entry):

@@ -10,7 +10,7 @@ and `@`-names are resolved by `_CertParser.term_ref`.
 from . import core, sexpr, surface, typecheck
 from .calculus import (LEMMA_RULES, RULES, Certificate, CertificateError,
                        EqJudgment, LemmaFormula, ProofStep)
-from .context import EMPTY
+from .context import EMPTY, Fix, path
 from .core import BOOL, const_names, free_vars
 from .sexpr import SList, Token
 from .typecheck import Signature, TypingEnv, infer_sort, normalize_sort
@@ -29,7 +29,11 @@ class _CertParser:
         # binders included, so one text denotes one node in every scope
         self.registry = {}
         self.by_id = {}
-        self.contexts = {}  # context name -> (Context, scope)
+        self.contexts = {}  # context name -> Context
+        # scope maps the names of the variables of the context at `at` to
+        # them; undo holds, per entry of that context, what entering it
+        # overwrote in scope
+        self.at, self.scope, self.undo = EMPTY, {}, []
         self.terms = {}  # term name -> [surface term, node, sort]
         self.env = TypingEnv(self.sig, arith=True, filename=filename,
                              make_var=self.var_for, lookup_ref=self.term_ref)
@@ -102,20 +106,22 @@ class _CertParser:
             surface.term_from_sexpr(items[2], self.filename), None, None]
 
     def parse_context(self, e):
-        """The context a :context value denotes, with its name -> variable
-        scope.  A named context's scope is shared: callers only read it."""
+        """The context a :context value denotes; `scope` then holds its
+        variables."""
         if e is None:
-            return EMPTY, {}
+            self.move(EMPTY)
+            return EMPTY
         if _is_sym(e):
             if e.text not in self.contexts:
                 raise self.error(f"unknown context {e.text}", e)
-            return self.contexts[e.text]
+            self.move(self.contexts[e.text])
+            return self.at
         if not isinstance(e, SList):
             raise self.error("expected a context name or entry list", e)
-        ctx, scope = EMPTY, {}
+        self.move(EMPTY)
         for entry in e.items:
-            ctx = self.extend(ctx, scope, entry)
-        return ctx, scope
+            self.enter(self.extend(entry))
+        return self.at
 
     def define_context(self, e):
         """(context <name> <ctx> <entry>): name <ctx> extended by <entry>."""
@@ -125,13 +131,35 @@ class _CertParser:
         name = items[1]
         if name.text in self.contexts:
             raise self.error(f"context {name.text} defined twice", name)
-        ctx, scope = self.parse_context(items[2])
-        scope = dict(scope)
-        self.contexts[name.text] = self.extend(ctx, scope, items[3]), scope
+        self.parse_context(items[2])
+        self.contexts[name.text] = self.extend(items[3])
 
-    def extend(self, ctx, scope, entry):
-        """ctx extended by one (fix ...) or (map ...) entry; binds the
-        entry's variables in `scope`."""
+    def move(self, ctx):
+        """Brings `scope` from the context at `at` to ctx."""
+        up, down = path(self.at, ctx)
+        scope = self.scope
+        for _ in up:
+            for name, old in reversed(self.undo.pop()):
+                if old is None:
+                    del scope[name]
+                else:
+                    scope[name] = old
+        for node in down:
+            self.enter(node)
+        self.at = ctx
+
+    def enter(self, node):
+        """Binds the variables of node's entry; node extends `at`."""
+        e, scope = node.entry, self.scope
+        vs = (e.var,) if isinstance(e, Fix) else [v for v, _ in e.pairs]
+        self.undo.append([(v.name, scope.get(v.name)) for v in vs])
+        for v in vs:
+            scope[v.name] = v
+        self.at = node
+
+    def extend(self, entry):
+        """The context at `at` extended by one (fix ...) or (map ...)
+        entry, whose images are elaborated in `scope`."""
         if not isinstance(entry, SList) or not entry.items:
             raise self.error("expected (fix ...) or (map ...)", entry)
         head = entry.items[0]
@@ -141,9 +169,7 @@ class _CertParser:
             name = entry.items[1].text
             ssort = surface.sort_from_sexpr(entry.items[2], self.filename)
             sort = normalize_sort(ssort, self.sig, self.filename)
-            v = self.var_for(name, sort)
-            scope[name] = v
-            return ctx.fix(v)
+            return self.at.fix(self.var_for(name, sort))
         if not _is_sym(head, "map"):
             raise self.error("unknown context entry", entry)
         if len(entry.items) < 2:
@@ -154,15 +180,12 @@ class _CertParser:
                     or not _is_sym(item.items[0])):
                 raise self.error("expected (<name> <term>)", item)
             name = item.items[0].text
-            img, sort = self.elab(item.items[1], scope)
+            img, sort = self.elab(item.items[1], self.scope)
             pairs.append((self.var_for(name, sort), img))
         try:
-            ctx = ctx.map(pairs)
+            return self.at.map(pairs)
         except ValueError as err:
             raise self.error(str(err), entry)
-        for v, _ in pairs:
-            scope[v.name] = v
-        return ctx
 
     def parse_step(self, e):
         items = e.items
@@ -217,13 +240,13 @@ class _CertParser:
                                  kw[":conclusion"])
             conclusion = LemmaFormula(formula)
         else:
-            ctx, scope = self.parse_context(kw.get(":context"))
+            ctx = self.parse_context(kw.get(":context"))
             ce = kw[":conclusion"]
             if (not isinstance(ce, SList) or len(ce.items) != 3
                     or not _is_sym(ce.items[0], "=")):
                 raise self.error("expected (= <term> <term>)", ce)
-            lhs, ls = self.elab(ce.items[1], scope)
-            rhs, rs = self.elab(ce.items[2], scope)
+            lhs, ls = self.elab(ce.items[1], self.scope)
+            rhs, rs = self.elab(ce.items[2], self.scope)
             if ls != rs:
                 raise self.error("conclusion sides have different sorts", ce)
             conclusion = EqJudgment(ctx, lhs, rhs)

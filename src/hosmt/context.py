@@ -25,10 +25,13 @@ class Map(Interned):
 
 
 class Context(Interned):
-    __slots__ = ("parent", "entry")
+    # depth: the number of entries, worked out from the parent; the
+    # argument is there only because pickling passes every field
+    __slots__ = ("parent", "entry", "depth")
 
-    def __new__(cls, parent=None, entry=None):
-        return super().__new__(cls, parent, entry)
+    def __new__(cls, parent=None, entry=None, depth=None):
+        return super().__new__(cls, parent, entry,
+                               0 if parent is None else parent.depth + 1)
 
     def fix(self, var):
         return Context(self, Fix(var))
@@ -61,6 +64,22 @@ class Context(Interned):
 
 
 EMPTY = Context()
+
+
+def path(a, b):
+    """The walk from context a to context b through their deepest common
+    ancestor: (the nodes left, innermost first; the nodes entered,
+    outermost first)."""
+    up, down = [], []
+    while a is not b:
+        if a.depth >= b.depth:
+            up.append(a)
+            a = a.parent
+        else:
+            down.append(b)
+            b = b.parent
+    down.reverse()
+    return up, down
 
 
 # the context nodes whose substitution is in context_subst's cache

@@ -266,7 +266,11 @@ def term_from_sexpr(e, filename="<input>"):
                 raise ParseError(f"{word} needs binders and a body",
                                  e.line, e.col, filename)
             binders = _parse_sorted_vars(e.items[1], filename)
-            body_terms = [term_from_sexpr(x, filename) for x in e.items[2:]]
+            # plain loops here and below: a comprehension costs a second
+            # call frame per nesting level
+            body_terms = []
+            for x in e.items[2:]:
+                body_terms.append(term_from_sexpr(x, filename))
             if word != "lambda" and len(body_terms) != 1:
                 raise ParseError(f"{word} takes exactly one body term",
                                  e.line, e.col, filename)
@@ -343,8 +347,10 @@ def term_from_sexpr(e, filename="<input>"):
     if len(e.items) < 2:
         raise ParseError("application needs at least one argument",
                          e.line, e.col, filename)
-    args = tuple(term_from_sexpr(x, filename) for x in e.items[1:])
-    return SApply(head_term, args, pos=pos)
+    args = []
+    for x in e.items[1:]:
+        args.append(term_from_sexpr(x, filename))
+    return SApply(head_term, tuple(args), pos=pos)
 
 
 def parse_term(text, filename="<input>"):
@@ -433,7 +439,10 @@ def print_term(t):
             return f"(as {t.name} {print_sort(t.ascribed)})"
         return t.name
     if isinstance(t, SApply):
-        return "(" + " ".join([print_term(t.head)] + [print_term(a) for a in t.args]) + ")"
+        parts = [print_term(t.head)]
+        for a in t.args:  # not a comprehension: one call frame per level
+            parts.append(print_term(a))
+        return "(" + " ".join(parts) + ")"
     if isinstance(t, SBinder):
         bs = " ".join(f"({n} {print_sort(s)})" for n, s in t.binders)
         return f"({t.kind} ({bs}) {print_term(t.body)})"

@@ -1,14 +1,68 @@
-"""Reference normalizer for the lambda-encoding oracle.
+"""Reference encoding and normalizer for the lambda-encoding oracle.
 
-The straightforward contraction `hosmt.oracle` used before its one-pass
-normalizer: every encoding-level redex is contracted on its own, by a
-capture-avoiding substitution over the whole remaining encoding.  It is
-quadratic in the context length and recurses once per context entry, so
-it serves only as the reference the one-pass normalizer is compared with.
+The encoding `hosmt.oracle` used before it folded each context once: a
+judgment's two sides are encoded as chains of boxed abstractions and
+redexes, every encoding-level redex is contracted on its own, by a
+capture-avoiding substitution over the whole remaining encoding, and the
+two normal forms are reified into a universally quantified equality whose
+sides are compared.  It is quadratic in the context length and recurses
+once per context entry, so it serves only as the reference the one-pass
+fold is compared with.
 """
 
-from hosmt.core import Quant, eq_term, free_vars, fresh_var, substitute
-from hosmt.oracle import BAbs, Box, BRedex, EncodingError
+from hosmt.context import Fix
+from hosmt.core import (DEFAULT_STEP_CAP, Quant, alpha_eq, beta_normal_form,
+                        eq_term, expand_lets, free_vars, fresh_var,
+                        substitute)
+from hosmt.nodes import Record
+
+
+class EncodingError(Exception):
+    """The two encodings do not share a lambda-prefix."""
+
+
+class Box(Record):
+    """A leaf holding an (opaque) core term."""
+    __slots__ = ("term",)
+
+    def __init__(self, term):
+        self.term = term
+
+
+class BAbs(Record):
+    """lambda x. M at the encoding level."""
+    __slots__ = ("var", "body")
+
+    def __init__(self, var, body):
+        self.var = var
+        self.body = body
+
+
+class BRedex(Record):
+    """(lambda x1 ... xn. M) t1 ... tn at the encoding level."""
+    __slots__ = ("vars", "body", "args")
+
+    def __init__(self, vars, body, args):
+        self.vars = vars
+        self.body = body
+        self.args = args  # core terms, len(args) == len(vars)
+
+
+def encode_left(ctx, t):
+    """L(ctx)[t]: fold the context into abstractions and redexes.
+
+    The right-hand encoding R(ctx)[u] is the exact mirror, so both sides of
+    a judgment are encoded by this one function.
+    """
+    boxed = Box(t)
+    for entry in reversed(ctx.entries()):
+        if isinstance(entry, Fix):
+            boxed = BAbs(entry.var, boxed)
+        else:
+            vs = tuple(v for v, _ in entry.pairs)
+            args = tuple(img for _, img in entry.pairs)
+            boxed = BRedex(vs, boxed, args)
+    return boxed
 
 
 def _bsubst(m, sigma):
@@ -64,3 +118,17 @@ def reify(m, n):
     for x in reversed(xs):
         formula = Quant("forall", x, formula)
     return formula
+
+
+def verdict(judgment, max_steps=DEFAULT_STEP_CAP):
+    """The oracle's verdict on a judgment, reached through the encodings:
+    reify, strip the quantifiers, expand lets, normalize and compare."""
+    formula = reify(encode_left(judgment.ctx, judgment.lhs),
+                    encode_left(judgment.ctx, judgment.rhs))
+    while isinstance(formula, Quant):
+        formula = formula.body
+    # formula is (= t u) applied in curried form
+    t, u = formula.fn.arg, formula.arg
+    tn = beta_normal_form(expand_lets(t), max_steps)
+    un = beta_normal_form(expand_lets(u), max_steps)
+    return "lambda-valid" if alpha_eq(tn, un) else "needs-theory"

@@ -572,6 +572,46 @@ class TestNamedContexts:
         assert e.value.message == msg
         assert (e.value.line, e.value.col) == pos
 
+    def test_scope_follows_the_context_tree(self):
+        # c2 rebinds x at another sort; after a step in c2, c3 and c1
+        # must see c1's x again, and c4 must not see y
+        cert = parse_certificate(
+            "(context c1 () (fix x Int))\n"
+            "(context c2 c1 (fix x Bool))\n"
+            "(context c3 c1 (map (y x)))\n"
+            "(context c4 c2 (fix z Bool))\n"
+            "(step s1 :rule refl :context c2 :conclusion (= x x))\n"
+            "(step s2 :rule refl :context c3 :conclusion (= y x))\n"
+            "(step s3 :rule refl :context c1 :conclusion (= x x))\n"
+            "(step s4 :rule refl :context c4 :conclusion (= z x))\n")
+        sorts = [s.conclusion.rhs.sort for s in cert.steps]
+        assert sorts == [BOOL, INT, INT, BOOL]
+        with pytest.raises(SourceError, match="4:48: error: unbound symbol y"):
+            parse_certificate(
+                "(context c1 () (map (y 1)))\n(context c2 () (fix x Int))\n"
+                "(step s1 :rule refl :context c1 :conclusion (= y y))\n"
+                "(step s2 :rule refl :context c2 :conclusion (= y y))\n")
+
+    def test_chain_scope_memory(self):
+        # 4,000 named contexts with distinct names: one scope moves along
+        # the chain instead of a copy per context
+        import tracemalloc
+        n = 4000
+        lines = ["(context c1 () (fix x1 Int))"]
+        lines += [f"(context c{k} c{k - 1} (fix x{k} Int))"
+                  for k in range(2, n + 1)]
+        lines.append(f"(step s1 :rule refl :context c{n} "
+                     f":conclusion (= x{n} x1))")
+        text = "\n".join(lines) + "\n"
+        tracemalloc.start()
+        try:
+            cert = parse_certificate(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cert.steps[0].conclusion.ctx.entries()) == n
+        assert peak < 25 * 2**20
+
     def test_one_line_per_context_node(self):
         (cert,) = processed_certificates(forall_script(24))
         text = print_certificate(cert)

@@ -176,6 +176,26 @@ class TestProcess:
             assert done.returncode == 0, done.stderr
         assert done.stdout == f"{proof}: valid (1 steps)\n"
 
+    def test_deep_term_through_every_command(self, tmp_path):
+        # a fresh interpreter: the surface reader and printer spend one
+        # call frame per nesting level, so a 900-deep term still passes
+        n = 900
+        src = tmp_path / "chain.smt2"
+        src.write_text("(declare-fun f (Int) Int)\n(declare-fun a () Int)\n"
+                       f"(assert (= {'(f ' * n}a{')' * n} a))\n")
+        proof = tmp_path / "chain.hoproof"
+        path = pathlib.Path(__file__).resolve().parent.parent / "src"
+        for argv in (["parse", str(src)], ["check", "--verbose", str(src)],
+                     ["process", "--proof", str(proof), str(src)],
+                     ["verify", str(proof)], ["verify", "--oracle", str(proof)]):
+            done = subprocess.run(
+                [sys.executable, "-m", "hosmt.cli", *argv],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(path)))
+            assert done.returncode == 0, (argv[0], done.stderr)
+        assert done.stdout == (f"{proof}: oracle: all steps lambda-valid\n"
+                               f"{proof}: valid (1 steps)\n")
+
     def test_divergence_exit_3(self, capsys, tmp_path):
         src = tmp_path / "deep.smt2"
         src.write_text(

@@ -1,4 +1,5 @@
-"""Lambda-encoding oracle: encodings, reification, and step validation."""
+"""Lambda-encoding oracle: the one-pass fold, its agreement with the
+encoding-based reference in oracle_ref, and step validation."""
 
 import random
 
@@ -6,16 +7,17 @@ import pytest
 
 from hosmt.calculus import EqJudgment, check_certificate, parse_certificate
 from hosmt.context import EMPTY, apply_context
-from hosmt.core import (App, Const, Fun, INT, Lam, Quant, alpha_eq,
-                        beta_normal_form, expand_lets, fresh_var, sort_of)
-from hosmt.oracle import (BAbs, Box, BRedex, EncodingError, _normalize,
-                          check_certificate_oracle, encode_left,
-                          oracle_check, reify)
+from hosmt.core import (App, Const, Fun, INT, Lam, Quant, alpha_eq, eq_term,
+                        fresh_var, sort_of, substitute)
+from hosmt.oracle import check_certificate_oracle, fold, oracle_check
 from hosmt.processor import process
 
 from conftest import DATA
 
 import gen
+import mutate
+from oracle_ref import (BAbs, Box, BRedex, EncodingError, encode_left,
+                        reify)
 import oracle_ref
 
 INTI = Fun(INT, INT)
@@ -95,13 +97,22 @@ class TestReify:
             assert oracle_check(EqJudgment(ctx, t, u)) == "lambda-valid"
 
 
+def fold_reify(ctx, lhs, rhs):
+    """forall xs. lhs ~ rhs under the substitution, from oracle.fold."""
+    prefix, sigma = fold(ctx)
+    formula = eq_term(substitute(lhs, sigma), substitute(rhs, sigma))
+    for x in reversed(prefix):
+        formula = Quant("forall", x, formula)
+    return formula
+
+
 def assert_matches_reference(ctx, lhs, rhs):
-    """The one-pass normalizer reifies as tests/oracle_ref.py does."""
+    """The one-pass fold reifies as tests/oracle_ref.py does."""
     m, n = encode_left(ctx, lhs), encode_left(ctx, rhs)
-    xs, _ = _normalize(m)
+    xs, _ = fold(ctx)
     ys, _ = oracle_ref.normalize(m)
     assert [x.sort for x in xs] == [y.sort for y in ys]
-    assert alpha_eq(reify(m, n), oracle_ref.reify(m, n))
+    assert alpha_eq(fold_reify(ctx, lhs, rhs), oracle_ref.reify(m, n))
 
 
 def shadowing_context(rng, entries=6):
@@ -149,9 +160,10 @@ class TestOnePass:
         # be renamed, or the image of y would be captured by it
         x, y = fresh_var("x", INT), fresh_var("y", INT)
         ctx = EMPTY.map([(y, x)]).fix(x)
-        prefix, t = _normalize(encode_left(ctx, y))
+        prefix, sigma = fold(ctx)
         assert len(prefix) == 1 and prefix[0].id != x.id
-        assert prefix[0].sort == INT and t == x
+        assert prefix[0].sort == INT and substitute(y, sigma) == x
+        assert substitute(x, sigma) == prefix[0]
         assert oracle_check(EqJudgment(ctx, y, x)) == "needs-theory"
 
     def test_deep_context(self):
@@ -160,9 +172,47 @@ class TestOnePass:
         for _ in range(1000):
             w, x = fresh_var("w", INT), fresh_var("x", INT)
             ctx = ctx.fix(w).map([(x, App(f, w))])
-        prefix, t = _normalize(encode_left(ctx, x))
-        assert len(prefix) == 1000 and t == App(f, w)
+        prefix, sigma = fold(ctx)
+        assert len(prefix) == 1000 and substitute(x, sigma) == App(f, w)
         assert oracle_check(EqJudgment(ctx, x, App(f, w))) == "lambda-valid"
+
+
+class TestVerdictParity:
+    """oracle_check gives the reference chain's verdict: reify, strip,
+    expand lets, normalize and compare (oracle_ref.verdict)."""
+
+    @staticmethod
+    def assert_parity(judgments):
+        seen = set()
+        for j in judgments:
+            v = oracle_check(j)
+            assert v == oracle_ref.verdict(j), (j.ctx, j.lhs, j.rhs)
+            seen.add(v)
+        assert seen == {"lambda-valid", "needs-theory"}
+
+    def test_mutated_certificates(self):
+        rng = random.Random(97)
+        certs = [parse_certificate((DATA / f"example{k}.hoproof").read_text())
+                 for k in (1, 2, 3)]
+        certs += [process(gen.gen_closed(rng, depth=4)).certificate
+                  for _ in range(20)]
+        judgments = []
+        for k in range(300):
+            _, bad = mutate.random_mutation(certs[k % len(certs)], rng)
+            judgments += [s.conclusion for s in bad.steps
+                          if isinstance(s.conclusion, EqJudgment)]
+        self.assert_parity(judgments)
+
+    def test_shadowing_contexts(self):
+        rng = random.Random(101)
+        judgments = []
+        for _ in range(300):
+            ctx, pool = shadowing_context(rng)
+            t = gen.gen_term(rng, rng.choice(gen.BASE_SORTS), 3, env=pool)
+            for u in (t, apply_context(ctx, t),
+                      gen.gen_term(rng, sort_of(t), 3, env=pool)):
+                judgments.append(EqJudgment(ctx, t, u))
+        self.assert_parity(judgments)
 
 
 class TestOracleCheck:
