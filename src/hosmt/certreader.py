@@ -132,10 +132,14 @@ class _CertParser:
         if name.text in self.contexts:
             raise self.error(f"context {name.text} defined twice", name)
         self.parse_context(items[2])
-        self.contexts[name.text] = self.extend(items[3])
+        # entered at once: the next line mostly uses or extends it
+        self.enter(self.extend(items[3]))
+        self.contexts[name.text] = self.at
 
     def move(self, ctx):
         """Brings `scope` from the context at `at` to ctx."""
+        if ctx is self.at:
+            return
         up, down = path(self.at, ctx)
         scope = self.scope
         for _ in up:
@@ -150,11 +154,11 @@ class _CertParser:
 
     def enter(self, node):
         """Binds the variables of node's entry; node extends `at`."""
-        e, scope = node.entry, self.scope
-        vs = (e.var,) if isinstance(e, Fix) else [v for v, _ in e.pairs]
-        self.undo.append([(v.name, scope.get(v.name)) for v in vs])
-        for v in vs:
+        e, scope, saved = node.entry, self.scope, []
+        for v, _ in ((e.var, None),) if isinstance(e, Fix) else e.pairs:
+            saved.append((v.name, scope.get(v.name)))
             scope[v.name] = v
+        self.undo.append(saved)
         self.at = node
 
     def extend(self, entry):
