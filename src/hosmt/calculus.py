@@ -56,7 +56,7 @@ open with declare-sort/declare-fun commands.  The reader is
 only reads, or only writes, certificates compiles one of them.
 """
 
-from . import core, typecheck
+from . import core
 from .context import Fix, Map, apply_context, contexts_equal
 from .core import (App, Const, Lam, Let, Quant, Var, alpha_eq,
                    beta_normal_form, binder_parts, free_vars,
@@ -424,50 +424,6 @@ def check_certificate(cert, max_steps=core.DEFAULT_STEP_CAP):
 
 
 # ------------------------------------------------------- text format
-
-def _unseen(ctx, seen):
-    """The nodes of ctx's chain that are not in `seen`, outermost first.
-
-    A node in `seen` has all its ancestors there too, so the walk stops at
-    the first one."""
-    out = []
-    while ctx.entry is not None and id(ctx) not in seen:
-        out.append(ctx)
-        ctx = ctx.parent
-    out.reverse()
-    return out
-
-
-def _assign_names(cert):
-    """Unique printed name per context-variable id across the certificate."""
-    names = {}
-    used = set(cert.signature.symbols) if cert.signature else set()
-    used |= set(typecheck.CORE_SYMBOLS)
-
-    def claim(v):
-        if v.id in names:
-            return
-        name = v.name
-        k = 1
-        while name in used:
-            name = f"{v.name}{k}"
-            k += 1
-        names[v.id] = name
-        used.add(name)
-
-    seen = set()
-    for step in cert.steps:
-        if isinstance(step.conclusion, EqJudgment):
-            for node in _unseen(step.conclusion.ctx, seen):
-                seen.add(id(node))
-                e = node.entry
-                if isinstance(e, Fix):
-                    claim(e.var)
-                else:
-                    for v, _ in e.pairs:
-                        claim(v)
-    return names
-
 
 def parse_certificate(text, filename="<certificate>"):
     """The Certificate that certificate text denotes; see the module

@@ -3,10 +3,11 @@ quoted in messages.
 
 `print_term` prints one term.  `write_certificate` prints a
 `calculus.Certificate` (the syntax is described in `hosmt.calculus`),
-each repeated term once: one pass counts how often each interned node
-occurs below the certificate's roots (conclusion sides, `map` images,
-lemma formulas and bindings), then each line is written, a context node
-or a repeated term defined just before the first line that uses it.
+each repeated term once: one pass gives each context variable its name
+and counts how often each interned node occurs below the certificate's
+roots (conclusion sides, `map` images, lemma formulas and bindings),
+then each line is written, a context node or a repeated term defined
+just before the first line that uses it.
 Terms are walked from an explicit work stack, so their depth is not
 limited by the Python call stack.
 """
@@ -14,9 +15,10 @@ limited by the Python call stack.
 import itertools
 
 from . import core, typecheck
-from .calculus import EqJudgment, _assign_names, _unseen
-from .context import EMPTY, Fix, Map, path
+from .calculus import EqJudgment
+from .context import EMPTY, Fix, Map, move
 from .core import App, Const, Var, binder_parts, const_names, free_vars
+from .nodes import Scope
 
 
 def _declarations(sig):
@@ -34,6 +36,19 @@ def _declarations(sig):
             astr = " ".join(core.sort_str(a) for a in args)
             lines.append(f"(declare-fun {name} ({astr}) {core.sort_str(s)})")
     return lines
+
+
+def _unseen(ctx, seen):
+    """The nodes of ctx's chain that are not in `seen`, outermost first.
+
+    A node in `seen` has all its ancestors there too, so the walk stops at
+    the first one."""
+    out = []
+    while ctx.entry is not None and id(ctx) not in seen:
+        out.append(ctx)
+        ctx = ctx.parent
+    out.reverse()
+    return out
 
 
 def _is_eq(t):
@@ -59,31 +74,34 @@ class _Printer:
     """
 
     def __init__(self, cert=None):
-        self.names = _assign_names(cert) if cert else {}
-        self.by_name = {name: i for i, name in self.names.items()}
+        self.names = {}  # id of a context variable -> its canonical name
+        # the variables of the context at `scope.at` and of the binders
+        # around the term being printed: id -> printed name, and printed
+        # name -> id of the innermost binder printed so, over canonical
+        # name -> id of the certificate's variable
+        self.scope = Scope()
+        self.scope.at = EMPTY
         self.ctx_names = {}  # id(context node) -> c1, c2, ...
         self.uses = {}  # non-leaf node -> parent occurrences in the roots
         self.defs = {}  # node -> @name
-        # printed name -> ids of the binder variables printed under it in
-        # the term being printed, innermost last
-        self.inner = {}
         # ids of bound variables printed under another name than their
-        # canonical one
-        self.odd = set()
+        # canonical one, and per binder what it changed there
+        self.odd, self.odd_undo = set(), []
         if cert is None:
             return
         self.lines = _declarations(cert.signature)
-        # the variables of the context at `at`, with their multiplicity
-        self.at, self.scope, self.held = EMPTY, {}, {}
         symbols = cert.signature.symbols if cert.signature else {}
         self.term_names = (f"@t{k}" for k in itertools.count(1)
                            if f"@t{k}" not in symbols)
+        taken = set(symbols) | set(typecheck.CORE_SYMBOLS)
         seen = set()
         for step in cert.steps:
             c = step.conclusion
             if isinstance(c, EqJudgment):
                 for node in _unseen(c.ctx, seen):
                     seen.add(id(node))
+                    for v in node.entry_vars():
+                        self.claim(v, taken)
                     if isinstance(node.entry, Map):
                         for _, img in node.entry.pairs:
                             self.count(img)
@@ -93,6 +111,18 @@ class _Printer:
                 for _, t in step.binding:
                     self.count(t)
                 self.count(c.formula)
+
+    def claim(self, v, taken):
+        """Gives a context variable its canonical name, one unique in the
+        certificate and apart from the names in `taken`."""
+        if v.id in self.names:
+            return
+        name, k = v.name, 1
+        while name in taken or name in self.scope:
+            name = f"{v.name}{k}"
+            k += 1
+        self.names[v.id] = name
+        self.scope[name] = v.id
 
     def count(self, root):
         todo = [root]
@@ -105,14 +135,15 @@ class _Printer:
             if not n:
                 todo += (u.fn.arg, u.arg) if _is_eq(u) else core._children(u)
 
-    def text(self, root, scope):
-        """root as text.  `scope` maps the ids of the variables bound where
-        root stands to their printed names; it is changed on the way down
-        and restored on the way out."""
+    def text(self, root):
+        """root as text, where the context at `scope.at` binds its
+        variables.  Binders bind in `scope` on the way down and unbind on
+        the way out."""
         # `outer`: the root's free variables by name, built at the first
         # binder
-        self.vars, self.root, self.outer = scope, root, None
-        names, uses, defs, odd = self.names, self.uses, self.defs, self.odd
+        self.root, self.outer = root, None
+        scope, names, uses, defs, odd = (self.scope, self.names, self.uses,
+                                         self.defs, self.odd)
         out, todo = [], [root]
         while todo:
             t = todo.pop()
@@ -157,21 +188,20 @@ class _Printer:
             bp = binder_parts(t)
             if bp is not None:
                 kind, v, body = bp
-                name, saved = self.pick(v, body, (v.id,)), []
+                name = self.pick(v, body, (v.id,))
                 out.append(f"({kind} (({name} {core.sort_str(v.sort)})) ")
-                self.bind(((v, name),), saved)
-                todo += (")", (self.unbind, saved), body)
+                self.bind(((v, name),))
+                todo += (")", (self.unbind,), body)
                 continue
             bound = {v.id for v, _ in t.bindings}
-            taken, pairs, seq, saved = set(), [], [], []
+            taken, pairs, seq = set(), [], []
             for v, img in t.bindings:
                 name = self.pick(v, t.body, bound, taken)
                 taken.add(name)
                 pairs.append((v, name))
                 seq += (f" ({name} " if seq else f"({name} ", img, ")")
             # the images print in the outer scope, the body in the inner one
-            seq += (") ", (self.bind, pairs, saved), t.body,
-                    (self.unbind, saved), ")")
+            seq += (") ", (self.bind, pairs), t.body, (self.unbind,), ")")
             out.append("(let (")
             todo += reversed(seq)
         return "".join(out)
@@ -179,9 +209,9 @@ class _Printer:
     def pick(self, v, body, bound, taken=()):
         """A binder's printed name: its canonical one, so that terms named
         under it stay valid, unless the body shows that name."""
-        if self.outer is None:  # no binder is bound yet: `vars` is root's
+        if self.outer is None:  # the first binder below root
             self.outer = self.free_names()
-        fv, consts, scope = free_vars(body), const_names(body), self.vars
+        fv, consts, scope = free_vars(body), const_names(body), self.scope
         name = self.names.get(v.id, v.name)
         k = 1
         while name in taken or name in consts or any(
@@ -193,13 +223,11 @@ class _Printer:
 
     def shown(self, name):
         """The variables that may print as name where a body stands: the
-        innermost binder printed so, which was named apart from every
-        variable then printed so, or else the root's free ones and the
-        certificate's variable of that name."""
-        ids = self.inner.get(name)
-        if ids:
-            return ids[-1:]
-        i = self.by_name.get(name)
+        root's free ones of that name, and the innermost binder printed so
+        or else the certificate's variable of that name.  Below a binder
+        printed so, none of the root's does: the binder was named apart
+        from every variable then printed so."""
+        i = self.scope.get(name)
         ids = self.outer.get(name, [])
         return ids if i is None else [*ids, i]
 
@@ -222,24 +250,20 @@ class _Printer:
                 todo += core._children(u)
         return out
 
-    def bind(self, pairs, saved):
-        """Prints v as name from here on, for each (v, name) of pairs;
-        appends to saved what unbind needs."""
-        scope, odd = self.vars, self.odd
+    def bind(self, pairs):
+        """Prints v as name from here on, for each binder (v, name) of
+        pairs."""
+        odd = self.odd
+        self.scope.bind(kv for v, name in pairs
+                        for kv in ((v.id, name), (name, v.id)))
+        self.odd_undo.append([(v.id, v.id in odd) for v, _ in pairs])
         for v, name in pairs:
-            i = v.id
-            saved.append((i, name, scope.get(i), i in odd))
-            scope[i] = name
-            (odd.add if name != self.names.get(i, v.name) else odd.discard)(i)
-            self.inner.setdefault(name, []).append(i)
+            (odd.add if name != self.names.get(v.id, v.name)
+             else odd.discard)(v.id)
 
-    def unbind(self, saved):
-        for i, name, old, was_odd in reversed(saved):
-            self.inner[name].pop()
-            if old is None:
-                del self.vars[i]
-            else:
-                self.vars[i] = old
+    def unbind(self):
+        self.scope.unbind()
+        for i, was_odd in reversed(self.odd_undo.pop()):
             (self.odd.add if was_odd else self.odd.discard)(i)
 
     def define(self, node, out, start):
@@ -250,33 +274,15 @@ class _Printer:
         self.lines.append(f"(define {name} {body})")
         out.append(name)
 
-    def move(self, ctx):
-        """Brings the scope's context part from self.at to ctx."""
-        up, down = path(self.at, ctx)
-        for node in up:
-            for i in self.entry_ids(node.entry):
-                self.held[i] -= 1
-                if not self.held[i]:
-                    del self.held[i], self.scope[i]
-        for node in down:
-            self.enter(node)
-        self.at = ctx
-
-    def enter(self, node):
-        for i in self.entry_ids(node.entry):
-            self.held[i] = self.held.get(i, 0) + 1
-            self.scope[i] = self.names[i]
-        self.at = node
-
-    @staticmethod
-    def entry_ids(e):
-        return (e.var.id,) if isinstance(e, Fix) else [v.id for v, _ in e.pairs]
+    def named(self, node):
+        """What entering a context node binds in the scope."""
+        return [(v.id, self.names[v.id]) for v in node.entry_vars()]
 
     def context(self, ctx):
         """Writes the (context ...) lines ctx still needs; the scope then
         holds ctx's variables."""
         unseen = _unseen(ctx, self.ctx_names)
-        self.move(unseen[0].parent if unseen else ctx)
+        move(self.scope, unseen[0].parent if unseen else ctx, self.named)
         for node in unseen:
             name = self.ctx_names[id(node)] = f"c{len(self.ctx_names) + 1}"
             parent = ("()" if node.parent.is_empty()
@@ -286,10 +292,10 @@ class _Printer:
                 entry = f"(fix {self.names[e.var.id]} {core.sort_str(e.var.sort)})"
             else:
                 entry = "(map " + " ".join(
-                    f"({self.names[v.id]} {self.text(img, self.scope)})"
+                    f"({self.names[v.id]} {self.text(img)})"
                     for v, img in e.pairs) + ")"
             self.lines.append(f"(context {name} {parent} {entry})")
-            self.enter(node)
+            move(self.scope, node, self.named)
 
     def step(self, step):
         parts = [f"(step {step.id} :rule {step.rule}"]
@@ -302,21 +308,22 @@ class _Printer:
                 parts.append(f":context {self.ctx_names[id(c.ctx)]}")
             if step.theory is not None:
                 parts.append(f":theory {step.theory}")
-            parts.append(f":conclusion (= {self.text(c.lhs, self.scope)} "
-                         f"{self.text(c.rhs, self.scope)}))")
+            parts.append(f":conclusion (= {self.text(c.lhs)} "
+                         f"{self.text(c.rhs)}))")
         else:
+            move(self.scope, EMPTY, self.named)  # the terms are closed
             if step.binding:
-                bs = " ".join(f"({n} {self.text(t, {})})"
+                bs = " ".join(f"({n} {self.text(t)})"
                               for n, t in step.binding)
                 parts.append(f":binding ({bs})")
-            parts.append(f":conclusion {self.text(c.formula, {})})")
+            parts.append(f":conclusion {self.text(c.formula)})")
         self.lines.append(" ".join(parts))
 
 
 def print_term(t):
     """A core term as SMT-LIB text that parses and elaborates back to it
     (up to α), its free variables printed under their own names."""
-    return _Printer().text(t, {})
+    return _Printer().text(t)
 
 
 def write_certificate(cert):

@@ -10,10 +10,15 @@ and `@`-names are resolved by `_CertParser.term_ref`.
 from . import core, sexpr, surface, typecheck
 from .calculus import (LEMMA_RULES, RULES, Certificate, CertificateError,
                        EqJudgment, LemmaFormula, ProofStep)
-from .context import EMPTY, Fix, path
+from .context import EMPTY, move
 from .core import BOOL, const_names, free_vars
 from .sexpr import SList, Token
 from .typecheck import Signature, TypingEnv, infer_sort, normalize_sort
+
+
+def _named(node):
+    """What entering a context node binds in the reader's scope."""
+    return [(v.name, v) for v in node.entry_vars()]
 
 
 def _is_sym(e, text=None):
@@ -30,13 +35,13 @@ class _CertParser:
         self.registry = {}
         self.by_id = {}
         self.contexts = {}  # context name -> Context
-        # scope maps the names of the variables of the context at `at` to
-        # them; undo holds, per entry of that context, what entering it
-        # overwrote in scope
-        self.at, self.scope, self.undo = EMPTY, {}, []
         self.terms = {}  # term name -> [surface term, node, sort]
         self.env = TypingEnv(self.sig, arith=True, filename=filename,
                              make_var=self.var_for, lookup_ref=self.term_ref)
+        # env.scope maps names to variables: those of the context at
+        # `env.scope.at`, and above them the binders of the term being
+        # elaborated
+        self.env.scope.at = EMPTY
 
     def var_for(self, name, sort):
         key = (name, sort)
@@ -48,8 +53,7 @@ class _CertParser:
     def error(self, msg, e):
         return CertificateError(msg, *sexpr.sexpr_pos(e), self.filename)
 
-    def elab(self, e, scope):
-        self.env.scopes = [scope]
+    def elab(self, e):
         return infer_sort(self.env, surface.term_from_sexpr(e, self.filename))
 
     def term_ref(self, env, sid):
@@ -71,12 +75,12 @@ class _CertParser:
             return d[1], d[2]
         for i in free_vars(d[1]):
             v = self.by_id[i]
-            if env.lookup_var(v.name) is not v:
+            if env.scope.get(v.name) is not v:
                 raise CertificateError(f"term {name} uses {v.name}, which "
                                        "means another variable here",
                                        *sid.pos, self.filename)
         for c in const_names(d[1]):
-            if env.lookup_var(c) is not None:
+            if c in env.scope:
                 raise CertificateError(f"term {name} uses constant {c}, "
                                        "which a variable hides here",
                                        *sid.pos, self.filename)
@@ -106,22 +110,22 @@ class _CertParser:
             surface.term_from_sexpr(items[2], self.filename), None, None]
 
     def parse_context(self, e):
-        """The context a :context value denotes; `scope` then holds its
-        variables."""
+        """The context a :context value denotes; `env.scope` then holds
+        its variables."""
         if e is None:
-            self.move(EMPTY)
+            move(self.env.scope, EMPTY, _named)
             return EMPTY
         if _is_sym(e):
             if e.text not in self.contexts:
                 raise self.error(f"unknown context {e.text}", e)
-            self.move(self.contexts[e.text])
-            return self.at
+            move(self.env.scope, self.contexts[e.text], _named)
+            return self.env.scope.at
         if not isinstance(e, SList):
             raise self.error("expected a context name or entry list", e)
-        self.move(EMPTY)
+        move(self.env.scope, EMPTY, _named)
         for entry in e.items:
-            self.enter(self.extend(entry))
-        return self.at
+            move(self.env.scope, self.extend(entry), _named)
+        return self.env.scope.at
 
     def define_context(self, e):
         """(context <name> <ctx> <entry>): name <ctx> extended by <entry>."""
@@ -133,37 +137,12 @@ class _CertParser:
             raise self.error(f"context {name.text} defined twice", name)
         self.parse_context(items[2])
         # entered at once: the next line mostly uses or extends it
-        self.enter(self.extend(items[3]))
-        self.contexts[name.text] = self.at
-
-    def move(self, ctx):
-        """Brings `scope` from the context at `at` to ctx."""
-        if ctx is self.at:
-            return
-        up, down = path(self.at, ctx)
-        scope = self.scope
-        for _ in up:
-            for name, old in reversed(self.undo.pop()):
-                if old is None:
-                    del scope[name]
-                else:
-                    scope[name] = old
-        for node in down:
-            self.enter(node)
-        self.at = ctx
-
-    def enter(self, node):
-        """Binds the variables of node's entry; node extends `at`."""
-        e, scope, saved = node.entry, self.scope, []
-        for v, _ in ((e.var, None),) if isinstance(e, Fix) else e.pairs:
-            saved.append((v.name, scope.get(v.name)))
-            scope[v.name] = v
-        self.undo.append(saved)
-        self.at = node
+        ctx = self.contexts[name.text] = self.extend(items[3])
+        move(self.env.scope, ctx, _named)
 
     def extend(self, entry):
-        """The context at `at` extended by one (fix ...) or (map ...)
-        entry, whose images are elaborated in `scope`."""
+        """The context at `env.scope.at` extended by one (fix ...) or
+        (map ...) entry, whose images are elaborated in `env.scope`."""
         if not isinstance(entry, SList) or not entry.items:
             raise self.error("expected (fix ...) or (map ...)", entry)
         head = entry.items[0]
@@ -173,7 +152,7 @@ class _CertParser:
             name = entry.items[1].text
             ssort = surface.sort_from_sexpr(entry.items[2], self.filename)
             sort = normalize_sort(ssort, self.sig, self.filename)
-            return self.at.fix(self.var_for(name, sort))
+            return self.env.scope.at.fix(self.var_for(name, sort))
         if not _is_sym(head, "map"):
             raise self.error("unknown context entry", entry)
         if len(entry.items) < 2:
@@ -184,10 +163,10 @@ class _CertParser:
                     or not _is_sym(item.items[0])):
                 raise self.error("expected (<name> <term>)", item)
             name = item.items[0].text
-            img, sort = self.elab(item.items[1], self.scope)
+            img, sort = self.elab(item.items[1])
             pairs.append((self.var_for(name, sort), img))
         try:
-            return self.at.map(pairs)
+            return self.env.scope.at.map(pairs)
         except ValueError as err:
             raise self.error(str(err), entry)
 
@@ -225,6 +204,8 @@ class _CertParser:
         if ":conclusion" not in kw:
             raise self.error("step lacks a :conclusion", e)
         binding = ()
+        if ":binding" in kw or rule in LEMMA_RULES:  # closed terms
+            move(self.env.scope, EMPTY, _named)
         if ":binding" in kw:
             be = kw[":binding"]
             if not isinstance(be, SList):
@@ -234,11 +215,11 @@ class _CertParser:
                 if (not isinstance(item, SList) or len(item.items) != 2
                         or not _is_sym(item.items[0])):
                     raise self.error("expected (<name> <term>)", item)
-                t, _ = self.elab(item.items[1], {})
+                t, _ = self.elab(item.items[1])
                 bs.append((item.items[0].text, t))
             binding = tuple(bs)
         if rule in LEMMA_RULES:
-            formula, fsort = self.elab(kw[":conclusion"], {})
+            formula, fsort = self.elab(kw[":conclusion"])
             if fsort != BOOL:
                 raise self.error("lemma formula must have sort Bool",
                                  kw[":conclusion"])
@@ -249,8 +230,8 @@ class _CertParser:
             if (not isinstance(ce, SList) or len(ce.items) != 3
                     or not _is_sym(ce.items[0], "=")):
                 raise self.error("expected (= <term> <term>)", ce)
-            lhs, ls = self.elab(ce.items[1], self.scope)
-            rhs, rs = self.elab(ce.items[2], self.scope)
+            lhs, ls = self.elab(ce.items[1])
+            rhs, rs = self.elab(ce.items[2])
             if ls != rs:
                 raise self.error("conclusion sides have different sorts", ce)
             conclusion = EqJudgment(ctx, lhs, rhs)

@@ -62,6 +62,11 @@ class Context(Interned):
     def is_empty(self):
         return self.entry is None
 
+    def entry_vars(self):
+        """The variables this node's entry binds, in order."""
+        e = self.entry
+        return (e.var,) if isinstance(e, Fix) else [v for v, _ in e.pairs]
+
 
 EMPTY = Context()
 
@@ -80,6 +85,20 @@ def path(a, b):
             b = b.parent
     down.reverse()
     return up, down
+
+
+def move(scope, ctx, pairs):
+    """Brings a `nodes.Scope` from the context node `scope.at` to ctx: one
+    unbind for each node it leaves, one bind of pairs(node) for each node
+    it enters, outermost first."""
+    if ctx is scope.at:  # as it mostly is for the next line's context
+        return
+    up, down = path(scope.at, ctx)
+    for _ in up:
+        scope.unbind()
+    for node in down:
+        scope.bind(pairs(node))
+    scope.at = ctx
 
 
 # the context nodes whose substitution is in context_subst's cache

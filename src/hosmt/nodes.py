@@ -11,6 +11,9 @@ nobody refers to is dropped from it.
 `Record` classes are plain `__slots__` records compared and hashed by
 their fields, leaving out source positions (`line`, `col`, `pos`).  Each
 subclass writes its own `__init__`.
+
+A `Scope` is a dict whose changes are undone in the reverse order: the
+name scope of the typechecker, the certificate reader and the printer.
 """
 
 import weakref
@@ -97,3 +100,34 @@ class Record:
 
     def __repr__(self):
         return _show(self, self._fields)
+
+
+_MISSING = object()
+
+
+class Scope(dict):
+    """A dict with an undo stack.  `bind(pairs)` sets keys and records what
+    they held as one undo entry, and `unbind()` restores the latest entry.
+    `at` is the context node whose entries the scope holds below its
+    other entries (`context.move`), or None."""
+
+    __slots__ = ("undo", "at")
+
+    def __init__(self):
+        super().__init__()
+        self.undo = []
+        self.at = None
+
+    def bind(self, pairs):
+        saved, get = [], self.get
+        for key, value in pairs:
+            saved.append((key, get(key, _MISSING)))
+            self[key] = value
+        self.undo.append(saved)
+
+    def unbind(self):
+        for key, old in reversed(self.undo.pop()):
+            if old is _MISSING:
+                del self[key]
+            else:
+                self[key] = old

@@ -11,7 +11,7 @@ Also provides the two instantiation lemma generators.
 """
 
 import itertools
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import core
 from .calculus import Certificate, EqJudgment, LemmaFormula, ProofStep
@@ -22,9 +22,8 @@ from .core import (App, Applied, Atom, Const, DivergenceError, Fun, Lam, Let,
 from .typecheck import ARITH_SYMBOLS, CORE_SYMBOLS, Signature
 
 
-class ProcessResult(NamedTuple):
-    term: object
-    certificate: Certificate
+# term: the processed form; certificate: a Certificate deriving it
+ProcessResult = namedtuple("ProcessResult", ("term", "certificate"))
 
 
 def _plain(t):

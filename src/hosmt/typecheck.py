@@ -9,7 +9,7 @@ pass.  Core terms print through `hosmt.certprinter`.
 from . import core, surface
 from .core import (Applied, Atom, BOOL, Const, Fun, INT, REAL,
                    Lam, Let, Quant, fresh_var, fun_sort, sort_str)
-from .nodes import Record
+from .nodes import Record, Scope
 from .sexpr import SourceError
 from .surface import (CAssert, CDeclareFun, CDeclareSort, CDefineFun, CExit,
                       CSetLogic, CUnknown, SAnnot, SApply, SArrow, SBinder,
@@ -78,7 +78,8 @@ class Signature(Record):
 
 
 class TypingEnv:
-    """A signature plus a scoped stack of local binder variables.
+    """A signature plus `scope`, which maps the names of the local binder
+    variables to them (a `nodes.Scope`).
 
     Two hooks let a reader change how names are elaborated: `make_var(name,
     sort)` makes each binder and let variable (a fresh one by default), and
@@ -92,21 +93,9 @@ class TypingEnv:
         self.signature = signature
         self.arith = arith
         self.filename = filename
-        self.scopes = []
+        self.scope = Scope()
         self.make_var = make_var
         self.lookup_ref = lookup_ref
-
-    def push(self, vars_):
-        self.scopes.append({v.name: v for v in vars_})
-
-    def pop(self):
-        self.scopes.pop()
-
-    def lookup_var(self, name):
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
 
 
 def normalize_sort(s, signature, filename="<input>"):
@@ -162,7 +151,7 @@ def infer_sort(env, t):
         found = None
         if env.lookup_ref is not None and t.name[:1] == "@":
             found = env.lookup_ref(env, t)
-        v = env.lookup_var(t.name) if found is None else None
+        v = env.scope.get(t.name) if found is None else None
         if found is not None:
             result, s = found
         elif v is not None:
@@ -206,11 +195,11 @@ def infer_sort(env, t):
     if isinstance(t, SBinder):
         vars_ = [env.make_var(n, normalize_sort(s, env.signature, f))
                  for n, s in t.binders]
-        env.push(vars_)
+        env.scope.bind((v.name, v) for v in vars_)
         try:
             body, bs = infer_sort(env, t.body)
         finally:
-            env.pop()
+            env.scope.unbind()
         if t.kind == "lambda":
             for v in reversed(vars_):
                 body = Lam(v, body)
@@ -236,11 +225,11 @@ def infer_sort(env, t):
         for n, img in t.bindings:
             cimg, s = infer_sort(env, img)
             pairs.append((env.make_var(n, s), cimg))
-        env.push([v for v, _ in pairs])
+        env.scope.bind((v.name, v) for v, _ in pairs)
         try:
             body, bs = infer_sort(env, t.body)
         finally:
-            env.pop()
+            env.scope.unbind()
         return Let(tuple(pairs), body), bs
     if isinstance(t, SMatch):
         raise SortError("unsupported construct: match", *t.pos, f)
@@ -277,11 +266,8 @@ def check_script(cmds, filename="<input>"):
             env = TypingEnv(sig, logic_has_arith(logic), filename)
             vars_ = [fresh_var(n, normalize_sort(s, sig, filename))
                      for n, s in c.params]
-            env.push(vars_)
-            try:
-                _, bs = infer_sort(env, c.body)
-            finally:
-                env.pop()
+            env.scope.bind((v.name, v) for v in vars_)
+            _, bs = infer_sort(env, c.body)
             declared = normalize_sort(c.result, sig, filename)
             if bs != declared:
                 raise SortError(

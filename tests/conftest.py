@@ -1,6 +1,38 @@
+import contextlib
+import gc
+import math
 import pathlib
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+@contextlib.contextmanager
+def recursion_limit(n):
+    """A higher recursion limit, for the recursive references and passes."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, n))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def best_times(f, terms, repeat):
+    """The fastest of `repeat` calls f(t) for each t, taken in turns so that
+    a drift of the machine's speed reaches every term, with the collector
+    off: its pauses depend on what the rest of the run left on the heap."""
+    best = [math.inf] * len(terms)
+    gc.disable()
+    try:
+        for _ in range(repeat):
+            for k, t in enumerate(terms):
+                start = time.perf_counter()
+                f(t)
+                best[k] = min(best[k], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return best

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hosmt import calculus, processor, surface, typecheck
+from hosmt import certprinter, processor, surface, typecheck
 from hosmt.calculus import (BETA_THEORY, RULES, CertificateError, EqJudgment,
                             LemmaFormula, ProofStep, check_certificate,
                             check_step, parse_certificate, print_certificate)
@@ -649,7 +649,8 @@ class TestNamedContexts:
         certs = (generated_certificates(67, 40)
                  + processed_certificates(forall_script(8)))
         for cert in certs:
-            assert calculus._assign_names(cert) == cert_ref._assign_names(cert)
+            assert (certprinter._Printer(cert).names
+                    == cert_ref._assign_names(cert))
 
 
 class TestReferencePrinter:

@@ -399,11 +399,13 @@ class TestUsage:
         assert code == 0 and "usage:" in out
 
 
+SCRIPT = ("(declare-fun g (Int Int) Int)(declare-fun a () Int)"
+          "(assert (forall ((x Int)) (= (let ((y (g x a))) "
+          "((lambda ((z Int)) (g z y)) x)) a)))")
+
+
 def _named_certificate():
-    script = ("(declare-fun g (Int Int) Int)(declare-fun a () Int)"
-              "(assert (forall ((x Int)) (= (let ((y (g x a))) "
-              "((lambda ((z Int)) (g z y)) x)) a)))")
-    checked = typecheck.check_script(surface.parse_script(script), "<script>")
+    checked = typecheck.check_script(surface.parse_script(SCRIPT), "<script>")
     cert = processor.process(checked.asserts[0], checked.signature).certificate
     return calculus.print_certificate(cert).encode()
 
@@ -416,12 +418,19 @@ class TestRobustness:
     def test_certificate_has_named_contexts(self):
         assert NAMED.count(b"(context ") >= 4
 
+    # argv before the input's path; {tmp} is a scratch directory
+    @pytest.mark.parametrize("text,argv", [
+        (NAMED, ["verify", "--oracle"]),
+        (SCRIPT.encode(), ["parse"]),
+        (SCRIPT.encode(), ["check", "--verbose"]),
+        (SCRIPT.encode(), ["process", "--proof", "{tmp}/out.hoproof"]),
+    ], ids=["verify", "parse", "check", "process"])
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
                               st.sampled_from("rdi"), _BYTES),
                     min_size=1, max_size=4))
-    def test_byte_edits_end_in_an_exit_code(self, edits):
-        data = bytearray(NAMED)
+    def test_byte_edits_end_in_an_exit_code(self, text, argv, edits):
+        data = bytearray(text)
         for where, op, byte in edits:
             i = int(where * len(data))
             if op == "r":
@@ -432,11 +441,11 @@ class TestRobustness:
                 data.insert(i, byte)
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "edited.hoproof")
+            path = os.path.join(tmp, "edited")
             with open(path, "wb") as fh:
                 fh.write(bytes(data))
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["verify", "--oracle", path])
+                code = cli.main([*(a.format(tmp=tmp) for a in argv), path])
         assert 0 <= code <= 5
         assert "Traceback" not in err.getvalue()
 
@@ -458,6 +467,21 @@ def test_cli_import_loads_no_proof_modules():
         assert f"'hosmt.{name}'" not in loaded
 
 
+def _modules_after(argv, modules):
+    """[exit code, whether each of modules is loaded] after cli.main(argv)
+    in a fresh interpreter without site packages."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import contextlib, io, sys; from hosmt import cli\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         f"    code = cli.main({argv!r})\n"
+         f"print(code, *(m in sys.modules for m in {list(modules)!r}))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    return done.stdout.split(), done.stderr
+
+
 @pytest.mark.parametrize("argv,oracle", [
     (["check", str(DATA / "program1.smt2")], False),
     (["process", str(DATA / "program2.smt2")], False),
@@ -465,38 +489,30 @@ def test_cli_import_loads_no_proof_modules():
     (["verify", "--oracle", str(DATA / "example1.hoproof")], True),
 ])
 def test_oracle_imported_only_by_verify_oracle(argv, oracle):
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import contextlib, io, sys; from hosmt import cli\n"
-         "with contextlib.redirect_stdout(io.StringIO()):\n"
-         f"    code = cli.main({argv!r})\n"
-         "print(code, 'hosmt.oracle' in sys.modules)"],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(src)))
-    assert done.stdout.split() == ["0", str(oracle)], done.stderr
+    out, err = _modules_after(argv, ["hosmt.oracle"])
+    assert out == ["0", str(oracle)], err
 
 
 @pytest.mark.parametrize("argv,loaded", [
     (["check", str(DATA / "program1.smt2")],
-     {"hosmt.certprinter": False, "hosmt.calculus": False}),
+     {"hosmt.certprinter": False, "hosmt.calculus": False,
+      "hosmt.context": False}),
     (["check", "--verbose", str(DATA / "program1.smt2")],
      {"hosmt.certprinter": True}),
     (["verify", str(DATA / "example1.hoproof")], {"hosmt.certprinter": False}),
 ])
 def test_printer_imported_only_to_print(argv, loaded):
-    # verify prints a term only to reject a step
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import contextlib, io, sys; from hosmt import cli\n"
-         "with contextlib.redirect_stdout(io.StringIO()):\n"
-         f"    code = cli.main({argv!r})\n"
-         f"print(code, *(m in sys.modules for m in {list(loaded)!r}))"],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(src)))
-    expected = ["0", *map(str, loaded.values())]
-    assert done.stdout.split() == expected, done.stderr
+    # verify prints a term only to reject a step; check compiles no proof
+    # module, though the typechecker's scope is the one contexts use
+    out, err = _modules_after(argv, loaded)
+    assert out == ["0", *map(str, loaded.values())], err
+
+
+def test_process_loads_no_typing_nor_dataclasses():
+    # either import costs every call milliseconds
+    out, err = _modules_after(["process", str(DATA / "program2.smt2")],
+                              ["typing", "dataclasses"])
+    assert out == ["0", "False", "False"], err
 
 
 def test_cli_import_loads_no_dataclasses():

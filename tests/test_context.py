@@ -5,9 +5,10 @@ import random
 import pytest
 
 from hosmt.context import (EMPTY, Context, Fix, Map, apply_context,
-                           context_subst, contexts_equal)
+                           context_subst, contexts_equal, move, path)
 from hosmt.core import (App, Const, Fun, INT, Lam, alpha_eq, fresh_var,
                         substitute)
+from hosmt.nodes import Scope
 
 import gen
 
@@ -178,3 +179,31 @@ def test_persistence():
     _ = base.fix(x)
     _ = base.map([(fresh_var("y", INT), a)])
     assert dict(context_subst(base)) == sigma_before
+
+
+def test_scope_moves_along_the_context_tree():
+    """A moved scope holds what it held below the contexts plus the
+    variables of the context it stands at, the innermost entry winning,
+    whatever route it took; one bind that sets a key twice undoes to
+    what the key held before it."""
+    x, x2, w = fresh_var("x", INT), fresh_var("x", INT), fresh_var("w", INT)
+    left = EMPTY.fix(w).map([(x, a)]).fix(x2)
+    right = EMPTY.fix(w).fix(fresh_var("y", INT))
+
+    def named(node):
+        return [(v.name, v) for v in node.entry_vars()]
+
+    scope = Scope()
+    scope.at = EMPTY
+    scope["w"] = "below"
+    for ctx in (left, right, left.parent, EMPTY, left, left):
+        move(scope, ctx, named)
+        expected = {"w": "below"}
+        for node in path(EMPTY, ctx)[1]:
+            expected.update(named(node))
+        assert scope == expected and scope.at is ctx
+    assert scope["x"] is x2
+    scope.bind([("x", 1), ("x", 2), ("z", 3)])
+    assert scope["x"] == 2 and scope["z"] == 3
+    scope.unbind()
+    assert scope["x"] is x2 and "z" not in scope

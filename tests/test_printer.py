@@ -3,13 +3,11 @@ printer it replaced, which erased core terms to surface terms and printed
 those (`print_ref`): the same text, at any depth, in linear time."""
 
 import contextlib
-import gc
 import io
 import math
 import pathlib
 import random
 import sys
-import time
 
 import pytest
 
@@ -21,7 +19,7 @@ from hosmt.context import EMPTY
 from hosmt.core import (App, BOOL, Const, Fun, INT, Lam, Let, Quant, alpha_eq,
                         eq_term, fresh_var)
 
-from conftest import DATA
+from conftest import DATA, best_times, recursion_limit
 
 import gen
 import print_ref
@@ -30,17 +28,6 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 G = Const("g", Fun(INT, Fun(INT, INT)))
 A = Const("a", INT)
-
-
-@contextlib.contextmanager
-def recursion_limit(n):
-    """The reference printer recurses; deep terms need a higher limit."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, n))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 def nested(n, names):
@@ -58,23 +45,6 @@ def nested(n, names):
 
 def processed_name(k):
     return "w" if k == 0 else f"w{k}"
-
-
-def best_times(f, terms, repeat):
-    """The fastest of `repeat` calls f(t) for each t, taken in turns so that
-    a drift of the machine's speed reaches every term, with the collector
-    off: its pauses depend on what the rest of the run left on the heap."""
-    best = [math.inf] * len(terms)
-    gc.disable()
-    try:
-        for _ in range(repeat):
-            for k, t in enumerate(terms):
-                start = time.perf_counter()
-                f(t)
-                best[k] = min(best[k], time.perf_counter() - start)
-    finally:
-        gc.enable()
-    return best
 
 
 class TestReference:

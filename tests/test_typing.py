@@ -1,5 +1,6 @@
 """Signatures, sort inference, elaboration, and printing back to text."""
 
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from hosmt.surface import parse_script, parse_sort, parse_term
 from hosmt.typecheck import (Signature, SortError, TypingEnv, check_script,
                              infer_sort, normalize_decl, normalize_sort)
 
-from conftest import DATA
+from conftest import DATA, best_times, recursion_limit
 
 import gen
 
@@ -174,6 +175,23 @@ class TestCheckScript:
         checked = check_script(parse_script(
             "(declare-sort U 0)(declare-fun u () U)(assert (= u u))"))
         assert "U" in checked.signature.sorts
+
+    def test_nested_binders_elaborate_in_linear_time(self):
+        # a name is looked up once, not in every enclosing binder's scope
+        def forall(n):
+            inner = "a"
+            for i in range(1, n + 1):
+                inner = f"(g x{i} {inner})"
+            term = f"(= {inner} a)"
+            for i in range(n, 0, -1):
+                term = f"(forall ((x{i} Int)) {term})"
+            return parse_script("(declare-fun g (Int Int) Int)"
+                                f"(declare-fun a () Int)(assert {term})")
+
+        with recursion_limit(10_000):
+            t1000, t2000 = best_times(check_script,
+                                      [forall(1_000), forall(2_000)], 9)
+        assert math.log2(t2000 / t1000) <= 1.4
 
 
 class TestSubjectReduction:
