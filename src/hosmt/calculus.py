@@ -57,7 +57,7 @@ only reads, or only writes, certificates compiles one of them.
 """
 
 from . import core
-from .context import Fix, Map, apply_context, contexts_equal
+from .context import Fix, Map, apply_context, contexts_equal, fixes
 from .core import (App, Const, Lam, Let, Quant, Var, alpha_eq,
                    beta_normal_form, binder_parts, free_vars,
                    make_binder, not_term, sort_of, substitute)
@@ -279,7 +279,7 @@ def _check_beta(step, premises, max_steps):
         raise ValueError("redex body does not match the second premise's left side")
     if not alpha_eq(c.rhs, p2.rhs):
         raise ValueError("conclusion right side does not match the second premise")
-    if not alpha_eq(apply_context(c.ctx, s), s):
+    if not fixes(c.ctx, s):
         raise ValueError(f"side condition violated: context changes {_pc(s)}")
 
 
@@ -290,7 +290,7 @@ def _check_let(step, premises, max_steps):
     for (x, s), p in zip(mapping.pairs, vals):
         if not alpha_eq(s, p.rhs):
             raise ValueError(f"mapped term for {x.name} does not match its premise")
-        if not alpha_eq(apply_context(c.ctx, s), s):
+        if not fixes(c.ctx, s):
             raise ValueError(f"side condition violated: context changes {_pc(s)}")
     if not isinstance(c.lhs, Let):
         raise ValueError("conclusion left side must be a let")

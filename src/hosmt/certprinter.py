@@ -19,6 +19,7 @@ from .calculus import EqJudgment
 from .context import EMPTY, Fix, Map, move
 from .core import App, Const, Var, binder_parts, const_names, free_vars
 from .nodes import Scope
+from .sexpr import quote
 
 
 def _declarations(sig):
@@ -26,7 +27,7 @@ def _declarations(sig):
     if sig is not None:
         for name, arity in sig.sorts.items():
             if name not in typecheck.BUILTIN_SORTS:
-                lines.append(f"(declare-sort {name} {arity})")
+                lines.append(f"(declare-sort {quote(name)} {arity})")
         for name, sort in sig.symbols.items():
             args = []
             s = sort
@@ -34,7 +35,7 @@ def _declarations(sig):
                 args.append(s.dom)
                 s = s.cod
             astr = " ".join(core.sort_str(a) for a in args)
-            lines.append(f"(declare-fun {name} ({astr}) {core.sort_str(s)})")
+            lines.append(f"(declare-fun {quote(name)} ({astr}) {core.sort_str(s)})")
     return lines
 
 
@@ -155,11 +156,11 @@ class _Printer:
                 t[0](*t[1:])
                 continue
             if kind is Var:
-                out.append(scope.get(t.id) or names.get(t.id, t.name))
+                out.append(quote(scope.get(t.id) or names.get(t.id, t.name)))
                 continue
             if kind is Const:
                 out.append(f"(as = {core.sort_str(t.sort)})"
-                           if t.name == "=" else t.name)
+                           if t.name == "=" else quote(t.name))
                 continue
             if uses.get(t, 0) > 1:
                 fv = free_vars(t)
@@ -189,7 +190,7 @@ class _Printer:
             if bp is not None:
                 kind, v, body = bp
                 name = self.pick(v, body, (v.id,))
-                out.append(f"({kind} (({name} {core.sort_str(v.sort)})) ")
+                out.append(f"({kind} (({quote(name)} {core.sort_str(v.sort)})) ")
                 self.bind(((v, name),))
                 todo += (")", (self.unbind,), body)
                 continue
@@ -199,7 +200,8 @@ class _Printer:
                 name = self.pick(v, t.body, bound, taken)
                 taken.add(name)
                 pairs.append((v, name))
-                seq += (f" ({name} " if seq else f"({name} ", img, ")")
+                seq += (f" ({quote(name)} " if seq else f"({quote(name)} ",
+                        img, ")")
             # the images print in the outer scope, the body in the inner one
             seq += (") ", (self.bind, pairs), t.body, (self.unbind,), ")")
             out.append("(let (")
@@ -289,18 +291,18 @@ class _Printer:
                       else self.ctx_names[id(node.parent)])
             e = node.entry
             if isinstance(e, Fix):
-                entry = f"(fix {self.names[e.var.id]} {core.sort_str(e.var.sort)})"
+                entry = f"(fix {quote(self.names[e.var.id])} {core.sort_str(e.var.sort)})"
             else:
                 entry = "(map " + " ".join(
-                    f"({self.names[v.id]} {self.text(img)})"
+                    f"({quote(self.names[v.id])} {self.text(img)})"
                     for v, img in e.pairs) + ")"
             self.lines.append(f"(context {name} {parent} {entry})")
             move(self.scope, node, self.named)
 
     def step(self, step):
-        parts = [f"(step {step.id} :rule {step.rule}"]
+        parts = [f"(step {quote(step.id)} :rule {step.rule}"]
         if step.premises:
-            parts.append(":premises (" + " ".join(step.premises) + ")")
+            parts.append(":premises (" + " ".join(map(quote, step.premises)) + ")")
         c = step.conclusion
         if isinstance(c, EqJudgment):
             self.context(c.ctx)
@@ -313,7 +315,7 @@ class _Printer:
         else:
             move(self.scope, EMPTY, self.named)  # the terms are closed
             if step.binding:
-                bs = " ".join(f"({n} {self.text(t)})"
+                bs = " ".join(f"({quote(n)} {self.text(t)})"
                               for n, t in step.binding)
                 parts.append(f":binding ({bs})")
             parts.append(f":conclusion {self.text(c.formula)})")

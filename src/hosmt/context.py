@@ -11,7 +11,7 @@ import weakref
 from functools import lru_cache
 from types import MappingProxyType
 
-from .core import alpha_eq, sort_of, substitute
+from .core import Var, alpha_eq, free_vars, sort_of, substitute
 from .nodes import Interned
 
 
@@ -143,6 +143,18 @@ def context_subst(ctx):
 def apply_context(ctx, t):
     """Capture-avoiding application of the context's substitution."""
     return substitute(t, context_subst(ctx))
+
+
+def fixes(ctx, t):
+    """Whether the context's substitution maps each free variable of t to
+    itself or not at all: exactly when apply_context(ctx, t) is
+    alpha-equal to t.  One lookup per free variable; builds no node."""
+    sigma = context_subst(ctx)
+    for i in free_vars(t):
+        img = sigma.get(i)
+        if img is not None and not (isinstance(img, Var) and img.id == i):
+            return False
+    return True
 
 
 def entry_eq(e1, e2):

@@ -16,6 +16,7 @@ once they are computed (`free_vars`, `const_names`), which lets
 import itertools
 
 from .nodes import Interned
+from .sexpr import quote
 
 
 # ---------------------------------------------------------------- sorts
@@ -46,9 +47,9 @@ def fun_sort(arg_sorts, result):
 
 def sort_str(s):
     if isinstance(s, Atom):
-        return s.name
+        return quote(s.name)
     if isinstance(s, Applied):
-        return "(" + " ".join([s.name] + [sort_str(a) for a in s.args]) + ")"
+        return "(" + " ".join([quote(s.name)] + [sort_str(a) for a in s.args]) + ")"
     # flatten the curried chain for readability
     args = []
     while isinstance(s, Fun):
@@ -361,35 +362,6 @@ def _subst(t, sigma):
 
 
 # --------------------------------------------------------------- beta
-
-def beta_step(t):
-    """Contract the leftmost-outermost beta-redex, or None in normal form."""
-    if isinstance(t, App):
-        if isinstance(t.fn, Lam):
-            return substitute(t.fn.body, {t.fn.var.id: t.arg})
-        r = beta_step(t.fn)
-        if r is not None:
-            return App(r, t.arg)
-        r = beta_step(t.arg)
-        if r is not None:
-            return App(t.fn, r)
-        return None
-    bp = binder_parts(t)
-    if bp is not None:
-        kind, v, body = bp
-        r = beta_step(body)
-        return None if r is None else make_binder(kind, v, r)
-    if isinstance(t, Let):
-        for i, (v, img) in enumerate(t.bindings):
-            r = beta_step(img)
-            if r is not None:
-                bs = list(t.bindings)
-                bs[i] = (v, r)
-                return Let(tuple(bs), t.body)
-        r = beta_step(t.body)
-        return None if r is None else Let(t.bindings, r)
-    return None
-
 
 DEFAULT_STEP_CAP = 100000
 

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from . import core
 from .calculus import Certificate, EqJudgment, LemmaFormula, ProofStep
-from .context import EMPTY, apply_context
+from .context import EMPTY, apply_context, fixes
 from .core import (App, Applied, Atom, Const, DivergenceError, Fun, Lam, Let,
                    Quant, Var, binder_parts, fresh_var,
                    implies_term, make_binder, sort_of, substitute)
@@ -24,15 +24,6 @@ from .typecheck import ARITH_SYMBOLS, CORE_SYMBOLS, Signature
 
 # term: the processed form; certificate: a Certificate deriving it
 ProcessResult = namedtuple("ProcessResult", ("term", "certificate"))
-
-
-def _plain(t):
-    """True when t contains no binder and no let."""
-    if isinstance(t, (Var, Const)):
-        return True
-    if isinstance(t, App):
-        return _plain(t.fn) and _plain(t.arg)
-    return False
 
 
 def signature_for_term(t):
@@ -101,12 +92,12 @@ class _Processor:
         return res
 
     def _dispatch(self, ctx, t):
-        if isinstance(t, (Var, Const)):
+        # a leaf, or a term the context leaves alone and that holds no
+        # binder and no let: one refl
+        if isinstance(t, (Var, Const)) or (fixes(ctx, t) and not any(
+                isinstance(s, (Lam, Quant, Let)) for s in core.subterms(t))):
             u = apply_context(ctx, t)
             return self.emit("refl", (), ctx, t, u), u
-        # a term the context leaves alone and that needs no work: one refl
-        if _plain(t) and apply_context(ctx, t) == t:
-            return self.emit("refl", (), ctx, t, t), t
         if isinstance(t, App):
             return self._app(ctx, t)
         bp = binder_parts(t)

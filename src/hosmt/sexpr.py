@@ -12,6 +12,7 @@ lists are `SList` nodes at the position of their opening parenthesis.
 """
 
 import re
+from functools import lru_cache
 
 from .nodes import Record
 
@@ -140,6 +141,19 @@ def parse_text(text, filename="<input>"):
     return top
 
 
+# a word the lexer reads as a symbol and not as a keyword
+_BARE = re.compile(r'[^ \t\r\n();|":][^ \t\r\n();|"]*')
+
+
+@lru_cache(maxsize=None)
+def quote(name):
+    """A symbol as text: in bars when the lexer would not read it back
+    bare as this one symbol.  Names spelled like numerals or decimals and
+    reserved words stay bare: the core cannot tell the symbol `|12|` from
+    the literal 12, and the reader takes `|forall|` as the keyword."""
+    return name if _BARE.fullmatch(name) else f"|{name}|"
+
+
 def sexpr_to_str(e):
     parts = []
     todo = [e]
@@ -157,7 +171,7 @@ def sexpr_to_str(e):
         elif e.kind == STRING:
             parts.append('"' + e.text.replace('"', '""') + '"')
         else:
-            parts.append(e.text)
+            parts.append(quote(e.text) if e.kind == SYMBOL else e.text)
     return "".join(parts)
 
 

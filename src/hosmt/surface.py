@@ -9,7 +9,7 @@ term in head position.
 from . import sexpr
 from .nodes import Record
 from .sexpr import (KEYWORD, NUMERAL, DECIMAL, STRING, SYMBOL,
-                    ParseError, SList, Token)
+                    ParseError, SList, Token, quote)
 
 
 # ---------------------------------------------------------------- sorts
@@ -422,9 +422,9 @@ def parse_script(text, filename="<input>"):
 
 def print_sort(s):
     if isinstance(s, SIdent):
-        return s.name
+        return quote(s.name)
     if isinstance(s, SParam):
-        return "(" + " ".join([s.name] + [print_sort(a) for a in s.args]) + ")"
+        return "(" + " ".join([quote(s.name)] + [print_sort(a) for a in s.args]) + ")"
     return ("(-> " + " ".join(print_sort(a) for a in s.args)
             + " " + print_sort(s.result) + ")")
 
@@ -436,18 +436,18 @@ def print_term(t):
         return t.text
     if isinstance(t, SId):
         if t.ascribed is not None:
-            return f"(as {t.name} {print_sort(t.ascribed)})"
-        return t.name
+            return f"(as {quote(t.name)} {print_sort(t.ascribed)})"
+        return quote(t.name)
     if isinstance(t, SApply):
         parts = [print_term(t.head)]
         for a in t.args:  # not a comprehension: one call frame per level
             parts.append(print_term(a))
         return "(" + " ".join(parts) + ")"
     if isinstance(t, SBinder):
-        bs = " ".join(f"({n} {print_sort(s)})" for n, s in t.binders)
+        bs = " ".join(f"({quote(n)} {print_sort(s)})" for n, s in t.binders)
         return f"({t.kind} ({bs}) {print_term(t.body)})"
     if isinstance(t, SLet):
-        bs = " ".join(f"({n} {print_term(v)})" for n, v in t.bindings)
+        bs = " ".join(f"({quote(n)} {print_term(v)})" for n, v in t.bindings)
         return f"(let ({bs}) {print_term(t.body)})"
     if isinstance(t, SMatch):
         cs = " ".join(f"({p} {print_term(b)})" for p, b in t.cases)
@@ -464,15 +464,15 @@ def print_term(t):
 
 def print_command(c):
     if isinstance(c, CSetLogic):
-        return f"(set-logic {c.name})"
+        return f"(set-logic {quote(c.name)})"
     if isinstance(c, CDeclareSort):
-        return f"(declare-sort {c.name} {c.arity})"
+        return f"(declare-sort {quote(c.name)} {c.arity})"
     if isinstance(c, CDeclareFun):
         args = " ".join(print_sort(s) for s in c.arg_sorts)
-        return f"(declare-fun {c.name} ({args}) {print_sort(c.result)})"
+        return f"(declare-fun {quote(c.name)} ({args}) {print_sort(c.result)})"
     if isinstance(c, CDefineFun):
-        ps = " ".join(f"({n} {print_sort(s)})" for n, s in c.params)
-        return (f"(define-fun {c.name} ({ps}) {print_sort(c.result)} "
+        ps = " ".join(f"({quote(n)} {print_sort(s)})" for n, s in c.params)
+        return (f"(define-fun {quote(c.name)} ({ps}) {print_sort(c.result)} "
                 f"{print_term(c.body)})")
     if isinstance(c, CAssert):
         return f"(assert {print_term(c.term)})"

@@ -8,12 +8,15 @@ two normal forms are reified into a universally quantified equality whose
 sides are compared.  It is quadratic in the context length and recurses
 once per context entry, so it serves only as the reference the one-pass
 fold is compared with.
+
+It also holds `beta_step`, the one-redex reduction the tests use to check
+normal forms and subject reduction.
 """
 
 from hosmt.context import Fix
-from hosmt.core import (DEFAULT_STEP_CAP, Quant, alpha_eq, beta_normal_form,
-                        eq_term, expand_lets, free_vars, fresh_var,
-                        substitute)
+from hosmt.core import (DEFAULT_STEP_CAP, App, Lam, Let, Quant, alpha_eq,
+                        beta_normal_form, binder_parts, eq_term, expand_lets,
+                        free_vars, fresh_var, make_binder, substitute)
 from hosmt.nodes import Record
 
 
@@ -132,3 +135,32 @@ def verdict(judgment, max_steps=DEFAULT_STEP_CAP):
     tn = beta_normal_form(expand_lets(t), max_steps)
     un = beta_normal_form(expand_lets(u), max_steps)
     return "lambda-valid" if alpha_eq(tn, un) else "needs-theory"
+
+
+def beta_step(t):
+    """Contract the leftmost-outermost beta-redex, or None in normal form."""
+    if isinstance(t, App):
+        if isinstance(t.fn, Lam):
+            return substitute(t.fn.body, {t.fn.var.id: t.arg})
+        r = beta_step(t.fn)
+        if r is not None:
+            return App(r, t.arg)
+        r = beta_step(t.arg)
+        if r is not None:
+            return App(t.fn, r)
+        return None
+    bp = binder_parts(t)
+    if bp is not None:
+        kind, v, body = bp
+        r = beta_step(body)
+        return None if r is None else make_binder(kind, v, r)
+    if isinstance(t, Let):
+        for i, (v, img) in enumerate(t.bindings):
+            r = beta_step(img)
+            if r is not None:
+                bs = list(t.bindings)
+                bs[i] = (v, r)
+                return Let(tuple(bs), t.body)
+        r = beta_step(t.body)
+        return None if r is None else Let(t.bindings, r)
+    return None

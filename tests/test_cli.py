@@ -11,7 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hosmt import calculus, cli, processor, surface, typecheck
+from hosmt import calculus, cli, processor, sexpr, surface, typecheck
 
 from conftest import DATA
 
@@ -353,6 +353,47 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(cert))
         assert code == 3 and "nested too deeply" in err
         assert "Traceback" not in err
+
+
+class TestQuotedSymbols:
+    SCRIPT = ("(declare-fun |x y| () Int)\n"
+              "(declare-fun f (Int) Int)\n"
+              "(assert (forall ((|a b| Int)) (= (f |a b|) (f |x y|))))\n")
+
+    def test_parse_round_trips(self, capsys, tmp_path):
+        src = tmp_path / "quoted.smt2"
+        src.write_text(self.SCRIPT)
+        code, out, _ = run(capsys, "parse", str(src))
+        assert code == 0 and out == self.SCRIPT
+        again = tmp_path / "again.smt2"
+        again.write_text(out)
+        assert run(capsys, "parse", str(again)) == (0, out, "")
+
+    def test_check_verbose_quotes_binders(self, capsys, tmp_path):
+        src = tmp_path / "quoted.smt2"
+        src.write_text(self.SCRIPT)
+        code, out, _ = run(capsys, "check", "--verbose", str(src))
+        assert code == 0
+        assert "(forall ((|a b| Int)) (= (f |a b|) (f |x y|)))" in out
+
+    def test_certificate_verifies(self, capsys, tmp_path):
+        src = tmp_path / "quoted.smt2"
+        src.write_text(self.SCRIPT)
+        proof = tmp_path / "quoted.hoproof"
+        code, out, _ = run(capsys, "process", "--proof", str(proof), str(src))
+        assert code == 0
+        assert "(declare-fun |x y| () Int)" in proof.read_text()
+        code, out, err = run(capsys, "verify", "--oracle", str(proof))
+        assert code == 0, err
+        assert "all steps lambda-valid" in out
+
+    def test_bare_unless_the_lexer_needs_bars(self):
+        quote = sexpr.quote
+        assert [quote(n) for n in ("x", "w1", "a.b", "12", "1.5", "forall")
+                ] == ["x", "w1", "a.b", "12", "1.5", "forall"]
+        assert [quote(n) for n in ("", ":k", "a b", "a\tb", "(", ")", "a;b",
+                                   'a"b')] == [
+            "||", "|:k|", "|a b|", "|a\tb|", "|(|", "|)|", "|a;b|", '|a"b|']
 
 
 class TestBatch:

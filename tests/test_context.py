@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hosmt.context import (EMPTY, Context, Fix, Map, apply_context,
-                           context_subst, contexts_equal, move, path)
+                           context_subst, contexts_equal, fixes, move, path)
 from hosmt.core import (App, Const, Fun, INT, Lam, alpha_eq, fresh_var,
                         substitute)
 from hosmt.nodes import Scope
@@ -129,6 +129,26 @@ class TestApplyContext:
             t = gen.gen_judgment_term(rng, ctx, fixed, mapped, depth=3)
             once = apply_context(ctx, t)
             assert alpha_eq(apply_context(ctx, once), once)
+
+
+class TestFixes:
+    def test_agrees_with_substitute_and_compare(self):
+        # some contexts get an identity map appended, of a fixed variable
+        # or of one the context has not seen
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(2000):
+            ctx, fixed, mapped = gen.gen_context(rng)
+            if rng.random() < 0.3:
+                v = (rng.choice(fixed) if fixed and rng.random() < 0.5
+                     else fresh_var("v", rng.choice(gen.BASE_SORTS)))
+                ctx = ctx.map([(v, v)])
+                mapped = [*mapped, v]
+            t = gen.gen_judgment_term(rng, ctx, fixed, mapped)
+            same = alpha_eq(apply_context(ctx, t), t)
+            assert fixes(ctx, t) == same, (ctx, t)
+            seen.add(same)
+        assert seen == {True, False}
 
 
 class TestExtend:

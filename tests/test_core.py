@@ -12,12 +12,13 @@ from hosmt import nodes
 from hosmt.context import EMPTY, Context
 from hosmt.core import (App, Applied, Atom, BOOL, Const, DivergenceError, Fun,
                         INT, Lam, Let, Quant, Var, alpha_eq, beta_normal_form,
-                        beta_step, expand_lets, free_vars, fresh_var, fun_sort,
-                        sort_of, sort_str, substitute, subterms)
+                        expand_lets, free_vars, fresh_var, fun_sort, sort_of,
+                        sort_str, substitute, subterms)
 
 import gen
 import mutate
 import nameless
+from oracle_ref import beta_step
 
 INTI = Fun(INT, INT)
 p2 = Const("p", Fun(INT, INTI))

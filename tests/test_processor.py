@@ -1,18 +1,25 @@
 """Proof-producing processing: certificates, fidelity, and lemmas."""
 
+import math
 import random
 from collections import Counter
 
 import pytest
 
+from hosmt import context
 from hosmt.calculus import check_certificate, check_step
 from hosmt.core import (App, BOOL, Const, Fun, INT, Lam, Let, Quant, Var,
                         alpha_eq, beta_normal_form, expand_lets, fresh_var,
                         sort_of)
 from hosmt.processor import (instantiate_exists, instantiate_forall, process,
                              signature_for_term)
+from hosmt.surface import parse_script
+from hosmt.typecheck import check_script
+
+from conftest import best_times, recursion_limit
 
 import gen
+from oracle_ref import beta_step
 
 INTI = Fun(INT, INT)
 
@@ -137,12 +144,34 @@ class TestGeneralProperties:
     def test_processed_term_is_processed(self):
         # beta-normal, let-free, and invariant under reprocessing
         rng = random.Random(61)
-        from hosmt.core import beta_step
         for _ in range(100):
             t = gen.gen_closed(rng, depth=4)
             u = process(t).term
             assert beta_step(u) is None
             assert alpha_eq(process(u).term, u)
+
+    def test_nested_binders_process_in_linear_time(self):
+        # the one-refl shortcut asks the context about the free variables
+        # first, so a term under n mapped binders is not walked n times
+        def forall(n):
+            inner = "a"
+            for i in range(1, n + 1):
+                inner = f"(g x{i} {inner})"
+            term = f"(= {inner} a)"
+            for i in range(n, 0, -1):
+                term = f"(forall ((x{i} Int)) {term})"
+            checked = check_script(parse_script(
+                "(declare-fun g (Int Int) Int)"
+                f"(declare-fun a () Int)(assert {term})"))
+            return checked.asserts[0], checked.signature
+
+        def run(job):
+            context.context_subst.cache_clear()
+            process(*job)
+
+        with recursion_limit(10_000):
+            t64, t256 = best_times(run, [forall(64), forall(256)], 9)
+        assert math.log(t256 / t64, 4) <= 1.4
 
     def test_eps_rejected(self):
         p = Const("p", Fun(INT, BOOL))

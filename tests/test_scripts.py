@@ -75,3 +75,14 @@ def test_certstats_reports_first_failure(tmp_path):
     done = run_script(str(SCRIPTS / "certstats.py"), "--oracle", str(bad))
     assert done.returncode == 1, done.stdout + done.stderr
     assert "  first failure: refl step r3: " in done.stdout
+
+
+def test_outputs_digest_is_stable():
+    runs = [run_script(str(SCRIPTS / "outputs_digest.py"), "--seeds", "1")
+            for _ in range(2)]
+    for done in runs:
+        assert done.returncode == 0, done.stdout + done.stderr
+    lines = runs[0].stdout.splitlines()
+    assert [l.split(":")[0] for l in lines] == ["forall", "let", "batch",
+                                                "data", "all"]
+    assert runs[1].stdout.splitlines() == lines
