@@ -10,11 +10,17 @@ under tests/data.  `hosmt.cli.main` runs in-process on each:
 - `process --proof` on each script: stdout, then each certificate's bytes;
 - `verify --oracle` on each certificate written and on each .hoproof file.
 
+The `edits` family covers rejected inputs, so that messages and their
+positions are compared too: a fixed, seeded set of single-character edits
+of every input above, each deleting one character or inserting one of
+EDIT_CHARS.  An edited script goes through `parse` and `check --verbose`,
+an edited .hoproof file through `verify`.
+
 Every call contributes its stdout, stderr and exit code.  The inputs are
 copied into a temporary directory and named relative to it, since file
 names appear in messages: the digest does not depend on where the checkout
-lives.  One digest is printed per family (forall, let, batch, data) and
-one over everything:
+lives.  One digest is printed per family (forall, let, batch, data, edits)
+and one over everything:
 
     python3 scripts/outputs_digest.py --seeds 1 2 3
 """
@@ -25,6 +31,7 @@ import hashlib
 import io
 import os
 import pathlib
+import random
 import shutil
 import sys
 import tempfile
@@ -37,6 +44,8 @@ import workloads  # noqa: E402
 from hosmt import cli  # noqa: E402
 
 FAMILIES = ("forall", "let", "batch")
+EDIT_CHARS = '()|";: x1.'
+EDITS_PER_INPUT = 24
 
 
 def run(*argv):
@@ -75,6 +84,24 @@ def verify(name):
     yield f"verify {name}", run("verify", "--oracle", name)
 
 
+def edit_outputs(name):
+    """The labelled outputs of every call on each edit of the input file
+    `name`, which lies in the working directory."""
+    text = pathlib.Path(name).read_text()
+    rng = random.Random(name)  # str seeds do not depend on PYTHONHASHSEED
+    for k in range(EDITS_PER_INPUT):
+        at = rng.randrange(len(text))
+        insert = rng.choice(("", *EDIT_CHARS))
+        edited = text[:at] + insert + text[at + (not insert):]
+        path = pathlib.Path(f"edit{k}-{name}")
+        path.write_text(edited)
+        if name.endswith(".hoproof"):
+            yield f"verify {path}", run("verify", str(path))
+        else:
+            yield f"parse {path}", run("parse", str(path))
+            yield f"check {path}", run("check", "--verbose", str(path))
+
+
 def _encode(value):
     if isinstance(value, bytes):
         return value
@@ -85,7 +112,7 @@ def _encode(value):
 def digests(seeds, work):
     """{family: hex digest}, "all" last: the workload scripts and the
     files under tests/data are written to `work` and run there."""
-    inputs = {f: [] for f in (*FAMILIES, "data")}
+    inputs = {f: [] for f in (*FAMILIES, "data", "edits")}
     for seed in seeds:
         for family in FAMILIES:
             name = f"{family}-{seed}.smt2"
@@ -94,6 +121,7 @@ def digests(seeds, work):
     for path in sorted((ROOT / "tests" / "data").iterdir()):
         shutil.copy(path, work / path.name)
         inputs["data"].append(path.name)
+    inputs["edits"] = [n for f in (*FAMILIES, "data") for n in inputs[f]]
     total = hashlib.sha256()
     out = {}
     old = os.getcwd()
@@ -101,8 +129,9 @@ def digests(seeds, work):
     try:
         for family, names in inputs.items():
             h = hashlib.sha256()
+            calls = edit_outputs if family == "edits" else outputs
             for name in names:
-                for label, value in outputs(name):
+                for label, value in calls(name):
                     data = _encode(value)
                     record = f"{label}\0{len(data)}\0".encode() + data
                     h.update(record)

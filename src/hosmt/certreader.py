@@ -56,19 +56,19 @@ class _CertParser:
     def elab(self, e):
         return infer_sort(self.env, surface.term_from_sexpr(e, self.filename))
 
-    def term_ref(self, env, sid):
-        """The node a term name denotes at this use (TypingEnv hook).
+    def term_ref(self, env, name, at):
+        """The node the term name `name` denotes at its use `at` (TypingEnv
+        hook).
 
         The first use elaborates the definition in its own scope; a later
         use gets the same node when each of its free variables is what its
         name means here and no local variable hides one of its constants.
         """
-        name = sid.name
         d = self.terms.get(name)
         if d is None:
             if name in self.sig.symbols:
                 return None
-            raise CertificateError(f"unknown term {name}", *sid.pos,
+            raise CertificateError(f"unknown term {name}", at.line, at.col,
                                    self.filename)
         if d[1] is None:
             d[1], d[2] = infer_sort(env, d[0])
@@ -78,12 +78,12 @@ class _CertParser:
             if env.scope.get(v.name) is not v:
                 raise CertificateError(f"term {name} uses {v.name}, which "
                                        "means another variable here",
-                                       *sid.pos, self.filename)
+                                       at.line, at.col, self.filename)
         for c in const_names(d[1]):
             if c in env.scope:
                 raise CertificateError(f"term {name} uses constant {c}, "
                                        "which a variable hides here",
-                                       *sid.pos, self.filename)
+                                       at.line, at.col, self.filename)
         return d[1], d[2]
 
     def define_term(self, e):

@@ -1,119 +1,36 @@
 """Frontend for the extended SMT-LIB concrete syntax.
 
-Parses scripts into commands and surface terms, and prints them back in a
-canonical single-space form that reparses to an identical AST.  The sort
-grammar admits arrow sorts `(-> S1 ... Sn R)` and applications may have any
-term in head position.
+Parses scripts into commands whose sorts and terms are the reader's
+s-expressions (`sexpr.Token`, `sexpr.SList`), checked and in canonical
+form, and prints them through `sexpr.sexpr_to_str` as single-space text
+that reparses to an equal tree.  Sorts admit arrows `(-> S1 ... Sn R)`,
+and any term may be applied.
+
+`sort_from_sexpr` and `term_from_sexpr` return their argument itself when
+it is canonical; otherwise only the lists on the path from a rewritten
+node to the root are rebuilt.  A parenthesized atomic sort `(S)` becomes
+the symbol `S`, and a multi-term lambda body `t1 ... tn` the term
+`(t1 ... tn)`, read like any other: a reserved word at its head begins
+that form.  Each new node takes the position of the list it replaces.
+
+The canonical shapes, which `hosmt.typecheck` reads by position (xi, f
+and C are symbols, n >= 1, and the xi of one list are distinct):
+
+    sorts  S | (-> S1 ... Sn R) | (C S1 ... Sn), C not ->
+    terms  a numeral, decimal, string or symbol | (as f S)
+           | (B ((x1 S1) ... (xn Sn)) t), B in BINDER_WORDS
+           | (let ((x1 t1) ... (xn tn)) t)
+           | (match t ((p1 t1) ... (pn tn))), any s-expressions pi
+           | (! t k1 v1 ... kn vn), keywords ki, each vi a non-keyword
+             s-expression or left out
+           | (t0 t1 ... tn), t0 no reserved word: an application, or an
+             equality when t0 is the symbol =
 """
 
 from . import sexpr
 from .nodes import Record
-from .sexpr import (KEYWORD, NUMERAL, DECIMAL, STRING, SYMBOL,
-                    ParseError, SList, Token, quote)
-
-
-# ---------------------------------------------------------------- sorts
-
-class SIdent(Record):
-    __slots__ = ("name", "pos")
-
-    def __init__(self, name, pos=(0, 0)):
-        self.name = name
-        self.pos = pos
-
-
-class SParam(Record):
-    # args: nonempty
-    __slots__ = ("name", "args", "pos")
-
-    def __init__(self, name, args, pos=(0, 0)):
-        self.name = name
-        self.args = args
-        self.pos = pos
-
-
-class SArrow(Record):
-    # args: nonempty
-    __slots__ = ("args", "result", "pos")
-
-    def __init__(self, args, result, pos=(0, 0)):
-        self.args = args
-        self.result = result
-        self.pos = pos
-
-
-# ---------------------------------------------------------------- terms
-
-class SLit(Record):
-    # kind: "numeral" | "decimal" | "string"
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos=(0, 0)):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-class SId(Record):
-    # ascribed: sort from (as f S), or None
-    __slots__ = ("name", "ascribed", "pos")
-
-    def __init__(self, name, ascribed=None, pos=(0, 0)):
-        self.name = name
-        self.ascribed = ascribed
-        self.pos = pos
-
-
-class SApply(Record):
-    # args: nonempty
-    __slots__ = ("head", "args", "pos")
-
-    def __init__(self, head, args, pos=(0, 0)):
-        self.head = head
-        self.args = args
-        self.pos = pos
-
-
-class SBinder(Record):
-    # kind: "lambda" | "forall" | "exists" | "eps"
-    # binders: ((name, sort), ...), nonempty, names distinct
-    __slots__ = ("kind", "binders", "body", "pos")
-
-    def __init__(self, kind, binders, body, pos=(0, 0)):
-        self.kind = kind
-        self.binders = binders
-        self.body = body
-        self.pos = pos
-
-
-class SLet(Record):
-    # bindings: ((name, term), ...), nonempty, names distinct
-    __slots__ = ("bindings", "body", "pos")
-
-    def __init__(self, bindings, body, pos=(0, 0)):
-        self.bindings = bindings
-        self.body = body
-        self.pos = pos
-
-
-class SMatch(Record):
-    # cases: ((pattern-sexpr-as-string, term), ...)
-    __slots__ = ("scrutinee", "cases", "pos")
-
-    def __init__(self, scrutinee, cases, pos=(0, 0)):
-        self.scrutinee = scrutinee
-        self.cases = cases
-        self.pos = pos
-
-
-class SAnnot(Record):
-    # attributes: ((keyword, value-string-or-None), ...)
-    __slots__ = ("term", "attributes", "pos")
-
-    def __init__(self, term, attributes, pos=(0, 0)):
-        self.term = term
-        self.attributes = attributes
-        self.pos = pos
+from .sexpr import (KEYWORD, NUMERAL, SYMBOL, ParseError, SList, Token,
+                    quote, sexpr_to_str)
 
 
 # -------------------------------------------------------------- commands
@@ -136,7 +53,7 @@ class CDeclareSort(Record):
 
 
 class CDeclareFun(Record):
-    # arg_sorts: may be empty
+    # arg_sorts: a tuple of sorts, may be empty
     __slots__ = ("name", "arg_sorts", "result", "pos")
 
     def __init__(self, name, arg_sorts, result, pos=(0, 0)):
@@ -147,7 +64,7 @@ class CDeclareFun(Record):
 
 
 class CDefineFun(Record):
-    # params: ((name, sort), ...)
+    # params: the list ((x1 S1) ... (xn Sn)), n >= 0, distinct xi
     __slots__ = ("name", "params", "result", "body", "pos")
 
     def __init__(self, name, params, result, body, pos=(0, 0)):
@@ -196,11 +113,20 @@ def _expect_symbol(e, what, filename):
     return e.text
 
 
+def _keep(e, items):
+    """The list e when `items` are its own items, else a new list of them
+    at e's position."""
+    for old, new in zip(e.items, items):
+        if old is not new:
+            return SList(tuple(items), e.line, e.col)
+    return e
+
+
 # ---------------------------------------------------------------- sorts
 
 def sort_from_sexpr(e, filename="<input>"):
     if _sym(e):
-        return SIdent(e.text, pos=(e.line, e.col))
+        return e
     if isinstance(e, Token):
         raise ParseError("expected a sort", e.line, e.col, filename)
     if not e.items:
@@ -211,13 +137,13 @@ def sort_from_sexpr(e, filename="<input>"):
         if len(rest) < 2:
             raise ParseError("arrow sort needs at least two sorts",
                              e.line, e.col, filename)
-        return SArrow(tuple(rest[:-1]), rest[-1], pos=(e.line, e.col))
+        return _keep(e, [head, *rest])
     name = _expect_symbol(head, "sort constructor", filename)
-    args = tuple(sort_from_sexpr(x, filename) for x in e.items[1:])
-    if not args:
+    if len(e.items) == 1:
         # tolerated: a parenthesized atomic sort such as (Int)
-        return SIdent(name, pos=(e.line, e.col))
-    return SParam(name, args, pos=(e.line, e.col))
+        return Token(SYMBOL, name, e.line, e.col)
+    return _keep(e, [head, *(sort_from_sexpr(x, filename)
+                             for x in e.items[1:])])
 
 
 def parse_sort(text, filename="<input>"):
@@ -244,45 +170,48 @@ def _parse_sorted_vars(e, filename):
             raise ParseError(f"duplicate binder {name}",
                              b.items[0].line, b.items[0].col, filename)
         seen.add(name)
-        binders.append((name, sort_from_sexpr(b.items[1], filename)))
-    return tuple(binders)
+        binders.append(_keep(b, (b.items[0],
+                                 sort_from_sexpr(b.items[1], filename))))
+    return _keep(e, binders)
 
 
 def term_from_sexpr(e, filename="<input>"):
     if isinstance(e, Token):
-        if e.kind in (NUMERAL, DECIMAL, STRING):
-            return SLit(e.kind, e.text, pos=(e.line, e.col))
-        if e.kind == SYMBOL:
-            return SId(e.text, pos=(e.line, e.col))
-        raise ParseError(f"unexpected {e.kind} in term", e.line, e.col, filename)
-    if not e.items:
+        if e.kind == KEYWORD:
+            raise ParseError(f"unexpected {e.kind} in term", e.line, e.col,
+                             filename)
+        return e
+    items = e.items
+    if not items:
         raise ParseError("empty application", e.line, e.col, filename)
-    pos = (e.line, e.col)
-    head = e.items[0]
+    head = items[0]
     if _sym(head):
         word = head.text
         if word in BINDER_WORDS:
-            if len(e.items) < 3:
+            if len(items) < 3:
                 raise ParseError(f"{word} needs binders and a body",
                                  e.line, e.col, filename)
-            binders = _parse_sorted_vars(e.items[1], filename)
+            binders = _parse_sorted_vars(items[1], filename)
+            if len(items) == 3:
+                return _keep(e, (head, binders,
+                                 term_from_sexpr(items[2], filename)))
+            if word == "lambda":
+                # a multi-term lambda body `t1 t2 ... tn` is the term
+                # (t1 t2 ... tn)
+                body = SList(items[2:], e.line, e.col)
+                return SList((head, binders, term_from_sexpr(body, filename)),
+                             e.line, e.col)
             # plain loops here and below: a comprehension costs a second
             # call frame per nesting level
-            body_terms = []
-            for x in e.items[2:]:
-                body_terms.append(term_from_sexpr(x, filename))
-            if word != "lambda" and len(body_terms) != 1:
-                raise ParseError(f"{word} takes exactly one body term",
-                                 e.line, e.col, filename)
-            # a multi-term lambda body `t1 t2 ... tn` is the application (t1 t2 ... tn)
-            body = (body_terms[0] if len(body_terms) == 1
-                    else SApply(body_terms[0], tuple(body_terms[1:]), pos=pos))
-            return SBinder(word, binders, body, pos=pos)
+            for x in items[2:]:
+                term_from_sexpr(x, filename)
+            raise ParseError(f"{word} takes exactly one body term",
+                             e.line, e.col, filename)
         if word == "let":
-            if len(e.items) != 3:
+            if len(items) != 3:
                 raise ParseError("let takes a binding list and one body",
                                  e.line, e.col, filename)
-            blist = e.items[1]
+            blist = items[1]
             if not isinstance(blist, SList) or not blist.items:
                 raise ParseError("expected a nonempty binding list",
                                  e.line, e.col, filename)
@@ -297,60 +226,57 @@ def term_from_sexpr(e, filename="<input>"):
                     raise ParseError(f"duplicate let binding {name}",
                                      b.items[0].line, b.items[0].col, filename)
                 seen.add(name)
-                bindings.append((name, term_from_sexpr(b.items[1], filename)))
-            return SLet(tuple(bindings), term_from_sexpr(e.items[2], filename), pos=pos)
+                bindings.append(_keep(b, (b.items[0], term_from_sexpr(
+                    b.items[1], filename))))
+            return _keep(e, (head, _keep(blist, bindings),
+                             term_from_sexpr(items[2], filename)))
         if word == "match":
-            if len(e.items) != 3 or not isinstance(e.items[2], SList):
+            if len(items) != 3 or not isinstance(items[2], SList):
                 raise ParseError("match takes a scrutinee and a case list",
                                  e.line, e.col, filename)
-            scrut = term_from_sexpr(e.items[1], filename)
+            scrut = term_from_sexpr(items[1], filename)
             cases = []
-            for c in e.items[2].items:
+            for c in items[2].items:
                 if not isinstance(c, SList) or len(c.items) != 2:
                     line, col = sexpr.sexpr_pos(c)
                     raise ParseError("expected (pattern term)", line, col, filename)
-                cases.append((sexpr.sexpr_to_str(c.items[0]),
-                              term_from_sexpr(c.items[1], filename)))
+                cases.append(_keep(c, (c.items[0],
+                                       term_from_sexpr(c.items[1], filename))))
             if not cases:
                 raise ParseError("match needs at least one case",
                                  e.line, e.col, filename)
-            return SMatch(scrut, tuple(cases), pos=pos)
+            return _keep(e, (head, scrut, _keep(items[2], cases)))
         if word == "!":
-            if len(e.items) < 3:
+            if len(items) < 3:
                 raise ParseError("annotation needs a term and attributes",
                                  e.line, e.col, filename)
-            term = term_from_sexpr(e.items[1], filename)
-            attrs = []
-            i = 2
-            while i < len(e.items):
-                k = e.items[i]
-                if not (isinstance(k, Token) and k.kind == KEYWORD):
-                    line, col = sexpr.sexpr_pos(k)
-                    raise ParseError("expected a keyword attribute", line, col, filename)
-                value = None
-                if i + 1 < len(e.items) and not (
-                        isinstance(e.items[i + 1], Token)
-                        and e.items[i + 1].kind == KEYWORD):
-                    value = sexpr.sexpr_to_str(e.items[i + 1])
-                    i += 1
-                attrs.append((k.text, value))
-                i += 1
-            return SAnnot(term, tuple(attrs), pos=pos)
+            term = term_from_sexpr(items[1], filename)
+            keyword_due = True  # a value may follow a keyword, not a value
+            for x in items[2:]:
+                if isinstance(x, Token) and x.kind == KEYWORD:
+                    keyword_due = False
+                elif keyword_due:
+                    line, col = sexpr.sexpr_pos(x)
+                    raise ParseError("expected a keyword attribute",
+                                     line, col, filename)
+                else:
+                    keyword_due = True
+            return _keep(e, (head, term, *items[2:]))
         if word == "as":
-            if len(e.items) != 3:
+            if len(items) != 3:
                 raise ParseError("as takes an identifier and a sort",
                                  e.line, e.col, filename)
-            name = _expect_symbol(e.items[1], "identifier", filename)
-            return SId(name, ascribed=sort_from_sexpr(e.items[2], filename), pos=pos)
+            _expect_symbol(items[1], "identifier", filename)
+            return _keep(e, (head, items[1],
+                             sort_from_sexpr(items[2], filename)))
     # generalized application: any term may be applied
-    head_term = term_from_sexpr(head, filename)
-    if len(e.items) < 2:
+    terms = [term_from_sexpr(head, filename)]
+    if len(items) < 2:
         raise ParseError("application needs at least one argument",
                          e.line, e.col, filename)
-    args = []
-    for x in e.items[1:]:
-        args.append(term_from_sexpr(x, filename))
-    return SApply(head_term, tuple(args), pos=pos)
+    for x in items[1:]:
+        terms.append(term_from_sexpr(x, filename))
+    return _keep(e, terms)
 
 
 def parse_term(text, filename="<input>"):
@@ -398,7 +324,8 @@ def command_from_sexpr(e, filename="<input>"):
             raise ParseError("define-fun takes a name, parameters, a sort, and a body",
                              e.line, e.col, filename)
         name = _expect_symbol(items[1], "function name", filename)
-        params = (_parse_sorted_vars(items[2], filename) if items[2].items else ())
+        params = (_parse_sorted_vars(items[2], filename) if items[2].items
+                  else items[2])
         return CDefineFun(name, params, sort_from_sexpr(items[3], filename),
                           term_from_sexpr(items[4], filename), pos=pos)
     if word == "assert":
@@ -409,7 +336,7 @@ def command_from_sexpr(e, filename="<input>"):
         if len(items) != 1:
             raise ParseError("exit takes no arguments", e.line, e.col, filename)
         return CExit(pos=pos)
-    return CUnknown(sexpr.sexpr_to_str(e), pos=pos)
+    return CUnknown(sexpr_to_str(e), pos=pos)
 
 
 def parse_script(text, filename="<input>"):
@@ -420,46 +347,7 @@ def parse_script(text, filename="<input>"):
 
 # ------------------------------------------------------------- printing
 
-def print_sort(s):
-    if isinstance(s, SIdent):
-        return quote(s.name)
-    if isinstance(s, SParam):
-        return "(" + " ".join([quote(s.name)] + [print_sort(a) for a in s.args]) + ")"
-    return ("(-> " + " ".join(print_sort(a) for a in s.args)
-            + " " + print_sort(s.result) + ")")
-
-
-def print_term(t):
-    if isinstance(t, SLit):
-        if t.kind == "string":
-            return '"' + t.text.replace('"', '""') + '"'
-        return t.text
-    if isinstance(t, SId):
-        if t.ascribed is not None:
-            return f"(as {quote(t.name)} {print_sort(t.ascribed)})"
-        return quote(t.name)
-    if isinstance(t, SApply):
-        parts = [print_term(t.head)]
-        for a in t.args:  # not a comprehension: one call frame per level
-            parts.append(print_term(a))
-        return "(" + " ".join(parts) + ")"
-    if isinstance(t, SBinder):
-        bs = " ".join(f"({quote(n)} {print_sort(s)})" for n, s in t.binders)
-        return f"({t.kind} ({bs}) {print_term(t.body)})"
-    if isinstance(t, SLet):
-        bs = " ".join(f"({quote(n)} {print_term(v)})" for n, v in t.bindings)
-        return f"(let ({bs}) {print_term(t.body)})"
-    if isinstance(t, SMatch):
-        cs = " ".join(f"({p} {print_term(b)})" for p, b in t.cases)
-        return f"(match {print_term(t.scrutinee)} ({cs}))"
-    if isinstance(t, SAnnot):
-        parts = [print_term(t.term)]
-        for k, v in t.attributes:
-            parts.append(k)
-            if v is not None:
-                parts.append(v)
-        return "(! " + " ".join(parts) + ")"
-    raise TypeError(f"not a surface term: {t!r}")
+print_term = sexpr_to_str  # a term or a sort as text
 
 
 def print_command(c):
@@ -468,14 +356,14 @@ def print_command(c):
     if isinstance(c, CDeclareSort):
         return f"(declare-sort {quote(c.name)} {c.arity})"
     if isinstance(c, CDeclareFun):
-        args = " ".join(print_sort(s) for s in c.arg_sorts)
-        return f"(declare-fun {quote(c.name)} ({args}) {print_sort(c.result)})"
+        args = " ".join(sexpr_to_str(s) for s in c.arg_sorts)
+        return (f"(declare-fun {quote(c.name)} ({args}) "
+                f"{sexpr_to_str(c.result)})")
     if isinstance(c, CDefineFun):
-        ps = " ".join(f"({quote(n)} {print_sort(s)})" for n, s in c.params)
-        return (f"(define-fun {quote(c.name)} ({ps}) {print_sort(c.result)} "
-                f"{print_term(c.body)})")
+        return (f"(define-fun {quote(c.name)} {sexpr_to_str(c.params)} "
+                f"{sexpr_to_str(c.result)} {sexpr_to_str(c.body)})")
     if isinstance(c, CAssert):
-        return f"(assert {print_term(c.term)})"
+        return f"(assert {sexpr_to_str(c.term)})"
     if isinstance(c, CExit):
         return "(exit)"
     if isinstance(c, CUnknown):

@@ -10,10 +10,9 @@ from . import core, surface
 from .core import (Applied, Atom, BOOL, Const, Fun, INT, REAL,
                    Lam, Let, Quant, fresh_var, fun_sort, sort_str)
 from .nodes import Record, Scope
-from .sexpr import SourceError
-from .surface import (CAssert, CDeclareFun, CDeclareSort, CDefineFun, CExit,
-                      CSetLogic, CUnknown, SAnnot, SApply, SArrow, SBinder,
-                      SId, SIdent, SLet, SLit, SMatch, SParam)
+from .sexpr import DECIMAL, NUMERAL, SYMBOL, SourceError, Token
+from .surface import (BINDER_WORDS, CAssert, CDeclareFun, CDeclareSort,
+                      CDefineFun, CExit, CSetLogic, CUnknown)
 
 
 class SortError(SourceError):
@@ -83,9 +82,9 @@ class TypingEnv:
 
     Two hooks let a reader change how names are elaborated: `make_var(name,
     sort)` makes each binder and let variable (a fresh one by default), and
-    `lookup_ref(env, sid)`, when set, is asked first about every identifier
-    that starts with `@`; it returns (term, sort), or None to look the name
-    up as usual.
+    `lookup_ref(env, name, at)`, when set, is asked first about every
+    identifier that starts with `@`, where `at` is the token or list that
+    names it; it returns (term, sort), or None to look the name up as usual.
     """
 
     def __init__(self, signature, arith=False, filename="<input>",
@@ -99,25 +98,30 @@ class TypingEnv:
 
 
 def normalize_sort(s, signature, filename="<input>"):
-    """Surface sort to core sort, arrows fully curried right-associated."""
-    if isinstance(s, SIdent):
-        if s.name not in signature.sorts:
-            raise SortError(f"unknown sort {s.name}", *s.pos, filename)
-        if signature.sorts[s.name] != 0:
-            raise SortError(f"sort {s.name} expects arguments", *s.pos, filename)
-        return Atom(s.name)
-    if isinstance(s, SParam):
-        arity = signature.sorts.get(s.name)
+    """Canonical surface sort (`hosmt.surface`) to core sort, arrows fully
+    curried right-associated."""
+    if isinstance(s, Token):
+        arity = signature.sorts.get(s.text)
         if arity is None:
-            raise SortError(f"unknown sort {s.name}", *s.pos, filename)
-        if arity != len(s.args):
-            raise SortError(f"sort {s.name} expects {arity} arguments", *s.pos, filename)
-        return Applied(s.name, tuple(normalize_sort(a, signature, filename)
-                                     for a in s.args))
-    if isinstance(s, SArrow):
-        args = [normalize_sort(a, signature, filename) for a in s.args]
-        return fun_sort(args, normalize_sort(s.result, signature, filename))
-    raise TypeError(f"not a surface sort: {s!r}")
+            raise SortError(f"unknown sort {s.text}", s.line, s.col, filename)
+        if arity != 0:
+            raise SortError(f"sort {s.text} expects arguments",
+                            s.line, s.col, filename)
+        return Atom(s.text)
+    head, *args = s.items
+    name = head.text
+    if name == "->":
+        return fun_sort([normalize_sort(a, signature, filename)
+                         for a in args[:-1]],
+                        normalize_sort(args[-1], signature, filename))
+    arity = signature.sorts.get(name)
+    if arity is None:
+        raise SortError(f"unknown sort {name}", s.line, s.col, filename)
+    if arity != len(args):
+        raise SortError(f"sort {name} expects {arity} arguments",
+                        s.line, s.col, filename)
+    return Applied(name, tuple(normalize_sort(a, signature, filename)
+                               for a in args))
 
 
 def normalize_decl(arg_sorts, result, signature=None, filename="<input>"):
@@ -127,116 +131,121 @@ def normalize_decl(arg_sorts, result, signature=None, filename="<input>"):
     return fun_sort(args, normalize_sort(result, signature, filename))
 
 
-def infer_sort(env, t):
-    """Elaborate a surface term to core, returning (core term, sort)."""
+def _identifier(env, name, ascribed, at):
+    """The symbol `name`, with the sort `ascribed` or None, at the token or
+    list `at`: (core term, sort)."""
     f = env.filename
-    if isinstance(t, SLit):
-        if t.kind == "numeral":
+    if name == "=":
+        # = is polymorphic: a bare or partially applied occurrence
+        # needs an ascription (as = (-> S S Bool)) naming its instance
+        if ascribed is None:
+            raise SortError("cannot infer a sort for bare =", at.line, at.col, f)
+        s = normalize_sort(ascribed, env.signature, f)
+        if not (isinstance(s, Fun) and isinstance(s.cod, Fun)
+                and s.cod.cod == BOOL and s.dom == s.cod.dom):
+            raise SortError("= must be ascribed a sort (-> S S Bool)",
+                            at.line, at.col, f)
+        return Const("=", s), s
+    found = None
+    if env.lookup_ref is not None and name[:1] == "@":
+        found = env.lookup_ref(env, name, at)
+    v = env.scope.get(name) if found is None else None
+    if found is not None:
+        result, s = found
+    elif v is not None:
+        result, s = v, v.sort
+    else:
+        s = env.signature.lookup(name, env.arith)
+        if s is None:
+            raise SortError(f"unbound symbol {name}", at.line, at.col, f)
+        result = Const(name, s)
+    if ascribed is not None:
+        asc = normalize_sort(ascribed, env.signature, f)
+        if asc != s:
+            raise SortError(
+                f"sort ascription mismatch: expected {sort_str(asc)}, "
+                f"found {sort_str(s)}", at.line, at.col, f)
+    return result, s
+
+
+def infer_sort(env, t):
+    """Elaborate a canonical surface term (`hosmt.surface`) to core,
+    returning (core term, sort)."""
+    f = env.filename
+    if isinstance(t, Token):
+        if t.kind == SYMBOL:
+            return _identifier(env, t.text, None, t)
+        if t.kind == NUMERAL:
             return Const(t.text, INT), INT
-        if t.kind == "decimal":
+        if t.kind == DECIMAL:
             return Const(t.text, REAL), REAL
-        raise SortError("string literals have no sort here", *t.pos, f)
-    if isinstance(t, SId):
-        if t.name == "=":
-            # = is polymorphic: a bare or partially applied occurrence
-            # needs an ascription (as = (-> S S Bool)) naming its instance
-            if t.ascribed is None:
-                raise SortError("cannot infer a sort for bare =", *t.pos, f)
-            s = normalize_sort(t.ascribed, env.signature, f)
-            if not (isinstance(s, Fun) and isinstance(s.cod, Fun)
-                    and s.cod.cod == BOOL and s.dom == s.cod.dom):
-                raise SortError("= must be ascribed a sort (-> S S Bool)",
-                                *t.pos, f)
-            return Const("=", s), s
-        found = None
-        if env.lookup_ref is not None and t.name[:1] == "@":
-            found = env.lookup_ref(env, t)
-        v = env.scope.get(t.name) if found is None else None
-        if found is not None:
-            result, s = found
-        elif v is not None:
-            result, s = v, v.sort
-        else:
-            s = env.signature.lookup(t.name, env.arith)
-            if s is None:
-                raise SortError(f"unbound symbol {t.name}", *t.pos, f)
-            result = Const(t.name, s)
-        if t.ascribed is not None:
-            asc = normalize_sort(t.ascribed, env.signature, f)
-            if asc != s:
-                raise SortError(
-                    f"sort ascription mismatch: expected {sort_str(asc)}, "
-                    f"found {sort_str(s)}", *t.pos, f)
-        return result, s
-    if isinstance(t, SApply):
-        if isinstance(t.head, SId) and t.head.name == "=" and t.head.ascribed is None:
-            if len(t.args) != 2:
-                raise SortError("= takes exactly two arguments", *t.pos, f)
-            lhs, ls = infer_sort(env, t.args[0])
-            rhs, rs = infer_sort(env, t.args[1])
-            if ls != rs:
-                raise SortError(
-                    f"equality between different sorts: {sort_str(ls)} "
-                    f"and {sort_str(rs)}", *t.pos, f)
-            return core.eq_term(lhs, rhs), BOOL
-        head, hs = infer_sort(env, t.head)
-        for a in t.args:
-            arg, as_ = infer_sort(env, a)
-            if not isinstance(hs, Fun):
-                raise SortError(
-                    f"applying a term of non-functional sort {sort_str(hs)}",
-                    *t.pos, f)
-            if hs.dom != as_:
-                raise SortError(
-                    f"argument sort mismatch: expected {sort_str(hs.dom)}, "
-                    f"found {sort_str(as_)}", *getattr(a, "pos", t.pos), f)
-            head, hs = core.App(head, arg), hs.cod
-        return head, hs
-    if isinstance(t, SBinder):
-        vars_ = [env.make_var(n, normalize_sort(s, env.signature, f))
-                 for n, s in t.binders]
+        raise SortError("string literals have no sort here", t.line, t.col, f)
+    items = t.items
+    head = items[0]
+    word = (head.text if isinstance(head, Token) and head.kind == SYMBOL
+            else None)
+    if word == "as":
+        return _identifier(env, items[1].text, items[2], t)
+    if word in BINDER_WORDS:
+        vars_ = [env.make_var(b.items[0].text,
+                              normalize_sort(b.items[1], env.signature, f))
+                 for b in items[1].items]
         env.scope.bind((v.name, v) for v in vars_)
         try:
-            body, bs = infer_sort(env, t.body)
+            body, bs = infer_sort(env, items[2])
         finally:
             env.scope.unbind()
-        if t.kind == "lambda":
+        if word == "lambda":
             for v in reversed(vars_):
                 body = Lam(v, body)
                 bs = Fun(v.sort, bs)
             return body, bs
-        if t.kind in ("forall", "exists"):
-            if bs != BOOL:
-                raise SortError(
-                    f"{t.kind} body has sort {sort_str(bs)}, expected Bool",
-                    *t.pos, f)
-            for v in reversed(vars_):
-                body = Quant(t.kind, v, body)
-            return body, BOOL
-        # eps: the sort of the chosen witness
         if bs != BOOL:
-            raise SortError(
-                f"eps body has sort {sort_str(bs)}, expected Bool", *t.pos, f)
+            raise SortError(f"{word} body has sort {sort_str(bs)}, expected "
+                            "Bool", t.line, t.col, f)
         for v in reversed(vars_):
-            body = Quant("eps", v, body)
-        return body, vars_[0].sort
-    if isinstance(t, SLet):
+            body = Quant(word, v, body)
+        # eps: the sort of the chosen witness
+        return body, (vars_[0].sort if word == "eps" else BOOL)
+    if word == "let":
         pairs = []
-        for n, img in t.bindings:
-            cimg, s = infer_sort(env, img)
-            pairs.append((env.make_var(n, s), cimg))
+        for b in items[1].items:
+            cimg, s = infer_sort(env, b.items[1])
+            pairs.append((env.make_var(b.items[0].text, s), cimg))
         env.scope.bind((v.name, v) for v, _ in pairs)
         try:
-            body, bs = infer_sort(env, t.body)
+            body, bs = infer_sort(env, items[2])
         finally:
             env.scope.unbind()
         return Let(tuple(pairs), body), bs
-    if isinstance(t, SMatch):
-        raise SortError("unsupported construct: match", *t.pos, f)
-    if isinstance(t, SAnnot):
+    if word == "match":
+        raise SortError("unsupported construct: match", t.line, t.col, f)
+    if word == "!":
         # attributes are preserved only at the surface level
-        return infer_sort(env, t.term)
-    raise TypeError(f"not a surface term: {t!r}")
+        return infer_sort(env, items[1])
+    if word == "=":
+        if len(items) != 3:
+            raise SortError("= takes exactly two arguments", t.line, t.col, f)
+        lhs, ls = infer_sort(env, items[1])
+        rhs, rs = infer_sort(env, items[2])
+        if ls != rs:
+            raise SortError(
+                f"equality between different sorts: {sort_str(ls)} "
+                f"and {sort_str(rs)}", t.line, t.col, f)
+        return core.eq_term(lhs, rhs), BOOL
+    fn, hs = infer_sort(env, head)
+    for a in items[1:]:
+        arg, as_ = infer_sort(env, a)
+        if not isinstance(hs, Fun):
+            raise SortError(
+                f"applying a term of non-functional sort {sort_str(hs)}",
+                t.line, t.col, f)
+        if hs.dom != as_:
+            raise SortError(
+                f"argument sort mismatch: expected {sort_str(hs.dom)}, "
+                f"found {sort_str(as_)}", a.line, a.col, f)
+        fn, hs = core.App(fn, arg), hs.cod
+    return fn, hs
 
 
 class CheckedScript(Record):
@@ -264,8 +273,9 @@ def check_script(cmds, filename="<input>"):
             sig.declare_fun(c.name, sort, c.pos, filename)
         elif isinstance(c, CDefineFun):
             env = TypingEnv(sig, logic_has_arith(logic), filename)
-            vars_ = [fresh_var(n, normalize_sort(s, sig, filename))
-                     for n, s in c.params]
+            vars_ = [fresh_var(p.items[0].text,
+                               normalize_sort(p.items[1], sig, filename))
+                     for p in c.params.items]
             env.scope.bind((v.name, v) for v in vars_)
             _, bs = infer_sort(env, c.body)
             declared = normalize_sort(c.result, sig, filename)

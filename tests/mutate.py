@@ -12,7 +12,7 @@ import re
 from hosmt.calculus import Certificate, EqJudgment, ProofStep
 from hosmt.context import Context
 from hosmt.core import (App, Const, Lam, Let, Quant, Var, alpha_eq,
-                        fresh_var, sort_of)
+                        free_vars, fresh_var, sort_of, subterms)
 
 
 def _count_leaves(t):
@@ -134,6 +134,47 @@ def alter_leaf(cert, rng):
 
 
 MUTATIONS = (swap_sides, drop_context_entry, rename_premise, alter_leaf)
+
+
+def break_side_condition(cert, rng):
+    """Make one beta or let step fail its side condition Γ(s) = s.
+
+    The step maps a term s with a free variable z, and the certificate
+    declares a constant u of z's sort.  The step's context and its
+    premises' contexts are extended by the mapping (z u), the body
+    premise's last entry kept on top, so that every other check of the
+    step still holds; the printed text reads back, since u is declared.
+    Not in MUTATIONS, so that their seeded streams stay as they are.
+    """
+    steps = {s.id: k for k, s in enumerate(cert.steps)}
+    pool = []
+    for i in _eq_steps(cert):
+        step = cert.steps[i]
+        if step.rule not in ("beta", "let"):
+            continue
+        body = cert.steps[steps[step.premises[-1]]].conclusion
+        for _, s in body.ctx.entry.pairs:
+            fv = free_vars(s)
+            for z in subterms(s):
+                if isinstance(z, Var) and z.id in fv:
+                    us = sorted(n for n, sort in cert.signature.symbols.items()
+                                if sort == z.sort)
+                    if us:
+                        pool.append((i, z, us))
+    if not pool:
+        return None
+    i, z, us = rng.choice(pool)
+    step = cert.steps[i]
+    ctx = step.conclusion.ctx.map([(z, Const(rng.choice(us), z.sort))])
+    for pid in step.premises:
+        k = steps[pid]
+        p = cert.steps[k].conclusion
+        pctx = Context(ctx, p.ctx.entry) if pid == step.premises[-1] else ctx
+        cert = _with_step(cert, k, _step(cert.steps[k], conclusion=EqJudgment(
+            pctx, p.lhs, p.rhs)))
+    c = step.conclusion
+    return _with_step(cert, i, _step(step, conclusion=EqJudgment(
+        ctx, c.lhs, c.rhs)))
 
 
 def random_mutation(cert, rng):

@@ -3,25 +3,33 @@
 It is the reference for `hosmt.certprinter.print_term`, which prints core
 terms directly: both must give the same text.  At every binder it walks
 the whole body again, so it is quadratic in binder depth, and it recurses.
+Surface terms are canonical s-expressions (`hosmt.surface`).
 """
 
 from hosmt import core, surface
 from hosmt.core import (Applied, Atom, Const, Fun, INT, Lam, Let, Quant, REAL,
                         Var)
-from hosmt.surface import (SApply, SArrow, SBinder, SId, SIdent, SLet, SLit,
-                           SParam)
+from hosmt.sexpr import DECIMAL, NUMERAL, SYMBOL, SList, Token
+
+
+def sym(name):
+    return Token(SYMBOL, name)
+
+
+def slist(*items):
+    return SList(items)
 
 
 def sort_to_surface(s):
     if isinstance(s, Atom):
-        return SIdent(s.name)
+        return sym(s.name)
     if isinstance(s, Applied):
-        return SParam(s.name, tuple(sort_to_surface(a) for a in s.args))
+        return slist(sym(s.name), *(sort_to_surface(a) for a in s.args))
     args = []
     while isinstance(s, Fun):
         args.append(sort_to_surface(s.dom))
         s = s.cod
-    return SArrow(tuple(args), sort_to_surface(s))
+    return slist(sym("->"), *args, sort_to_surface(s))
 
 
 def _visible_names(t, scope, skip_ids, out):
@@ -62,22 +70,22 @@ def erase(t, scope=None):
     """
     scope = scope or {}
     if isinstance(t, Var):
-        return SId(scope.get(t.id, t.name))
+        return sym(scope.get(t.id, t.name))
     if isinstance(t, Const):
         if t.name.isdigit() and t.sort == INT:
-            return SLit("numeral", t.name)
+            return Token(NUMERAL, t.name)
         if t.sort == REAL and "." in t.name:
-            return SLit("decimal", t.name)
+            return Token(DECIMAL, t.name)
         if t.name == "=":
             # outside a full application, = carries its instance sort
-            return SId("=", sort_to_surface(t.sort))
-        return SId(t.name)
+            return slist(sym("as"), sym("="), sort_to_surface(t.sort))
+        return sym(t.name)
     if isinstance(t, core.App):
         # = must reach the surface fully applied
         if (isinstance(t.fn, core.App) and isinstance(t.fn.fn, Const)
                 and t.fn.fn.name == "="):
-            return SApply(SId("="),
-                          (erase(t.fn.arg, scope), erase(t.arg, scope)))
+            return slist(sym("="), erase(t.fn.arg, scope),
+                         erase(t.arg, scope))
         # flatten the application spine: ((f a) b) prints as (f a b)
         spine = []
         head = t
@@ -85,14 +93,14 @@ def erase(t, scope=None):
             spine.append(head.arg)
             head = head.fn
         spine.reverse()
-        return SApply(erase(head, scope),
-                      tuple(erase(a, scope) for a in spine))
+        return slist(erase(head, scope), *(erase(a, scope) for a in spine))
     bp = core.binder_parts(t)
     if bp is not None:
         kind, v, body = bp
         name = _pick_name(v, body, scope)
         inner = erase(body, {**scope, v.id: name})
-        return SBinder(kind, ((name, sort_to_surface(v.sort)),), inner)
+        return slist(sym(kind), slist(slist(sym(name),
+                                            sort_to_surface(v.sort))), inner)
     if isinstance(t, Let):
         taken = set()
         _visible_names(t.body, scope, {v.id for v, _ in t.bindings}, taken)
@@ -105,12 +113,12 @@ def erase(t, scope=None):
                 k += 1
             taken.add(n)
             names.append(n)
-        bindings = tuple((n, erase(img, scope))
-                         for n, (_, img) in zip(names, t.bindings))
+        bindings = slist(*(slist(sym(n), erase(img, scope))
+                           for n, (_, img) in zip(names, t.bindings)))
         scope2 = dict(scope)
         for n, (v, _) in zip(names, t.bindings):
             scope2[v.id] = n
-        return SLet(bindings, erase(t.body, scope2))
+        return slist(sym("let"), bindings, erase(t.body, scope2))
     raise TypeError(f"not a core term: {t!r}")
 
 

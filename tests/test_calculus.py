@@ -411,6 +411,25 @@ class TestMutations:
         for m in mutate.MUTATIONS:
             assert m(cert, rng) is not None
 
+    def test_side_condition_mutation(self):
+        # each mutant reads back from its text and fails the side condition
+        # of its mutated step, which no mutation in MUTATIONS reaches
+        sig = typecheck.Signature()
+        sig.symbols.update((c.name, c.sort) for c in gen.CONSTS)
+        rng = random.Random(36)
+        applied = 0
+        for _ in range(72):
+            cert = processor.process(gen.gen_closed(rng, depth=6), sig).certificate
+            mutated = mutate.break_side_condition(cert, rng)
+            if mutated is None:
+                continue
+            applied += 1
+            report = check_certificate(
+                parse_certificate(print_certificate(mutated)))
+            assert any("side condition violated: context changes" in r.message
+                       for r in report.results)
+        assert applied >= 12
+
     def test_each_text_mutation_kind_applies(self):
         rng = random.Random(7)
         text = print_certificate(load("example3.hoproof"))

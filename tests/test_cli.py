@@ -44,6 +44,19 @@ class TestParse:
         assert code == 2
         assert "error" in err
 
+    def test_reserved_word_heads_lambda_body(self, capsys, tmp_path):
+        # the multi-term body `let y` is the term (let y), which parse
+        # and check both reject at the lambda
+        bad = tmp_path / "body.smt2"
+        bad.write_text("(declare-fun x () Int)\n"
+                       "(assert (= (lambda ((y Int)) let y) "
+                       "(lambda ((y Int)) y)))\n")
+        for command in ("parse", "check"):
+            code, out, err = run(capsys, command, str(bad))
+            assert (code, out) == (1, "")
+            assert err == (f"{bad}:2:12: error: let takes a binding list "
+                           "and one body\n")
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("(exit)"))
         code, out, _ = run(capsys, "parse", "-")

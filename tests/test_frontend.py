@@ -1,17 +1,27 @@
 """Lexer, reader, surface parser, and printer."""
 
+import pathlib
 import random
+import sys
 
 import pytest
 
-from hosmt import sexpr, surface
+from hosmt import calculus, certprinter, processor, sexpr, surface, typecheck
 from hosmt.sexpr import LexError, ParseError, SList, SourceError, tokenize
-from hosmt.surface import (CAssert, CDeclareFun, CExit, CSetLogic, SApply,
-                           SArrow, SBinder, SId, SIdent, SLit, parse_script,
-                           parse_sort, parse_term, print_term)
+from hosmt.surface import (CAssert, CDeclareFun, CExit, CSetLogic,
+                           parse_script, parse_sort, parse_term, print_term,
+                           sort_from_sexpr, term_from_sexpr)
 
 from conftest import DATA
 import sexpr_ref
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def tree(text):
+    """The s-expression that text reads as."""
+    (e,) = sexpr.parse_text(text)
+    return e
 
 
 def token_texts(text):
@@ -94,6 +104,15 @@ def _outcome(read, text):
         return (type(err).__name__, err.message, err.line, err.col)
 
 
+def _checked(text):
+    """The assertions of a script, printed, or its error and message."""
+    try:
+        checked = typecheck.check_script(parse_script(text))
+    except SourceError as err:
+        return type(err).__name__, err.message
+    return [certprinter.print_term(t) for t in checked.asserts]
+
+
 def _new_tokens(text):
     return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
 
@@ -140,22 +159,22 @@ class TestAgainstReference:
 class TestParseSort:
     def test_arrow(self):
         s = parse_sort("(-> Int Int)")
-        assert s == SArrow((SIdent("Int"),), SIdent("Int"))
+        assert s == tree("(-> Int Int)")
 
     def test_nested_arrow(self):
         s = parse_sort("(-> (-> Int Int) Int)")
-        assert s == SArrow((SArrow((SIdent("Int"),), SIdent("Int")),),
-                           SIdent("Int"))
+        assert s == tree("(-> (-> Int Int) Int)")
 
     def test_atom(self):
-        assert parse_sort("Int") == SIdent("Int")
+        assert parse_sort("Int") == tree("Int")
 
     def test_arrow_needs_two(self):
         with pytest.raises(ParseError):
             parse_sort("(-> Int)")
 
     def test_parenthesized_atom_tolerated(self):
-        assert parse_sort("(Int)") == SIdent("Int")
+        s = parse_sort("(Int)")
+        assert s == tree("Int") and (s.line, s.col) == (1, 1)
 
 
 class TestParseScript:
@@ -167,21 +186,21 @@ class TestParseScript:
         assert isinstance(cmds[5], CExit)
         eq = cmds[4].term
         # right-hand side of the equality is ((g 1) 2)
-        rhs = eq.args[1]
-        assert rhs == SApply(SApply(SId("g"), (SLit("numeral", "1"),)),
-                             (SLit("numeral", "2"),))
+        rhs = eq.items[2]
+        assert rhs == tree("((g 1) 2)")
 
     def test_second_program(self):
         cmds = parse_script((DATA / "program2.smt2").read_text())
         assertion = next(c for c in cmds if isinstance(c, CAssert))
-        lhs = assertion.term.args[0]
-        assert isinstance(lhs, SApply)
-        lam = lhs.head
-        assert isinstance(lam, SBinder) and lam.kind == "lambda"
-        assert [n for n, _ in lam.binders] == ["f", "x"]
-        # the multi-term body `f x` desugars to the application (f x)
-        assert lam.body == SApply(SId("f"), (SId("x"),))
-        assert lhs.args == (SId("g"), SLit("numeral", "1"))
+        lhs = assertion.term.items[1]
+        lam = lhs.items[0]
+        assert lam.items[0].text == "lambda"
+        assert [b.items[0].text for b in lam.items[1].items] == ["f", "x"]
+        # the multi-term body `f x` is the application (f x), at the
+        # lambda's position
+        assert lam.items[2] == tree("(f x)")
+        assert (lam.items[2].line, lam.items[2].col) == (lam.line, lam.col)
+        assert lhs.items[1:] == (tree("g"), tree("1"))
 
     def test_empty_input(self):
         assert parse_script("") == []
@@ -203,12 +222,10 @@ class TestPrint:
         assert print_term(t) == "(lambda ((f (-> Int Int)) (x Int)) (f x))"
 
     def test_identifier(self):
-        assert print_term(SId("g")) == "g"
+        assert print_term(tree("g")) == "g"
 
     def test_curried_application(self):
-        t = SApply(SApply(SId("g"), (SLit("numeral", "1"),)),
-                   (SLit("numeral", "2"),))
-        assert print_term(t) == "((g 1) 2)"
+        assert print_term(tree("( (g  1)\n 2)")) == "((g 1) 2)"
 
     def test_annotation_roundtrip(self):
         src = "(! (p a) :named hyp)"
@@ -225,11 +242,68 @@ class TestPrint:
         assert print_term(t) == "(as f (-> Int Int))"
 
     def test_script_roundtrip(self):
-        for name in ("program1.smt2", "program2.smt2"):
-            text = (DATA / name).read_text()
-            cmds = parse_script(text)
+        # a script is rejected, or its printed text reads back to the same
+        # commands and typechecks as it does
+        texts = [(DATA / name).read_text()
+                 for name in ("program1.smt2", "program2.smt2")]
+        # multi-term lambda bodies that begin with a reserved word
+        texts += ["(declare-fun x () Int)\n"
+                  "(assert (= (lambda ((y Int)) let y) (lambda ((y Int)) y)))",
+                  "(assert (= (lambda ((y Int)) as y Int) (lambda ((y Int)) y)))"]
+        for text in texts:
+            cmds = _outcome(parse_script, text)
+            if isinstance(cmds, tuple):
+                continue
             printed = surface.print_script(cmds)
             assert parse_script(printed) == cmds
+            assert _checked(printed) == _checked(text)
+
+
+def _printed_parts(text):
+    """(reader, s-expression) for each sort and term of a script printed by
+    `parse`, and each :conclusion and define body of a certificate."""
+    for e in sexpr.parse_text(text):
+        word, *rest = e.items
+        if word.text == "assert":
+            yield term_from_sexpr, rest[0]
+        elif word.text == "declare-fun":
+            for s in (*rest[1].items, rest[2]):
+                yield sort_from_sexpr, s
+        elif word.text == "define-fun":
+            for p in rest[1].items:
+                yield sort_from_sexpr, p.items[1]
+            yield sort_from_sexpr, rest[2]
+            yield term_from_sexpr, rest[3]
+        elif word.text == "define":
+            yield term_from_sexpr, rest[1]
+        elif word.text == "step":
+            k = [x.text for x in rest[1::2]].index(":conclusion")
+            yield term_from_sexpr, rest[2 * k + 2]
+
+
+def test_printed_text_is_canonical():
+    """The reader's tree of printed text comes back as the same object:
+    reading printer output builds no second tree."""
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))
+    import workloads
+
+    scripts = [p.read_text() for p in sorted(DATA.glob("*.smt2"))]
+    scripts += [workloads.make(name, 1).script
+                for name in ("forall", "let", "batch")]
+    texts = [p.read_text() for p in sorted(DATA.glob("*.hoproof"))]
+    for script in scripts:
+        texts.append(surface.print_script(parse_script(script)))
+        checked = typecheck.check_script(parse_script(script))
+        for t in checked.asserts:
+            cert = processor.process(t, checked.signature).certificate
+            texts.append(calculus.print_certificate(cert))
+    count = 0
+    for text in texts:
+        for read, e in _printed_parts(text):
+            assert read(e) is e, sexpr.sexpr_to_str(e)
+            count += 1
+    assert count > 1000
 
 
 def test_random_roundtrip():
