@@ -16,11 +16,20 @@ of every input above, each deleting one character or inserting one of
 EDIT_CHARS.  An edited script goes through `parse` and `check --verbose`,
 an edited .hoproof file through `verify`.
 
+The `commands` family covers the command forms: a fixed, seeded set of
+scripts over the signature of tests/gen.py, whose declarations take
+several spellings (declare-const, declare-fun, parenthesized sorts,
+arities with leading zeros).  Around them go define-fun, asserts of
+random `gen.gen_term` terms, unknown commands, and now and then a
+malformed or clashing command.  Each script goes through the calls above,
+and its declarations, with some of its other commands, as the preamble of
+a one-step certificate through `verify --oracle`.
+
 Every call contributes its stdout, stderr and exit code.  The inputs are
 copied into a temporary directory and named relative to it, since file
 names appear in messages: the digest does not depend on where the checkout
-lives.  One digest is printed per family (forall, let, batch, data, edits)
-and one over everything:
+lives.  One digest is printed per family (forall, let, batch, data, edits,
+commands) and one over everything:
 
     python3 scripts/outputs_digest.py --seeds 1 2 3
 """
@@ -40,12 +49,49 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / d) for d in ("src", "tests", "bench")
                 if str(ROOT / d) not in sys.path]
 
+import gen  # noqa: E402
 import workloads  # noqa: E402
-from hosmt import cli  # noqa: E402
+from hosmt import certprinter, cli, core  # noqa: E402
 
 FAMILIES = ("forall", "let", "batch")
 EDIT_CHARS = '()|";: x1.'
 EDITS_PER_INPUT = 24
+COMMAND_SCRIPTS = 40  # per seed
+
+# declarations of the constants of `gen.CONSTS` and of two sorts, each in
+# spellings that declare the same thing
+DECLARATIONS = (
+    ("(declare-fun a () Int)", "(declare-const a Int)",
+     "(declare-const a (Int))"),
+    ("(declare-fun b () Int)", "(declare-const b Int)"),
+    ("(declare-fun c0 () Bool)", "(declare-const c0 Bool)"),
+    ("(declare-fun f (Int) Int)", "(declare-const f (-> Int Int))",
+     "(declare-fun f ((Int)) Int)"),
+    ("(declare-fun g (Int Int) Int)", "(declare-fun g (Int) (-> Int Int))",
+     "(declare-const g (-> Int Int Int))"),
+    ("(declare-fun p (Int) Bool)", "(declare-const p (-> Int Bool))"),
+    ("(declare-fun q ((-> Int Int)) Bool)",
+     "(declare-const q (-> (-> Int Int) Bool))"),
+    ("(declare-fun k ((-> Int Int)) Int)",
+     "(declare-fun k ((-> (Int) Int)) Int)"),
+    ("(declare-sort U 0)", "(declare-sort U 00)"),
+    ("(declare-sort P 1)", "(declare-sort P 01)", "(declare-sort P 001)"),
+)
+# symbols of the declared sorts
+SORTED = ("(declare-const u U)", "(declare-fun w () (P Int))",
+          "(declare-fun |x y| (U) (P U))")
+ASSERTS = ("(assert (! (p a) :named h1))",
+           "(assert (q (lambda ((x Int)) g x x)))",
+           "(assert (= (as a Int) b))",
+           "(assert (= u (as u U)))")
+UNKNOWN = ("(check-sat)", "(get-model)", "(set-info :status sat)",
+           "(push 01)", '(echo "a ""b""")', "(get-value (a |x y|))")
+# malformed commands, and declarations that clash or name an unknown sort
+ODD = ("(declare-sort U 1)", "(declare-fun = (Int Int) Bool)",
+       "(declare-fun true () Bool)", "(declare-const a Bool)",
+       "(declare-fun 01 () Int)", "(declare-sort V 1.0)", "(declare-const e)",
+       "(define-fun e () Int)", "(declare-const e Q)", "(set-logic)",
+       "(exit 0)", "(assert)", "(assert a)")
 
 
 def run(*argv):
@@ -102,17 +148,55 @@ def edit_outputs(name):
             yield f"check {path}", run("check", "--verbose", str(path))
 
 
-def _encode(value):
-    if isinstance(value, bytes):
-        return value
-    out, err, code = value
-    return f"{out}\0{err}\0{code}".encode()
+def command_script(rng):
+    """The commands of a random script that uses every command form, as
+    (is a declaration, text) pairs."""
+    cmds = []
+    if rng.random() < 0.8:
+        logic = rng.choice(("ALL", "UF", "QF_UFLIA"))
+        cmds.append((False, f"(set-logic {logic})"))
+    decls = [rng.choice(spellings) for spellings in DECLARATIONS]
+    rng.shuffle(decls)
+    # the sorts before the symbols of those sorts
+    decls.sort(key=lambda d: not d.startswith("(declare-sort"))
+    cmds += [(True, d) for d in decls + list(SORTED)]
+    for i in range(rng.randint(2, 6)):
+        roll = rng.random()
+        if roll < 0.45:
+            t = gen.gen_term(rng, core.BOOL, rng.randint(1, 4))
+            text = f"(assert {certprinter.print_term(t)})"
+        elif roll < 0.7:
+            params = [core.fresh_var(x, rng.choice(gen.BASE_SORTS))
+                      for x in "xy"[:rng.randint(0, 2)]]
+            sort = rng.choice(gen.BASE_SORTS)
+            body = gen.gen_term(rng, sort, rng.randint(0, 3), params)
+            plist = " ".join(f"({v.name} {core.sort_str(v.sort)})"
+                             for v in params)
+            text = (f"(define-fun h{i} ({plist}) {core.sort_str(sort)} "
+                    f"{certprinter.print_term(body)})")
+        elif roll < 0.85:
+            text = rng.choice(ASSERTS)
+        else:
+            text = rng.choice(UNKNOWN)
+        cmds.append((False, text))
+    if rng.random() < 0.3:
+        odd = rng.choice(ODD)
+        cmds.insert(rng.randrange(len(cmds) + 1),
+                    (odd.startswith("(declare"), odd))
+    if rng.random() < 0.6:
+        cmds.append((False, "(exit)"))
+    return cmds
 
 
-def digests(seeds, work):
-    """{family: hex digest}, "all" last: the workload scripts and the
-    files under tests/data are written to `work` and run there."""
-    inputs = {f: [] for f in (*FAMILIES, "data", "edits")}
+def _join(rng, texts):
+    return "".join(t + rng.choice(("\n", " ", "\n  ")) for t in texts)
+
+
+def write_inputs(seeds, work):
+    """{family: input file names}: the workload scripts, the files under
+    tests/data and the command scripts and their certificates, written to
+    `work`."""
+    inputs = {f: [] for f in (*FAMILIES, "data", "edits", "commands")}
     for seed in seeds:
         for family in FAMILIES:
             name = f"{family}-{seed}.smt2"
@@ -122,6 +206,31 @@ def digests(seeds, work):
         shutil.copy(path, work / path.name)
         inputs["data"].append(path.name)
     inputs["edits"] = [n for f in (*FAMILIES, "data") for n in inputs[f]]
+    for seed in seeds:
+        for k in range(COMMAND_SCRIPTS):
+            rng = random.Random(f"commands-{seed}-{k}")
+            cmds = command_script(rng)
+            script = f"commands-{seed}-{k}.smt2"
+            (work / script).write_text(_join(rng, [t for _, t in cmds]))
+            preamble = [t for decl, t in cmds if decl or rng.random() < 0.1]
+            cert = f"preamble-{seed}-{k}.hoproof"
+            (work / cert).write_text(_join(rng, [
+                *preamble, "(step s1 :rule refl :conclusion (= true true))"]))
+            inputs["commands"] += [script, cert]
+    return inputs
+
+
+def _encode(value):
+    if isinstance(value, bytes):
+        return value
+    out, err, code = value
+    return f"{out}\0{err}\0{code}".encode()
+
+
+def digests(seeds, work):
+    """{family: hex digest}, "all" last: the inputs are written to
+    `work` and run there."""
+    inputs = write_inputs(seeds, work)
     total = hashlib.sha256()
     out = {}
     old = os.getcwd()

@@ -260,17 +260,13 @@ def read_certificate(text, filename="<certificate>"):
             parser.define_term(e)
             continue
         cmd = surface.command_from_sexpr(e, filename)
-        if isinstance(cmd, surface.CDeclareSort):
-            parser.sig.declare_sort(cmd.name, cmd.arity, cmd.pos, filename)
-        elif isinstance(cmd, surface.CDeclareFun):
-            if cmd.name in parser.terms:
-                raise parser.error(f"term {cmd.name} is a declared symbol",
-                                   e.items[1])
-            sort = typecheck.normalize_decl(cmd.arg_sorts, cmd.result,
-                                            parser.sig, filename)
-            parser.sig.declare_fun(cmd.name, sort, cmd.pos, filename)
-        else:
+        word = cmd.items[0].text
+        if word not in ("declare-sort", "declare-fun"):
             raise parser.error("only declarations and steps are allowed", e)
+        name = cmd.items[1]
+        if word == "declare-fun" and name.text in parser.terms:
+            raise parser.error(f"term {name.text} is a declared symbol", name)
+        typecheck.declare(parser.sig, cmd, filename)
     if not steps:
         raise CertificateError("certificate has no steps", 1, 1, filename)
     return Certificate(tuple(steps), parser.sig)

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import core
-from .sexpr import SourceError
+from .sexpr import SourceError, sexpr_to_str
 
 # Each subcommand imports the modules it uses: every call starts a fresh
 # interpreter, which compiles what it imports.
@@ -74,7 +74,7 @@ def _run_process(path, args, out, err):
     checked = typecheck.check_script(cmds, name)
     n = 0
     for c in checked.commands:
-        if isinstance(c, surface.CAssert):
+        if c.items[0].text == "assert":
             n += 1
             term = checked.asserts[n - 1]
             # no assertion uses another's contexts: drop the cached ones
@@ -90,7 +90,7 @@ def _run_process(path, args, out, err):
                 with open(dest, "w", encoding="utf-8") as fh:
                     fh.write(cert)
         else:
-            out.write(surface.print_command(c) + "\n")
+            out.write(sexpr_to_str(c) + "\n")
     return EXIT_OK
 
 

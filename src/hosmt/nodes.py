@@ -9,7 +9,7 @@ the constructor too.  The intern table holds its nodes weakly: a node
 nobody refers to is dropped from it.
 
 `Record` classes are plain `__slots__` records compared and hashed by
-their fields, leaving out source positions (`line`, `col`, `pos`).  Each
+their fields, leaving out source positions (`line`, `col`).  Each
 subclass writes its own `__init__`.
 
 A `Scope` is a dict whose changes are undone in the reverse order: the
@@ -74,7 +74,7 @@ class Interned:
         return _show(self, self.__slots__)
 
 
-_POSITIONS = frozenset(("line", "col", "pos"))
+_POSITIONS = frozenset(("line", "col"))
 
 
 class Record:

@@ -1,102 +1,44 @@
 """Frontend for the extended SMT-LIB concrete syntax.
 
-Parses scripts into commands whose sorts and terms are the reader's
+Parses scripts into commands, sorts and terms that are the reader's
 s-expressions (`sexpr.Token`, `sexpr.SList`), checked and in canonical
 form, and prints them through `sexpr.sexpr_to_str` as single-space text
 that reparses to an equal tree.  Sorts admit arrows `(-> S1 ... Sn R)`,
 and any term may be applied.
 
-`sort_from_sexpr` and `term_from_sexpr` return their argument itself when
-it is canonical; otherwise only the lists on the path from a rewritten
-node to the root are rebuilt.  A parenthesized atomic sort `(S)` becomes
-the symbol `S`, and a multi-term lambda body `t1 ... tn` the term
-`(t1 ... tn)`, read like any other: a reserved word at its head begins
-that form.  Each new node takes the position of the list it replaces.
+`command_from_sexpr`, `sort_from_sexpr` and `term_from_sexpr` return their
+argument itself when it is canonical; otherwise only the lists on the path
+from a rewritten node to the root are rebuilt.  A parenthesized atomic
+sort `(S)` becomes the symbol `S`, and a multi-term lambda body
+`t1 ... tn` the term `(t1 ... tn)`, read like any other: a reserved word at
+its head begins that form.  `(declare-const c S)` becomes
+`(declare-fun c () S)`, and a declare-sort arity loses its leading zeros.
+Each new node takes the position of the node it replaces, and the
+inserted `()` that of its command.
 
 The canonical shapes, which `hosmt.typecheck` reads by position (xi, f
 and C are symbols, n >= 1, and the xi of one list are distinct):
 
-    sorts  S | (-> S1 ... Sn R) | (C S1 ... Sn), C not ->
-    terms  a numeral, decimal, string or symbol | (as f S)
-           | (B ((x1 S1) ... (xn Sn)) t), B in BINDER_WORDS
-           | (let ((x1 t1) ... (xn tn)) t)
-           | (match t ((p1 t1) ... (pn tn))), any s-expressions pi
-           | (! t k1 v1 ... kn vn), keywords ki, each vi a non-keyword
-             s-expression or left out
-           | (t0 t1 ... tn), t0 no reserved word: an application, or an
-             equality when t0 is the symbol =
+    commands  (set-logic C) | (declare-sort C k), k a numeral without
+              leading zeros | (declare-fun f (S1 ... Sn) R), n >= 0
+              | (define-fun f ((x1 S1) ... (xn Sn)) R t), n >= 0
+              | (assert t) | (exit)
+              | (w e1 ... en), n >= 0, any other symbol w and
+                s-expressions ei: kept as they are
+    sorts     S | (-> S1 ... Sn R) | (C S1 ... Sn), C not ->
+    terms     a numeral, decimal, string or symbol | (as f S)
+              | (B ((x1 S1) ... (xn Sn)) t), B in BINDER_WORDS
+              | (let ((x1 t1) ... (xn tn)) t)
+              | (match t ((p1 t1) ... (pn tn))), any s-expressions pi
+              | (! t k1 v1 ... kn vn), keywords ki, each vi a non-keyword
+                s-expression or left out
+              | (t0 t1 ... tn), t0 no reserved word: an application, or an
+                equality when t0 is the symbol =
 """
 
 from . import sexpr
-from .nodes import Record
 from .sexpr import (KEYWORD, NUMERAL, SYMBOL, ParseError, SList, Token,
-                    quote, sexpr_to_str)
-
-
-# -------------------------------------------------------------- commands
-
-class CSetLogic(Record):
-    __slots__ = ("name", "pos")
-
-    def __init__(self, name, pos=(0, 0)):
-        self.name = name
-        self.pos = pos
-
-
-class CDeclareSort(Record):
-    __slots__ = ("name", "arity", "pos")
-
-    def __init__(self, name, arity, pos=(0, 0)):
-        self.name = name
-        self.arity = arity
-        self.pos = pos
-
-
-class CDeclareFun(Record):
-    # arg_sorts: a tuple of sorts, may be empty
-    __slots__ = ("name", "arg_sorts", "result", "pos")
-
-    def __init__(self, name, arg_sorts, result, pos=(0, 0)):
-        self.name = name
-        self.arg_sorts = arg_sorts
-        self.result = result
-        self.pos = pos
-
-
-class CDefineFun(Record):
-    # params: the list ((x1 S1) ... (xn Sn)), n >= 0, distinct xi
-    __slots__ = ("name", "params", "result", "body", "pos")
-
-    def __init__(self, name, params, result, body, pos=(0, 0)):
-        self.name = name
-        self.params = params
-        self.result = result
-        self.body = body
-        self.pos = pos
-
-
-class CAssert(Record):
-    __slots__ = ("term", "pos")
-
-    def __init__(self, term, pos=(0, 0)):
-        self.term = term
-        self.pos = pos
-
-
-class CExit(Record):
-    __slots__ = ("pos",)
-
-    def __init__(self, pos=(0, 0)):
-        self.pos = pos
-
-
-class CUnknown(Record):
-    # text: verbatim canonical s-expression, preserved for round-trips
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text, pos=(0, 0)):
-        self.text = text
-        self.pos = pos
+                    sexpr_to_str)
 
 
 BINDER_WORDS = ("lambda", "forall", "exists", "eps")
@@ -292,55 +234,61 @@ def command_from_sexpr(e, filename="<input>"):
     if not isinstance(e, SList) or not e.items or not _sym(e.items[0]):
         line, col = sexpr.sexpr_pos(e)
         raise ParseError("expected a command", line, col, filename)
-    pos = (e.line, e.col)
-    word = e.items[0].text
     items = e.items
+    head = items[0]
+    word = head.text
     if word == "set-logic":
         if len(items) != 2:
             raise ParseError("set-logic takes one symbol", e.line, e.col, filename)
-        return CSetLogic(_expect_symbol(items[1], "logic name", filename), pos=pos)
+        _expect_symbol(items[1], "logic name", filename)
+        return e
     if word == "declare-sort":
         if len(items) != 3 or not (isinstance(items[2], Token)
                                    and items[2].kind == NUMERAL):
             raise ParseError("declare-sort takes a name and an arity",
                              e.line, e.col, filename)
-        return CDeclareSort(_expect_symbol(items[1], "sort name", filename),
-                            int(items[2].text), pos=pos)
+        _expect_symbol(items[1], "sort name", filename)
+        arity = items[2]
+        digits = str(int(arity.text))  # leading zeros dropped
+        return _keep(e, (head, items[1], arity if arity.text == digits else
+                         Token(NUMERAL, digits, arity.line, arity.col)))
     if word == "declare-fun":
         if len(items) != 4 or not isinstance(items[2], SList):
             raise ParseError("declare-fun takes a name, argument sorts, and a result",
                              e.line, e.col, filename)
-        name = _expect_symbol(items[1], "function name", filename)
-        args = tuple(sort_from_sexpr(x, filename) for x in items[2].items)
-        return CDeclareFun(name, args, sort_from_sexpr(items[3], filename), pos=pos)
+        _expect_symbol(items[1], "function name", filename)
+        args = [sort_from_sexpr(x, filename) for x in items[2].items]
+        return _keep(e, (head, items[1], _keep(items[2], args),
+                         sort_from_sexpr(items[3], filename)))
     if word == "declare-const":
         if len(items) != 3:
             raise ParseError("declare-const takes a name and a sort",
                              e.line, e.col, filename)
-        name = _expect_symbol(items[1], "constant name", filename)
-        return CDeclareFun(name, (), sort_from_sexpr(items[2], filename), pos=pos)
+        _expect_symbol(items[1], "constant name", filename)
+        return SList((Token(SYMBOL, "declare-fun", head.line, head.col),
+                      items[1], SList((), e.line, e.col),
+                      sort_from_sexpr(items[2], filename)), e.line, e.col)
     if word == "define-fun":
         if len(items) != 5 or not isinstance(items[2], SList):
             raise ParseError("define-fun takes a name, parameters, a sort, and a body",
                              e.line, e.col, filename)
-        name = _expect_symbol(items[1], "function name", filename)
+        _expect_symbol(items[1], "function name", filename)
         params = (_parse_sorted_vars(items[2], filename) if items[2].items
                   else items[2])
-        return CDefineFun(name, params, sort_from_sexpr(items[3], filename),
-                          term_from_sexpr(items[4], filename), pos=pos)
+        return _keep(e, (head, items[1], params,
+                         sort_from_sexpr(items[3], filename),
+                         term_from_sexpr(items[4], filename)))
     if word == "assert":
         if len(items) != 2:
             raise ParseError("assert takes one term", e.line, e.col, filename)
-        return CAssert(term_from_sexpr(items[1], filename), pos=pos)
-    if word == "exit":
-        if len(items) != 1:
-            raise ParseError("exit takes no arguments", e.line, e.col, filename)
-        return CExit(pos=pos)
-    return CUnknown(sexpr_to_str(e), pos=pos)
+        return _keep(e, (head, term_from_sexpr(items[1], filename)))
+    if word == "exit" and len(items) != 1:
+        raise ParseError("exit takes no arguments", e.line, e.col, filename)
+    return e
 
 
 def parse_script(text, filename="<input>"):
-    """Parse a whole script; unknown commands are preserved verbatim."""
+    """Parse a whole script; unknown commands are kept as they are."""
     return [command_from_sexpr(e, filename)
             for e in sexpr.parse_text(text, filename)]
 
@@ -348,28 +296,13 @@ def parse_script(text, filename="<input>"):
 # ------------------------------------------------------------- printing
 
 print_term = sexpr_to_str  # a term or a sort as text
+print_command = sexpr_to_str  # a command as text: kept for bench/layers.py
 
 
-def print_command(c):
-    if isinstance(c, CSetLogic):
-        return f"(set-logic {quote(c.name)})"
-    if isinstance(c, CDeclareSort):
-        return f"(declare-sort {quote(c.name)} {c.arity})"
-    if isinstance(c, CDeclareFun):
-        args = " ".join(sexpr_to_str(s) for s in c.arg_sorts)
-        return (f"(declare-fun {quote(c.name)} ({args}) "
-                f"{sexpr_to_str(c.result)})")
-    if isinstance(c, CDefineFun):
-        return (f"(define-fun {quote(c.name)} {sexpr_to_str(c.params)} "
-                f"{sexpr_to_str(c.result)} {sexpr_to_str(c.body)})")
-    if isinstance(c, CAssert):
-        return f"(assert {sexpr_to_str(c.term)})"
-    if isinstance(c, CExit):
-        return "(exit)"
-    if isinstance(c, CUnknown):
-        return c.text
-    raise TypeError(f"not a command: {c!r}")
+def CAssert(term):
+    """The command (assert term); exists only for `bench/layers.py`."""
+    return SList((Token(SYMBOL, "assert"), term))
 
 
 def print_script(cmds):
-    return "\n".join(print_command(c) for c in cmds) + "\n"
+    return "\n".join(map(sexpr_to_str, cmds)) + "\n"

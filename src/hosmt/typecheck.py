@@ -11,8 +11,7 @@ from .core import (Applied, Atom, BOOL, Const, Fun, INT, REAL,
                    Lam, Let, Quant, fresh_var, fun_sort, sort_str)
 from .nodes import Record, Scope
 from .sexpr import DECIMAL, NUMERAL, SYMBOL, SourceError, Token
-from .surface import (BINDER_WORDS, CAssert, CDeclareFun, CDeclareSort,
-                      CDefineFun, CExit, CSetLogic, CUnknown)
+from .surface import BINDER_WORDS
 
 
 class SortError(SourceError):
@@ -62,7 +61,8 @@ class Signature(Record):
         self.sorts[name] = arity
 
     def declare_fun(self, name, sort, pos=(0, 0), filename="<input>"):
-        if name in self.symbols or name in CORE_SYMBOLS:
+        # = is always the built-in (`_identifier`), never a declaration
+        if name in self.symbols or name in CORE_SYMBOLS or name == "=":
             raise SortError(f"symbol {name} declared twice", *pos, filename)
         self.symbols[name] = sort
 
@@ -255,48 +255,56 @@ class CheckedScript(Record):
         self.signature = signature
         self.asserts = asserts  # core terms of sort Bool
         self.logic = logic
-        self.commands = commands
+        self.commands = commands  # canonical commands (`hosmt.surface`)
+
+
+def declare(sig, cmd, filename="<input>"):
+    """Add the canonical (declare-sort ...) or (declare-fun ...) command
+    `cmd` to the signature `sig`."""
+    word, name, args, *result = cmd.items
+    pos = (cmd.line, cmd.col)
+    if word.text == "declare-sort":
+        sig.declare_sort(name.text, int(args.text), pos, filename)
+    else:
+        sort = normalize_decl(args.items, result[0], sig, filename)
+        sig.declare_fun(name.text, sort, pos, filename)
 
 
 def check_script(cmds, filename="<input>"):
-    """Process declarations in order and elaborate every assert to Bool."""
+    """Process the canonical commands (`hosmt.surface`) in order, and
+    elaborate every assert to Bool."""
     sig = Signature()
     logic = None
     asserts = []
     for c in cmds:
-        if isinstance(c, CSetLogic):
-            logic = c.name
-        elif isinstance(c, CDeclareSort):
-            sig.declare_sort(c.name, c.arity, c.pos, filename)
-        elif isinstance(c, CDeclareFun):
-            sort = normalize_decl(c.arg_sorts, c.result, sig, filename)
-            sig.declare_fun(c.name, sort, c.pos, filename)
-        elif isinstance(c, CDefineFun):
+        word = c.items[0].text
+        if word == "set-logic":
+            logic = c.items[1].text
+        elif word in ("declare-sort", "declare-fun"):
+            declare(sig, c, filename)
+        elif word == "define-fun":
+            _, name, params, result, body = c.items
             env = TypingEnv(sig, logic_has_arith(logic), filename)
             vars_ = [fresh_var(p.items[0].text,
                                normalize_sort(p.items[1], sig, filename))
-                     for p in c.params.items]
+                     for p in params.items]
             env.scope.bind((v.name, v) for v in vars_)
-            _, bs = infer_sort(env, c.body)
-            declared = normalize_sort(c.result, sig, filename)
+            _, bs = infer_sort(env, body)
+            declared = normalize_sort(result, sig, filename)
             if bs != declared:
                 raise SortError(
                     f"define-fun body has sort {sort_str(bs)}, expected "
-                    f"{sort_str(declared)}", *c.pos, filename)
-            sig.declare_fun(c.name, fun_sort([v.sort for v in vars_], declared),
-                            c.pos, filename)
-        elif isinstance(c, CAssert):
+                    f"{sort_str(declared)}", c.line, c.col, filename)
+            sort = fun_sort([v.sort for v in vars_], declared)
+            sig.declare_fun(name.text, sort, (c.line, c.col), filename)
+        elif word == "assert":
             env = TypingEnv(sig, logic_has_arith(logic), filename)
-            term, s = infer_sort(env, c.term)
+            term, s = infer_sort(env, c.items[1])
             if s != BOOL:
                 raise SortError(
                     f"assert body has sort {sort_str(s)}, expected Bool",
-                    *c.pos, filename)
+                    c.line, c.col, filename)
             asserts.append(term)
-        elif isinstance(c, (CExit, CUnknown)):
-            pass
-        else:
-            raise TypeError(f"not a command: {c!r}")
     return CheckedScript(sig, asserts, logic, list(cmds))
 
 

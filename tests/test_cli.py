@@ -368,6 +368,38 @@ class TestVerify:
         assert "Traceback" not in err
 
 
+# declarations that clash with an earlier one or with a built-in symbol,
+# and the error at the clashing declaration
+_CLASHES = {
+    "sort": ("(declare-sort U 0)(declare-sort U 01)\n",
+             "1:19: error: sort U declared twice"),
+    "symbol": ("(declare-fun a () Int)\n  (declare-const a Bool)\n",
+               "2:3: error: symbol a declared twice"),
+    "core": ("(declare-fun true () Bool)\n",
+             "1:1: error: symbol true declared twice"),
+    "equality": ("(declare-fun a () Int)\n(declare-fun = (Int Int) Bool)\n",
+                 "2:1: error: symbol = declared twice"),
+}
+_STEP = "(step s1 :rule refl :conclusion (= true true))\n"
+
+
+@pytest.mark.parametrize("command,text,error", [
+    *(pytest.param("check", text + "(assert true)\n", error, id=f"check-{k}")
+      for k, (text, error) in _CLASHES.items()),
+    *(pytest.param("verify", text + _STEP, error, id=f"verify-{k}")
+      for k, (text, error) in _CLASHES.items()),
+    pytest.param("verify", "(set-logic ALL)\n" + _STEP,
+                 "1:1: error: only declarations and steps are allowed",
+                 id="verify-set-logic"),
+])
+def test_declaration_errors(capsys, tmp_path, command, text, error):
+    """Scripts and certificate preambles declare through one path, and a
+    certificate holds no other command."""
+    path = tmp_path / ("in.smt2" if command == "check" else "in.hoproof")
+    path.write_text(text)
+    assert run(capsys, command, str(path)) == (1, "", f"{path}:{error}\n")
+
+
 class TestQuotedSymbols:
     SCRIPT = ("(declare-fun |x y| () Int)\n"
               "(declare-fun f (Int) Int)\n"

@@ -8,9 +8,9 @@ import pytest
 
 from hosmt import calculus, certprinter, processor, sexpr, surface, typecheck
 from hosmt.sexpr import LexError, ParseError, SList, SourceError, tokenize
-from hosmt.surface import (CAssert, CDeclareFun, CExit, CSetLogic,
-                           parse_script, parse_sort, parse_term, print_term,
-                           sort_from_sexpr, term_from_sexpr)
+from hosmt.surface import (command_from_sexpr, parse_script, parse_sort,
+                           parse_term, print_term, sort_from_sexpr,
+                           term_from_sexpr)
 
 from conftest import DATA
 import sexpr_ref
@@ -181,18 +181,19 @@ class TestParseScript:
     def test_first_program(self):
         cmds = parse_script((DATA / "program1.smt2").read_text())
         assert len(cmds) == 6
-        assert isinstance(cmds[0], CSetLogic) and cmds[0].name == "UFLIA"
-        assert all(isinstance(c, CDeclareFun) for c in cmds[1:4])
-        assert isinstance(cmds[5], CExit)
-        eq = cmds[4].term
+        assert [c.items[0].text for c in cmds] == [
+            "set-logic", "declare-fun", "declare-fun", "declare-fun",
+            "assert", "exit"]
+        assert cmds[0].items[1].text == "UFLIA"
+        eq = cmds[4].items[1]
         # right-hand side of the equality is ((g 1) 2)
         rhs = eq.items[2]
         assert rhs == tree("((g 1) 2)")
 
     def test_second_program(self):
         cmds = parse_script((DATA / "program2.smt2").read_text())
-        assertion = next(c for c in cmds if isinstance(c, CAssert))
-        lhs = assertion.term.items[1]
+        assertion = next(c for c in cmds if c.items[0].text == "assert")
+        lhs = assertion.items[1].items[1]
         lam = lhs.items[0]
         assert lam.items[0].text == "lambda"
         assert [b.items[0].text for b in lam.items[1].items] == ["f", "x"]
@@ -207,8 +208,8 @@ class TestParseScript:
 
     def test_unknown_command_preserved(self):
         cmds = parse_script("(check-sat)")
-        assert cmds[0].text == "(check-sat)"
-        assert surface.print_command(cmds[0]) == "(check-sat)"
+        assert cmds == [tree("(check-sat)")]
+        assert surface.print_script(cmds) == "(check-sat)\n"
 
     def test_error_position(self):
         with pytest.raises(ParseError) as e:
@@ -250,6 +251,9 @@ class TestPrint:
         texts += ["(declare-fun x () Int)\n"
                   "(assert (= (lambda ((y Int)) let y) (lambda ((y Int)) y)))",
                   "(assert (= (lambda ((y Int)) as y Int) (lambda ((y Int)) y)))"]
+        # commands that are rewritten into canonical form
+        texts.append("(declare-sort U 01)(declare-const c U)"
+                     "(define-fun h () U c)(check-sat)(exit)")
         for text in texts:
             cmds = _outcome(parse_script, text)
             if isinstance(cmds, tuple):
@@ -260,10 +264,13 @@ class TestPrint:
 
 
 def _printed_parts(text):
-    """(reader, s-expression) for each sort and term of a script printed by
-    `parse`, and each :conclusion and define body of a certificate."""
+    """(reader, s-expression) for each command, sort and term of a script
+    printed by `parse`, and each declaration, :conclusion and define body
+    of a certificate."""
     for e in sexpr.parse_text(text):
         word, *rest = e.items
+        if word.text not in ("context", "define", "step"):
+            yield command_from_sexpr, e
         if word.text == "assert":
             yield term_from_sexpr, rest[0]
         elif word.text == "declare-fun":

@@ -18,6 +18,7 @@ from hosmt.certprinter import print_term
 from hosmt.context import EMPTY
 from hosmt.core import (App, BOOL, Const, Fun, INT, Lam, Let, Quant, alpha_eq,
                         eq_term, fresh_var)
+from hosmt.sexpr import SList, sexpr_to_str
 
 from conftest import DATA, best_times, recursion_limit
 
@@ -170,10 +171,10 @@ class TestCommands:
             asserts = iter(checked.asserts)
             lines = []
             for c in checked.commands:
-                if isinstance(c, surface.CAssert):
+                if c.items[0].text == "assert":
                     t = processor.process(next(asserts), checked.signature).term
-                    c = surface.CAssert(print_ref.erase(t))
-                lines.append(surface.print_command(c) + "\n")
+                    c = SList((c.items[0], print_ref.erase(t)))
+                lines.append(sexpr_to_str(c) + "\n")
             assert _cli("process", str(path)) == "".join(lines), name
 
     def test_erase_equals_reference(self, scripts):

@@ -84,5 +84,6 @@ def test_outputs_digest_is_stable():
         assert done.returncode == 0, done.stdout + done.stderr
     lines = runs[0].stdout.splitlines()
     assert [l.split(":")[0] for l in lines] == ["forall", "let", "batch",
-                                                "data", "edits", "all"]
+                                                "data", "edits", "commands",
+                                                "all"]
     assert runs[1].stdout.splitlines() == lines
