@@ -25,11 +25,20 @@ malformed or clashing command.  Each script goes through the calls above,
 and its declarations, with some of its other commands, as the preamble of
 a one-step certificate through `verify --oracle`.
 
+The `rules` family covers the binder rules and choice terms, which no
+input above uses.  Fixed certificates hold `sko_ex` and `sko_all` steps
+(choice terms in their mappings), `inst_forall` and `inst_exists` steps
+and `bind` steps over lambda, forall and exists; two are rejected.  Each
+certificate and, for each seed, MUTANTS_PER_CERT seeded
+`mutate.random_text_mutation` mutants of it go through `verify --oracle`.
+Fixed scripts that assert lambda, exists and eps terms go through the
+calls above.
+
 Every call contributes its stdout, stderr and exit code.  The inputs are
 copied into a temporary directory and named relative to it, since file
 names appear in messages: the digest does not depend on where the checkout
 lives.  One digest is printed per family (forall, let, batch, data, edits,
-commands) and one over everything:
+commands, rules) and one over everything:
 
     python3 scripts/outputs_digest.py --seeds 1 2 3
 """
@@ -50,6 +59,7 @@ sys.path[:0] = [str(ROOT / d) for d in ("src", "tests", "bench")
                 if str(ROOT / d) not in sys.path]
 
 import gen  # noqa: E402
+import mutate  # noqa: E402
 import workloads  # noqa: E402
 from hosmt import certprinter, cli, core  # noqa: E402
 
@@ -92,6 +102,72 @@ ODD = ("(declare-sort U 1)", "(declare-fun = (Int Int) Bool)",
        "(declare-fun 01 () Int)", "(declare-sort V 1.0)", "(declare-const e)",
        "(define-fun e () Int)", "(declare-const e Q)", "(set-logic)",
        "(exit 0)", "(assert)", "(assert a)")
+
+
+# certificates over the binder rules, in the named form of `process
+# --proof` so that the text mutations apply; the last two are rejected,
+# each for a step whose sides differ only in a binder's kind
+_RULE_DECLS = ("(declare-fun p (Int) Bool)\n(declare-fun f (Int) Int)\n"
+               "(declare-fun a () Int)\n")
+RULE_CERTS = {
+    "sko_ex": """(define @e (eps ((x Int)) (p x)))
+(context c1 () (map (x @e)))
+(define @t1 (p x))
+(define @t2 (p @e))
+(step s1 :rule refl :context c1 :conclusion (= @t1 @t2))
+(step s2 :rule sko_ex :premises (s1) :conclusion (= (exists ((x Int)) @t1) @t2))
+""",
+    "sko_all": """(define @e (eps ((x Int)) (not (p (f x)))))
+(context c1 () (map (x @e)))
+(context c2 c1 (map (y @e)))
+(step s1 :rule refl :context c2 :conclusion (= (f y) (f @e)))
+(define @t1 (p (f x)))
+(define @t2 (p (f @e)))
+(step s2 :rule refl :context c1 :conclusion (= @t1 @t2))
+(step s3 :rule sko_all :premises (s2) :conclusion (= (forall ((x Int)) @t1) @t2))
+""",
+    "inst": """(define @t1 (forall ((x Int)) (p (f x))))
+(define @t2 (exists ((y Int)) (p y)))
+(step s1 :rule inst_forall :binding ((x a)) :conclusion (=> @t1 (p (f a))))
+(step s2 :rule inst_exists :binding ((y (f a))) :conclusion (=> (p (f a)) @t2))
+(step s3 :rule inst_forall :binding ((x (f a))) :conclusion (=> @t1 (p (f (f a)))))
+(step s4 :rule inst_exists :binding ((y a)) :conclusion (=> (p a) @t2))
+""",
+    "bind": """(context c1 () (fix w Int))
+(context c2 c1 (map (x w)))
+(define @t1 (f x))
+(define @t2 (f w))
+(step s1 :rule refl :context c2 :conclusion (= @t1 @t2))
+(step s2 :rule bind :premises (s1) :conclusion (= (lambda ((x Int)) @t1) (lambda ((w Int)) @t2)))
+(define @t3 (p @t1))
+(define @t4 (p @t2))
+(step s3 :rule refl :context c2 :conclusion (= p p))
+(step s4 :rule cong :premises (s3 s1) :context c2 :conclusion (= @t3 @t4))
+(step s5 :rule bind :premises (s4) :conclusion (= (forall ((x Int)) @t3) (forall ((w Int)) @t4)))
+(step s6 :rule bind :premises (s4) :conclusion (= (exists ((x Int)) @t3) (exists ((w Int)) @t4)))
+""",
+    "bind_kinds": """(context c1 () (fix w Int))
+(context c2 c1 (map (x w)))
+(step s1 :rule refl :context c2 :conclusion (= (p x) (p w)))
+(step s2 :rule bind :premises (s1) :conclusion (= (forall ((x Int)) (p x)) (exists ((w Int)) (p w))))
+""",
+    "refl_kinds": """(define @t1 (p x))
+(step s1 :rule refl :conclusion (= (forall ((x Int)) @t1) (forall ((x Int)) @t1)))
+(step s2 :rule refl :conclusion (= (forall ((x Int)) @t1) (exists ((x Int)) @t1)))
+""",
+}
+RULE_SCRIPTS = {
+    "binders": _RULE_DECLS + """(assert (exists ((x Int)) (p ((lambda ((y Int)) (f y)) x))))
+(assert (= (lambda ((x Int)) (f x)) (lambda ((y Int)) ((lambda ((z Int)) (f z)) y))))
+(assert (forall ((x Int)) (exists ((y Int)) (= ((lambda ((z Int)) (f z)) x) y))))
+""",
+    "eps": _RULE_DECLS + """(assert (p a))
+  (assert (p (eps ((x Int)) (p (f x)))))
+""",
+    "eps_under_binder": _RULE_DECLS + """(assert (forall ((x Int)) (= x (eps ((y Int)) (= y (f x))))))
+""",
+}
+MUTANTS_PER_CERT = 4  # per seed
 
 
 def run(*argv):
@@ -196,7 +272,8 @@ def write_inputs(seeds, work):
     """{family: input file names}: the workload scripts, the files under
     tests/data and the command scripts and their certificates, written to
     `work`."""
-    inputs = {f: [] for f in (*FAMILIES, "data", "edits", "commands")}
+    inputs = {f: [] for f in (*FAMILIES, "data", "edits", "commands",
+                              "rules")}
     for seed in seeds:
         for family in FAMILIES:
             name = f"{family}-{seed}.smt2"
@@ -217,6 +294,22 @@ def write_inputs(seeds, work):
             (work / cert).write_text(_join(rng, [
                 *preamble, "(step s1 :rule refl :conclusion (= true true))"]))
             inputs["commands"] += [script, cert]
+    for name, body in RULE_CERTS.items():
+        text = _RULE_DECLS + body
+        cert = f"rules-{name}.hoproof"
+        (work / cert).write_text(text)
+        inputs["rules"].append(cert)
+        for seed in seeds:
+            for k in range(MUTANTS_PER_CERT):
+                rng = random.Random(f"rules-{name}-{seed}-{k}")
+                mutant = mutate.random_text_mutation(text, rng)
+                if mutant is not None:
+                    cert = f"rules-{name}-{seed}-{k}.hoproof"
+                    (work / cert).write_text(mutant[1])
+                    inputs["rules"].append(cert)
+    for name, script in RULE_SCRIPTS.items():
+        (work / f"rules-{name}.smt2").write_text(script)
+        inputs["rules"].append(f"rules-{name}.smt2")
     return inputs
 
 

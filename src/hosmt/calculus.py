@@ -58,9 +58,8 @@ only reads, or only writes, certificates compiles one of them.
 
 from . import core
 from .context import Fix, Map, apply_context, contexts_equal, fixes
-from .core import (App, Const, Lam, Let, Quant, Var, alpha_eq,
-                   beta_normal_form, binder_parts, free_vars,
-                   make_binder, not_term, sort_of, substitute)
+from .core import (App, Binder, Const, Let, Var, alpha_eq, beta_normal_form,
+                   free_vars, not_term, sort_of, substitute)
 from .nodes import Record
 from .sexpr import ParseError
 
@@ -251,17 +250,17 @@ def _check_bind(step, premises, max_steps):
     if not (isinstance(img, Var) and img.id == y.id):
         raise ValueError("premise mapping must send the bound variable to "
                          "the fixed one")
-    bl = binder_parts(c.lhs)
-    br = binder_parts(c.rhs)
-    if bl is None or br is None or bl[0] != br[0] or bl[0] not in core.BIND_KINDS:
+    lhs, rhs = c.lhs, c.rhs
+    if not (isinstance(lhs, Binder) and isinstance(rhs, Binder)
+            and lhs.kind == rhs.kind and lhs.kind in core.BIND_KINDS):
         raise ValueError("conclusion sides must share a forall/exists/lambda binder")
-    if not alpha_eq(make_binder(bl[0], x, p.lhs), c.lhs):
+    if not alpha_eq(Binder(lhs.kind, x, p.lhs), lhs):
         raise ValueError("left side does not rebind the premise's left term")
-    if not alpha_eq(make_binder(bl[0], y, p.rhs), c.rhs):
+    if not alpha_eq(Binder(lhs.kind, y, p.rhs), rhs):
         raise ValueError("right side does not rebind the premise's right term")
-    if y.id in free_vars(c.lhs):
+    if y.id in free_vars(lhs):
         raise ValueError(f"side condition violated: {y.name} occurs free in "
-                         f"{_pc(c.lhs)}")
+                         f"{_pc(lhs)}")
 
 
 def _check_beta(step, premises, max_steps):
@@ -271,11 +270,12 @@ def _check_beta(step, premises, max_steps):
     (x, s), = mapping.pairs
     if not alpha_eq(s, p1.rhs):
         raise ValueError("mapped term does not match the first premise's right side")
-    if not (isinstance(c.lhs, App) and isinstance(c.lhs.fn, Lam)):
+    if not (isinstance(c.lhs, App) and isinstance(c.lhs.fn, Binder)
+            and c.lhs.fn.kind == "lambda"):
         raise ValueError("conclusion left side must be a beta-redex")
     if not alpha_eq(c.lhs.arg, p1.lhs):
         raise ValueError("redex argument does not match the first premise's left side")
-    if not alpha_eq(c.lhs.fn, Lam(x, p2.lhs)):
+    if not alpha_eq(c.lhs.fn, Binder("lambda", x, p2.lhs)):
         raise ValueError("redex body does not match the second premise's left side")
     if not alpha_eq(c.rhs, p2.rhs):
         raise ValueError("conclusion right side does not match the second premise")
@@ -307,9 +307,9 @@ def _check_sko(step, premises, max_steps):
     (mapping,) = _appended(c, p, 1)
     (x, img), = mapping.pairs
     forall = step.rule == "sko_all"
-    if not alpha_eq(img, Quant("eps", x, not_term(p.lhs) if forall else p.lhs)):
+    if not alpha_eq(img, Binder("eps", x, not_term(p.lhs) if forall else p.lhs)):
         raise ValueError("mapped term is not the matching choice term")
-    if not alpha_eq(c.lhs, Quant("forall" if forall else "exists", x, p.lhs)):
+    if not alpha_eq(c.lhs, Binder("forall" if forall else "exists", x, p.lhs)):
         raise ValueError("conclusion left side does not quantify the premise's "
                          "left term")
     if not alpha_eq(c.rhs, p.rhs):
@@ -337,10 +337,9 @@ def _check_inst(step, premises, max_steps):
         raise ValueError("lemma must be an implication")
     kind = "forall" if step.rule == "inst_forall" else "exists"
     quant_side, inst_side = (f.fn.arg, f.arg) if kind == "forall" else (f.arg, f.fn.arg)
-    bp = binder_parts(quant_side)
-    if bp is None or bp[0] != kind:
+    if not (isinstance(quant_side, Binder) and quant_side.kind == kind):
         raise ValueError(f"lemma lacks a {kind} on the quantified side")
-    _, x, body = bp
+    x = quant_side.var
     if len(step.binding) != 1:
         raise ValueError("binding must name exactly one variable")
     name, t = step.binding[0]
@@ -348,7 +347,7 @@ def _check_inst(step, premises, max_steps):
         raise ValueError(f"binding names {name}, the quantifier binds {x.name}")
     if sort_of(t) != x.sort:
         raise ValueError("instantiation term has the wrong sort")
-    if not alpha_eq(inst_side, substitute(body, {x.id: t})):
+    if not alpha_eq(inst_side, substitute(quant_side.body, {x.id: t})):
         raise ValueError("instance side is not the substituted body")
 
 

@@ -17,7 +17,7 @@ import itertools
 from . import core, typecheck
 from .calculus import EqJudgment
 from .context import EMPTY, Fix, Map, move
-from .core import App, Const, Var, binder_parts, const_names, free_vars
+from .core import App, Binder, Const, Var, const_names, free_vars
 from .nodes import Scope
 from .sexpr import quote
 
@@ -186,13 +186,13 @@ class _Printer:
                         break
                 todo.append(t)
                 continue
-            bp = binder_parts(t)
-            if bp is not None:
-                kind, v, body = bp
-                name = self.pick(v, body, (v.id,))
-                out.append(f"({kind} (({quote(name)} {core.sort_str(v.sort)})) ")
+            if kind is Binder:
+                v = t.var
+                name = self.pick(v, t.body, (v.id,))
+                out.append(f"({t.kind} (({quote(name)} "
+                           f"{core.sort_str(v.sort)})) ")
                 self.bind(((v, name),))
-                todo += (")", (self.unbind,), body)
+                todo += (")", (self.unbind,), t.body)
                 continue
             bound = {v.id for v, _ in t.bindings}
             taken, pairs, seq = set(), [], []

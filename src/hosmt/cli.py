@@ -79,8 +79,11 @@ def _run_process(path, args, out, err):
             term = checked.asserts[n - 1]
             # no assertion uses another's contexts: drop the cached ones
             context.context_subst.cache_clear()
-            result = processor.process(term, checked.signature,
-                                       max_steps=args.max_steps)
+            try:
+                result = processor.process(term, checked.signature,
+                                           max_steps=args.max_steps)
+            except ValueError as e:  # a term under a choice binder
+                raise SourceError(str(e), c.line, c.col, name) from None
             out.write(f"(assert {certprinter.print_term(result.term)})\n")
             if args.proof:
                 # printed before the file is opened, so that a failure

@@ -3,7 +3,9 @@
 Terms are immutable; applications are binary (curried) and every bound
 variable carries a globally unique numeric id, which makes alpha-equivalence
 and capture-avoiding substitution mechanical.  Formulas are terms of sort
-Bool.
+Bool.  One node, `Binder(kind, var, body)`, stands for every binder: its
+kind is one of `surface.BINDER_WORDS`, and alpha-equal binders have the
+same kind.
 
 Sorts and terms are hash-consed (`nodes.Interned`): a constructor returns
 the one live node with those fields, so `==` on sorts and terms is
@@ -77,12 +79,9 @@ class App(Term):
     __slots__ = ("fn", "arg")
 
 
-class Lam(Term):
-    __slots__ = ("var", "body")
-
-
-class Quant(Term):
-    __slots__ = ("kind", "var", "body")  # kind: "forall" | "exists" | "eps"
+class Binder(Term):
+    # kind: one of surface.BINDER_WORDS
+    __slots__ = ("kind", "var", "body")
 
 
 class Let(Term):
@@ -90,7 +89,6 @@ class Let(Term):
     __slots__ = ("bindings", "body")
 
 
-QUANT_KINDS = ("forall", "exists", "eps")
 # binder kinds the Bind rule ranges over
 BIND_KINDS = ("lambda", "forall", "exists")
 
@@ -107,23 +105,6 @@ def fresh_var(hint, sort):
     return Var(next(_counter), hint, sort)
 
 
-def make_binder(kind, var, body):
-    if kind == "lambda":
-        return Lam(var, body)
-    if kind in QUANT_KINDS:
-        return Quant(kind, var, body)
-    raise ValueError(f"unknown binder kind {kind!r}")
-
-
-def binder_parts(t):
-    """(kind, var, body) for binder nodes, else None."""
-    if isinstance(t, Lam):
-        return ("lambda", t.var, t.body)
-    if isinstance(t, Quant):
-        return (t.kind, t.var, t.body)
-    return None
-
-
 def sort_of(t):
     if isinstance(t, (Var, Const)):
         return t.sort
@@ -132,9 +113,9 @@ def sort_of(t):
         if not isinstance(fs, Fun):
             raise ValueError(f"applying a term of non-functional sort {sort_str(fs)}")
         return fs.cod
-    if isinstance(t, Lam):
-        return Fun(t.var.sort, sort_of(t.body))
-    if isinstance(t, Quant):
+    if isinstance(t, Binder):
+        if t.kind == "lambda":
+            return Fun(t.var.sort, sort_of(t.body))
         return t.var.sort if t.kind == "eps" else BOOL
     if isinstance(t, Let):
         return sort_of(t.body)
@@ -154,7 +135,7 @@ def subterms(t):
         yield u
         if isinstance(u, App):
             todo += (u.arg, u.fn)
-        elif isinstance(u, (Lam, Quant)):
+        elif isinstance(u, Binder):
             todo += (u.body, u.var)
         elif isinstance(u, Let):
             todo.append(u.body)
@@ -165,7 +146,7 @@ def subterms(t):
 def _children(t):
     if isinstance(t, App):
         return (t.fn, t.arg)
-    if isinstance(t, (Lam, Quant)):
+    if isinstance(t, Binder):
         return (t.body,)
     if isinstance(t, Let):
         return (*(img for _, img in t.bindings), t.body)
@@ -207,7 +188,7 @@ def _fv(u, kids):
     out = _NONE
     for k in kids:
         out = _union(out, k)
-    if isinstance(u, (Lam, Quant)):
+    if isinstance(u, Binder):
         return out - {u.var.id} if u.var.id in out else out
     if isinstance(u, Let):
         bound = {v.id for v, _ in u.bindings}
@@ -267,13 +248,11 @@ def _alpha(s, t, ms, mt, depth):
     if isinstance(s, App) and isinstance(t, App):
         return (_alpha(s.fn, t.fn, ms, mt, depth)
                 and _alpha(s.arg, t.arg, ms, mt, depth))
-    bs = binder_parts(s)
-    bt = binder_parts(t)
-    if bs is not None and bt is not None:
-        (ks, vs, bodys), (kt, vt, bodyt) = bs, bt
-        if ks != kt or vs.sort != vt.sort:
+    if isinstance(s, Binder) and isinstance(t, Binder):
+        vs, vt = s.var, t.var
+        if s.kind != t.kind or vs.sort != vt.sort:
             return False
-        return _alpha(bodys, bodyt,
+        return _alpha(s.body, t.body,
                       {**ms, vs.id: depth}, {**mt, vt.id: depth}, depth + 1)
     if isinstance(s, Let) and isinstance(t, Let):
         if len(s.bindings) != len(t.bindings):
@@ -297,8 +276,8 @@ def _app(t, fn, arg):
     return t if fn is t.fn and arg is t.arg else App(fn, arg)
 
 
-def _rebind(t, kind, var, body):
-    return t if body is t.body and var is t.var else make_binder(kind, var, body)
+def _rebind(t, body):
+    return t if body is t.body else Binder(t.kind, t.var, body)
 
 
 def _relet(t, pairs, body):
@@ -340,14 +319,13 @@ def _subst(t, sigma):
         return t
     if isinstance(t, App):
         return _app(t, _subst(t.fn, sigma), _subst(t.arg, sigma))
-    bp = binder_parts(t)
-    if bp is not None:
-        kind, v, body = bp
+    if isinstance(t, Binder):
+        v = t.var
         sigma = _without(sigma, (v.id,))
         if _captures(v.id, fv, sigma):
             v2 = fresh_var(v.name, v.sort)
-            return make_binder(kind, v2, _subst(body, {**sigma, v.id: v2}))
-        return _rebind(t, kind, v, _subst(body, sigma))
+            return Binder(t.kind, v2, _subst(t.body, {**sigma, v.id: v2}))
+        return _rebind(t, _subst(t.body, sigma))
     if isinstance(t, Let):
         pairs = [(v, _subst(img, sigma)) for v, img in t.bindings]
         inner = _without(sigma, [v.id for v, _ in t.bindings])
@@ -382,7 +360,7 @@ def beta_normal_form(t, max_steps=DEFAULT_STEP_CAP):
     def whnf(u):
         while isinstance(u, App):
             f = whnf(u.fn)
-            if isinstance(f, Lam):
+            if type(f) is Binder and f.kind == "lambda":
                 spend()
                 u = substitute(f.body, {f.var.id: u.arg})
             else:
@@ -395,10 +373,8 @@ def beta_normal_form(t, max_steps=DEFAULT_STEP_CAP):
             return u
         if isinstance(u, App):
             return _app(u, nf(u.fn), nf(u.arg))
-        bp = binder_parts(u)
-        if bp is not None:
-            kind, v, body = bp
-            return _rebind(u, kind, v, nf(body))
+        if isinstance(u, Binder):
+            return _rebind(u, nf(u.body))
         if isinstance(u, Let):
             return _relet(u, [(v, nf(img)) for v, img in u.bindings], nf(u.body))
         raise TypeError(f"not a core term: {u!r}")
@@ -412,10 +388,8 @@ def expand_lets(t):
         return t
     if isinstance(t, App):
         return _app(t, expand_lets(t.fn), expand_lets(t.arg))
-    bp = binder_parts(t)
-    if bp is not None:
-        kind, v, body = bp
-        return _rebind(t, kind, v, expand_lets(body))
+    if isinstance(t, Binder):
+        return _rebind(t, expand_lets(t.body))
     if isinstance(t, Let):
         body = expand_lets(t.body)
         sigma = {v.id: expand_lets(img) for v, img in t.bindings}

@@ -16,9 +16,8 @@ from collections import namedtuple
 from . import core
 from .calculus import Certificate, EqJudgment, LemmaFormula, ProofStep
 from .context import EMPTY, apply_context, fixes
-from .core import (App, Applied, Atom, Const, DivergenceError, Fun, Lam, Let,
-                   Quant, Var, binder_parts, fresh_var,
-                   implies_term, make_binder, sort_of, substitute)
+from .core import (App, Applied, Atom, Binder, Const, DivergenceError, Let,
+                   Var, fresh_var, implies_term, sort_of, substitute)
 from .typecheck import ARITH_SYMBOLS, CORE_SYMBOLS, Signature
 
 
@@ -95,20 +94,18 @@ class _Processor:
         # a leaf, or a term the context leaves alone and that holds no
         # binder and no let: one refl
         if isinstance(t, (Var, Const)) or (fixes(ctx, t) and not any(
-                isinstance(s, (Lam, Quant, Let)) for s in core.subterms(t))):
+                isinstance(s, (Binder, Let)) for s in core.subterms(t))):
             u = apply_context(ctx, t)
             return self.emit("refl", (), ctx, t, u), u
         if isinstance(t, App):
             return self._app(ctx, t)
-        bp = binder_parts(t)
-        if bp is not None:
-            kind, x, body = bp
-            if kind == "eps":
+        if isinstance(t, Binder):
+            if t.kind == "eps":
                 raise ValueError("cannot process a term under a choice binder")
-            y = fresh_var(self.fresh_name(), x.sort)
-            ctx2 = ctx.fix(y).map([(x, y)])
-            s, b2 = self.run(ctx2, body)
-            u = make_binder(kind, y, b2)
+            y = fresh_var(self.fresh_name(), t.var.sort)
+            ctx2 = ctx.fix(y).map([(t.var, y)])
+            s, b2 = self.run(ctx2, t.body)
+            u = Binder(t.kind, y, b2)
             return self.emit("bind", (s.id,), ctx, t, u), u
         if isinstance(t, Let):
             val_ids = []
@@ -123,16 +120,17 @@ class _Processor:
         raise TypeError(f"not a core term: {t!r}")
 
     def _app(self, ctx, t):
-        if isinstance(t.fn, Lam):
+        f = t.fn
+        if type(f) is Binder and f.kind == "lambda":
             s1, v2 = self.run(ctx, t.arg)
-            ctx2 = ctx.map([(t.fn.var, v2)])
-            s2, u = self.run(ctx2, t.fn.body)
+            ctx2 = ctx.map([(f.var, v2)])
+            s2, u = self.run(ctx2, f.body)
             self.spend()
             return self.emit("beta", (s1.id, s2.id), ctx, t, u), u
-        s1, f2 = self.run(ctx, t.fn)
+        s1, f2 = self.run(ctx, f)
         s2, a2 = self.run(ctx, t.arg)
         cong = self.emit("cong", (s1.id, s2.id), ctx, t, App(f2, a2))
-        if not isinstance(f2, Lam):
+        if not (type(f2) is Binder and f2.kind == "lambda"):
             return cong, App(f2, a2)
         # the processed head became a lambda-abstraction: reduce the new
         # redex with a beta step and chain the two with trans
@@ -160,16 +158,17 @@ _inst_ids = itertools.count(1)
 
 
 def _instantiate(phi, t, kind):
-    bp = binder_parts(phi)
-    if bp is None or bp[0] != kind:
+    if not (isinstance(phi, Binder) and phi.kind == kind):
         article = "a universal" if kind == "forall" else "an existential"
-        raise ValueError(f"not {article}: {_kind_str(phi)}")
-    _, x, body = bp
+        found = (phi.kind if isinstance(phi, Binder)
+                 else type(phi).__name__.lower())
+        raise ValueError(f"not {article}: a {found} term")
+    x = phi.var
     if sort_of(t) != x.sort:
         raise ValueError(
             f"instantiation term has sort {core.sort_str(sort_of(t))}, "
             f"expected {core.sort_str(x.sort)}")
-    inst = substitute(body, {x.id: t})
+    inst = substitute(phi.body, {x.id: t})
     if kind == "forall":
         formula = implies_term(phi, inst)
         rule = "inst_forall"
@@ -179,13 +178,6 @@ def _instantiate(phi, t, kind):
     step = ProofStep(f"i{next(_inst_ids)}", rule, (), LemmaFormula(formula),
                      binding=((x.name, t),))
     return LemmaFormula(formula), step
-
-
-def _kind_str(t):
-    bp = binder_parts(t)
-    if bp is not None:
-        return f"a {bp[0]} term"
-    return f"a {type(t).__name__.lower()} term"
 
 
 def instantiate_forall(phi, t):

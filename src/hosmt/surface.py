@@ -249,7 +249,11 @@ def command_from_sexpr(e, filename="<input>"):
                              e.line, e.col, filename)
         _expect_symbol(items[1], "sort name", filename)
         arity = items[2]
-        digits = str(int(arity.text))  # leading zeros dropped
+        try:
+            digits = str(int(arity.text))  # leading zeros dropped
+        except ValueError:  # past the interpreter's limit on digits
+            raise ParseError("declare-sort arity has too many digits",
+                             arity.line, arity.col, filename) from None
         return _keep(e, (head, items[1], arity if arity.text == digits else
                          Token(NUMERAL, digits, arity.line, arity.col)))
     if word == "declare-fun":

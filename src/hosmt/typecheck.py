@@ -7,8 +7,8 @@ pass.  Core terms print through `hosmt.certprinter`.
 """
 
 from . import core, surface
-from .core import (Applied, Atom, BOOL, Const, Fun, INT, REAL,
-                   Lam, Let, Quant, fresh_var, fun_sort, sort_str)
+from .core import (Applied, Atom, BOOL, Binder, Const, Fun, INT, REAL, Let,
+                   fresh_var, fun_sort, sort_str)
 from .nodes import Record, Scope
 from .sexpr import DECIMAL, NUMERAL, SYMBOL, SourceError, Token
 from .surface import BINDER_WORDS
@@ -56,7 +56,8 @@ class Signature(Record):
         return Signature(dict(self.symbols), dict(self.sorts))
 
     def declare_sort(self, name, arity, pos=(0, 0), filename="<input>"):
-        if name in self.sorts:
+        # (-> ...) is always the arrow (`normalize_sort`), never a declaration
+        if name in self.sorts or name == "->":
             raise SortError(f"sort {name} declared twice", *pos, filename)
         self.sorts[name] = arity
 
@@ -195,18 +196,15 @@ def infer_sort(env, t):
             body, bs = infer_sort(env, items[2])
         finally:
             env.scope.unbind()
-        if word == "lambda":
-            for v in reversed(vars_):
-                body = Lam(v, body)
-                bs = Fun(v.sort, bs)
-            return body, bs
-        if bs != BOOL:
+        if word != "lambda" and bs != BOOL:
             raise SortError(f"{word} body has sort {sort_str(bs)}, expected "
                             "Bool", t.line, t.col, f)
         for v in reversed(vars_):
-            body = Quant(word, v, body)
-        # eps: the sort of the chosen witness
-        return body, (vars_[0].sort if word == "eps" else BOOL)
+            body = Binder(word, v, body)
+            # eps: the sort of the chosen witness
+            bs = (Fun(v.sort, bs) if word == "lambda"
+                  else v.sort if word == "eps" else BOOL)
+        return body, bs
     if word == "let":
         pairs = []
         for b in items[1].items:

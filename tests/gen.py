@@ -3,7 +3,7 @@ contexts over a small fixed signature."""
 
 import random
 
-from hosmt.core import (App, BOOL, Const, Fun, INT, Lam, Let, Quant, Var,
+from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, Var,
                         free_vars, fresh_var, subterms)
 from hosmt.context import EMPTY
 
@@ -31,7 +31,7 @@ def _leaf(rng, sort, env):
         return rng.choice(pool)
     if isinstance(sort, Fun):
         x = fresh_var(rng.choice("xyz"), sort.dom)
-        return Lam(x, _leaf(rng, sort.cod, env + [x]))
+        return Binder("lambda", x, _leaf(rng, sort.cod, env + [x]))
     # sorts outside the signature's reach never occur for BASE_SORTS
     return rng.choice(pool)
 
@@ -51,7 +51,8 @@ def gen_term(rng, sort, depth, env=None):
         return App(fn, arg)
     if roll < 0.6 and isinstance(sort, Fun):
         x = fresh_var(rng.choice("xyz"), sort.dom)
-        return Lam(x, gen_term(rng, sort.cod, depth - 1, env + [x]))
+        return Binder("lambda", x,
+                      gen_term(rng, sort.cod, depth - 1, env + [x]))
     if roll < 0.75:
         n = rng.choice((1, 1, 2))
         pairs = []
@@ -64,16 +65,17 @@ def gen_term(rng, sort, depth, env=None):
     if sort == BOOL and roll < 0.9:
         s = rng.choice(BASE_SORTS)
         x = fresh_var(rng.choice("xyz"), s)
-        return Quant(rng.choice(("forall", "exists")), x,
-                     gen_term(rng, BOOL, depth - 1, env + [x]))
+        return Binder(rng.choice(("forall", "exists")), x,
+                      gen_term(rng, BOOL, depth - 1, env + [x]))
     if isinstance(sort, Fun):
         x = fresh_var(rng.choice("xyz"), sort.dom)
-        return Lam(x, gen_term(rng, sort.cod, depth - 1, env + [x]))
+        return Binder("lambda", x,
+                      gen_term(rng, sort.cod, depth - 1, env + [x]))
     # force a redex so beta paths get exercised
     dom = rng.choice(BASE_SORTS)
     x = fresh_var("r", dom)
     body = gen_term(rng, sort, depth - 1, env + [x])
-    return App(Lam(x, body), gen_term(rng, dom, depth - 1, env))
+    return App(Binder("lambda", x, body), gen_term(rng, dom, depth - 1, env))
 
 
 def gen_closed(rng, depth=5):

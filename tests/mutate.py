@@ -11,7 +11,7 @@ import re
 
 from hosmt.calculus import Certificate, EqJudgment, ProofStep
 from hosmt.context import Context
-from hosmt.core import (App, Const, Lam, Let, Quant, Var, alpha_eq,
+from hosmt.core import (App, Binder, Const, Let, Var, alpha_eq,
                         free_vars, fresh_var, sort_of, subterms)
 
 
@@ -20,7 +20,7 @@ def _count_leaves(t):
         return 1
     if isinstance(t, App):
         return _count_leaves(t.fn) + _count_leaves(t.arg)
-    if isinstance(t, (Lam, Quant)):
+    if isinstance(t, Binder):
         return _count_leaves(t.body)
     if isinstance(t, Let):
         return (sum(_count_leaves(i) for _, i in t.bindings)
@@ -40,10 +40,8 @@ def _replace_leaf(t, k):
             return u
         if isinstance(u, App):
             return App(go(u.fn), go(u.arg))
-        if isinstance(u, Lam):
-            return Lam(u.var, go(u.body))
-        if isinstance(u, Quant):
-            return Quant(u.kind, u.var, go(u.body))
+        if isinstance(u, Binder):
+            return Binder(u.kind, u.var, go(u.body))
         if isinstance(u, Let):
             return Let(tuple((v, go(i)) for v, i in u.bindings), go(u.body))
         return u

@@ -16,7 +16,7 @@ Nameless terms are plain tuples:
     ("t", (img, ...), body)   let (simultaneous, non-recursive)
 """
 
-from hosmt.core import (App, Const, Lam, Let, Quant, Var, sort_str)
+from hosmt.core import (App, Binder, Const, Let, Var, sort_str)
 
 
 def to_db(t, bound=()):
@@ -29,9 +29,9 @@ def to_db(t, bound=()):
         return ("c", t.name)
     if isinstance(t, App):
         return ("a", to_db(t.fn, bound), to_db(t.arg, bound))
-    if isinstance(t, Lam):
+    if isinstance(t, Binder) and t.kind == "lambda":
         return ("l", sort_str(t.var.sort), to_db(t.body, (t.var.id,) + bound))
-    if isinstance(t, Quant):
+    if isinstance(t, Binder):
         return ("q", t.kind, sort_str(t.var.sort),
                 to_db(t.body, (t.var.id,) + bound))
     if isinstance(t, Let):

@@ -14,9 +14,9 @@ normal forms and subject reduction.
 """
 
 from hosmt.context import Fix
-from hosmt.core import (DEFAULT_STEP_CAP, App, Lam, Let, Quant, alpha_eq,
-                        beta_normal_form, binder_parts, eq_term, expand_lets,
-                        free_vars, fresh_var, make_binder, substitute)
+from hosmt.core import (DEFAULT_STEP_CAP, App, Binder, Let, alpha_eq,
+                        beta_normal_form, eq_term, expand_lets, free_vars,
+                        fresh_var, substitute)
 from hosmt.nodes import Record
 
 
@@ -119,7 +119,7 @@ def reify(m, n):
         u = substitute(u, {y.id: x for x, y in zip(xs, ys)})
     formula = eq_term(t, u)
     for x in reversed(xs):
-        formula = Quant("forall", x, formula)
+        formula = Binder("forall", x, formula)
     return formula
 
 
@@ -128,7 +128,7 @@ def verdict(judgment, max_steps=DEFAULT_STEP_CAP):
     reify, strip the quantifiers, expand lets, normalize and compare."""
     formula = reify(encode_left(judgment.ctx, judgment.lhs),
                     encode_left(judgment.ctx, judgment.rhs))
-    while isinstance(formula, Quant):
+    while isinstance(formula, Binder):
         formula = formula.body
     # formula is (= t u) applied in curried form
     t, u = formula.fn.arg, formula.arg
@@ -140,7 +140,7 @@ def verdict(judgment, max_steps=DEFAULT_STEP_CAP):
 def beta_step(t):
     """Contract the leftmost-outermost beta-redex, or None in normal form."""
     if isinstance(t, App):
-        if isinstance(t.fn, Lam):
+        if isinstance(t.fn, Binder) and t.fn.kind == "lambda":
             return substitute(t.fn.body, {t.fn.var.id: t.arg})
         r = beta_step(t.fn)
         if r is not None:
@@ -149,11 +149,9 @@ def beta_step(t):
         if r is not None:
             return App(t.fn, r)
         return None
-    bp = binder_parts(t)
-    if bp is not None:
-        kind, v, body = bp
-        r = beta_step(body)
-        return None if r is None else make_binder(kind, v, r)
+    if isinstance(t, Binder):
+        r = beta_step(t.body)
+        return None if r is None else Binder(t.kind, t.var, r)
     if isinstance(t, Let):
         for i, (v, img) in enumerate(t.bindings):
             r = beta_step(img)

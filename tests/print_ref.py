@@ -7,8 +7,7 @@ Surface terms are canonical s-expressions (`hosmt.surface`).
 """
 
 from hosmt import core, surface
-from hosmt.core import (Applied, Atom, Const, Fun, INT, Lam, Let, Quant, REAL,
-                        Var)
+from hosmt.core import (Applied, Atom, Binder, Const, Fun, INT, Let, REAL, Var)
 from hosmt.sexpr import DECIMAL, NUMERAL, SYMBOL, SList, Token
 
 
@@ -42,7 +41,7 @@ def _visible_names(t, scope, skip_ids, out):
     elif isinstance(t, core.App):
         _visible_names(t.fn, scope, skip_ids, out)
         _visible_names(t.arg, scope, skip_ids, out)
-    elif isinstance(t, (Lam, Quant)):
+    elif isinstance(t, Binder):
         _visible_names(t.body, scope, skip_ids | {t.var.id}, out)
     elif isinstance(t, Let):
         for _, img in t.bindings:
@@ -94,13 +93,12 @@ def erase(t, scope=None):
             head = head.fn
         spine.reverse()
         return slist(erase(head, scope), *(erase(a, scope) for a in spine))
-    bp = core.binder_parts(t)
-    if bp is not None:
-        kind, v, body = bp
-        name = _pick_name(v, body, scope)
-        inner = erase(body, {**scope, v.id: name})
-        return slist(sym(kind), slist(slist(sym(name),
-                                            sort_to_surface(v.sort))), inner)
+    if isinstance(t, Binder):
+        v = t.var
+        name = _pick_name(v, t.body, scope)
+        inner = erase(t.body, {**scope, v.id: name})
+        return slist(sym(t.kind), slist(slist(sym(name),
+                                              sort_to_surface(v.sort))), inner)
     if isinstance(t, Let):
         taken = set()
         _visible_names(t.body, scope, {v.id for v, _ in t.bindings}, taken)

@@ -10,8 +10,8 @@ from hosmt.calculus import (BETA_THEORY, RULES, CertificateError, EqJudgment,
                             LemmaFormula, ProofStep, check_certificate,
                             check_step, parse_certificate, print_certificate)
 from hosmt.context import EMPTY, apply_context, contexts_equal
-from hosmt.core import (App, BOOL, Const, Fun, INT, Lam, Let, Quant,
-                        alpha_eq, fresh_var, not_term)
+from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, alpha_eq,
+                        fresh_var, not_term)
 from hosmt.sexpr import SourceError
 
 from conftest import DATA
@@ -48,7 +48,7 @@ class TestGolden:
         a = Const("a", INT)
         p = Const("p", Fun(INT, Fun(INT, INT)))
         x = fresh_var("x", INT)
-        lhs = App(Lam(x, App(App(p, x), x)), a)
+        lhs = App(Binder("lambda", x, App(App(p, x), x)), a)
         rhs = App(App(p, a), a)
         assert alpha_eq(c.lhs, lhs) and alpha_eq(c.rhs, rhs)
 
@@ -205,33 +205,33 @@ class TestSko:
     def test_sko_ex(self):
         x, p = self.x, self.p
         body = App(p, x)
-        eps = Quant("eps", x, body)
+        eps = Binder("eps", x, body)
         prem = step("p1", "refl", (), EMPTY.map([(x, eps)]),
                     body, App(p, eps))
         conc = step("c", "sko_ex", ("p1",), EMPTY,
-                    Quant("exists", x, body), App(p, eps))
+                    Binder("exists", x, body), App(p, eps))
         assert check_step(prem, []).status == "ok"
         assert check_step(conc, [prem]).status == "ok"
 
     def test_sko_all(self):
         x, p = self.x, self.p
         body = App(p, x)
-        eps = Quant("eps", x, not_term(body))
+        eps = Binder("eps", x, not_term(body))
         prem = step("p1", "refl", (), EMPTY.map([(x, eps)]),
                     body, App(p, eps))
         conc = step("c", "sko_all", ("p1",), EMPTY,
-                    Quant("forall", x, body), App(p, eps))
+                    Binder("forall", x, body), App(p, eps))
         assert check_step(conc, [prem]).status == "ok"
 
     def test_sko_ex_wrong_witness(self):
         # the mapped term must be the choice term for the body, not its negation
         x, p = self.x, self.p
         body = App(p, x)
-        eps = Quant("eps", x, not_term(body))
+        eps = Binder("eps", x, not_term(body))
         prem = step("p1", "refl", (), EMPTY.map([(x, eps)]),
                     body, App(p, eps))
         conc = step("c", "sko_ex", ("p1",), EMPTY,
-                    Quant("exists", x, body), App(p, eps))
+                    Binder("exists", x, body), App(p, eps))
         r = check_step(conc, [prem])
         assert r.status == "invalid" and "choice term" in r.message
 
@@ -327,28 +327,35 @@ class TestContextExtension:
         self.p = Const("p", Fun(INT, BOOL))
         self.x, self.y, self.w = (fresh_var(n, INT) for n in "xyw")
 
-    @pytest.mark.parametrize("extra, status", ((False, "ok"),
-                                               (True, "invalid")))
-    def test_bind(self, extra, status):
+    @pytest.mark.parametrize("extra, kind, status", (
+        pytest.param(False, "lambda", "ok", id="False-ok"),
+        pytest.param(True, "lambda", "invalid", id="True-invalid"),
+        pytest.param(False, "forall", "invalid", id="forall-invalid")))
+    def test_bind(self, extra, kind, status):
+        # kind: the binder of the right side; the left one is a lambda
         p, x, y = self.p, self.x, self.y
         base = EMPTY.fix(self.w) if extra else EMPTY
         prem = step("p1", "refl", (), base.fix(y).map([(x, y)]),
                     App(p, x), App(p, y))
         conc = step("c", "bind", ("p1",), EMPTY,
-                    Lam(x, App(p, x)), Lam(y, App(p, y)))
+                    Binder("lambda", x, App(p, x)),
+                    Binder(kind, y, App(p, y)))
         assert check_step(prem, []).status == "ok"
-        assert check_step(conc, [prem]).status == status
+        r = check_step(conc, [prem])
+        assert r.status == status
+        assert (kind != "lambda") == ("share a forall/exists/lambda binder"
+                                      in r.message)
 
     @pytest.mark.parametrize("extra, status", ((False, "ok"),
                                                (True, "invalid")))
     def test_sko_ex(self, extra, status):
         p, x = self.p, self.x
         base = EMPTY.fix(self.w) if extra else EMPTY
-        eps = Quant("eps", x, App(p, x))
+        eps = Binder("eps", x, App(p, x))
         prem = step("p1", "refl", (), base.map([(x, eps)]),
                     App(p, x), App(p, eps))
         conc = step("c", "sko_ex", ("p1",), EMPTY,
-                    Quant("exists", x, App(p, x)), App(p, eps))
+                    Binder("exists", x, App(p, x)), App(p, eps))
         r = check_step(conc, [prem])
         assert r.status == status
         assert extra == ("followed by a mapping of 1 variable" in r.message)
@@ -362,7 +369,8 @@ class TestSideConditions:
         y = fresh_var("y", INT)
         prem_ctx = EMPTY.fix(y).map([(x, y)])
         prem = step("p1", "refl", (), prem_ctx, y, y)
-        conc = step("c", "bind", ("p1",), EMPTY, Lam(x, y), Lam(y, y))
+        conc = step("c", "bind", ("p1",), EMPTY, Binder("lambda", x, y),
+                    Binder("lambda", y, y))
         r = check_step(conc, [prem])
         assert r.status == "invalid" and "side condition" in r.message
 
@@ -374,7 +382,8 @@ class TestSideConditions:
         ctx = EMPTY.map([(x, a)])
         p1 = step("p1", "refl", (), ctx, x, x)  # (deliberately bogus shape)
         p2 = step("p2", "refl", (), ctx.map([(z, x)]), z, x)
-        conc = step("c", "beta", ("p1", "p2"), ctx, App(Lam(z, z), x), x)
+        conc = step("c", "beta", ("p1", "p2"), ctx,
+                    App(Binder("lambda", z, z), x), x)
         r = check_step(conc, [p1, p2])
         assert r.status == "invalid" and "side condition" in r.message
 

@@ -216,6 +216,15 @@ class TestProcess:
         code, _, err = run(capsys, "process", "--max-steps", "1", str(src))
         assert code == 3 and "step cap" in err
 
+    def test_choice_binder_error_at_assertion(self, capsys, tmp_path):
+        src = tmp_path / "eps.smt2"
+        src.write_text("(declare-fun p (Int) Bool)\n"
+                       "  (assert (p (eps ((x Int)) (p x))))\n")
+        code, out, err = run(capsys, "process", str(src))
+        assert (code, out) == (1, "(declare-fun p (Int) Bool)\n")
+        assert err == (f"{src}:2:3: error: cannot process a term under a "
+                       "choice binder\n")
+
 
 class TestVerify:
     @pytest.mark.parametrize("name", ("example1.hoproof",
@@ -242,6 +251,15 @@ class TestVerify:
         assert code == 4
         assert err == f"{bad}:{i + 1}:3: invalid: refl step r3: context " \
             "applied to the left side does not match the right side\n"
+
+    def test_binder_kind_is_part_of_alpha_equality(self, capsys, tmp_path):
+        bad = tmp_path / "kinds.hoproof"
+        bad.write_text("(step s1 :rule refl :conclusion "
+                       "(= (forall ((x Bool)) x) (exists ((x Bool)) x)))\n")
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 4
+        assert err == (f"{bad}:1:1: invalid: refl step s1: context applied "
+                       "to the left side does not match the right side\n")
 
     def test_trans_message_quotes_terms(self, capsys, tmp_path):
         # the message prints both middle terms, binders included
@@ -379,8 +397,13 @@ _CLASHES = {
              "1:1: error: symbol true declared twice"),
     "equality": ("(declare-fun a () Int)\n(declare-fun = (Int Int) Bool)\n",
                  "2:1: error: symbol = declared twice"),
+    "arrow": ("(declare-sort -> 2)(declare-fun f () (-> Int Int))\n",
+              "1:1: error: sort -> declared twice"),
 }
 _STEP = "(step s1 :rule refl :conclusion (= true true))\n"
+# an arity past the interpreter's default limit of 4,300 digits on
+# converting a numeral
+_ARITY = "(declare-sort U 0" + "1" * 5000 + ")\n"
 
 
 @pytest.mark.parametrize("command,text,error", [
@@ -391,11 +414,16 @@ _STEP = "(step s1 :rule refl :conclusion (= true true))\n"
     pytest.param("verify", "(set-logic ALL)\n" + _STEP,
                  "1:1: error: only declarations and steps are allowed",
                  id="verify-set-logic"),
+    *(pytest.param(command, _ARITY + tail,
+                   "1:17: error: declare-sort arity has too many digits",
+                   id=f"{command}-arity")
+      for command, tail in (("parse", ""), ("check", "(assert true)\n"),
+                            ("verify", _STEP))),
 ])
 def test_declaration_errors(capsys, tmp_path, command, text, error):
     """Scripts and certificate preambles declare through one path, and a
     certificate holds no other command."""
-    path = tmp_path / ("in.smt2" if command == "check" else "in.hoproof")
+    path = tmp_path / ("in.hoproof" if command == "verify" else "in.smt2")
     path.write_text(text)
     assert run(capsys, command, str(path)) == (1, "", f"{path}:{error}\n")
 

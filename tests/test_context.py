@@ -6,7 +6,7 @@ import pytest
 
 from hosmt.context import (EMPTY, Context, Fix, Map, apply_context,
                            context_subst, contexts_equal, fixes, move, path)
-from hosmt.core import (App, Const, Fun, INT, Lam, alpha_eq, fresh_var,
+from hosmt.core import (App, Binder, Const, Fun, INT, alpha_eq, fresh_var,
                         substitute)
 from hosmt.nodes import Scope
 
@@ -98,9 +98,9 @@ class TestApplyContext:
         # x -> w must not be captured by a binder that reuses w
         x, w = fresh_var("x", INT), fresh_var("w", INT)
         ctx = EMPTY.fix(w).map([(x, w)])
-        t = Lam(w, App(App(p, w), x))
+        t = Binder("lambda", w, App(App(p, w), x))
         r = apply_context(ctx, t)
-        assert isinstance(r, Lam) and r.var.id != w.id
+        assert r.kind == "lambda" and r.var.id != w.id
         assert r.body == App(App(p, r.var), w)
 
     def test_composition_law(self):
@@ -180,8 +180,8 @@ class TestEquality:
     def test_images_compared_up_to_alpha(self):
         x = fresh_var("x", Fun(INT, INT))
         y1, y2 = fresh_var("y", INT), fresh_var("z", INT)
-        c1 = EMPTY.map([(x, Lam(y1, App(f, y1)))])
-        c2 = EMPTY.map([(x, Lam(y2, App(f, y2)))])
+        c1 = EMPTY.map([(x, Binder("lambda", y1, App(f, y1)))])
+        c2 = EMPTY.map([(x, Binder("lambda", y2, App(f, y2)))])
         assert contexts_equal(c1, c2)
 
     def test_entry_order_matters(self):

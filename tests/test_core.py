@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import pickle
 import random
 
@@ -10,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from hosmt import nodes
 from hosmt.context import EMPTY, Context
-from hosmt.core import (App, Applied, Atom, BOOL, Const, DivergenceError, Fun,
-                        INT, Lam, Let, Quant, Var, alpha_eq, beta_normal_form,
-                        expand_lets, free_vars, fresh_var, fun_sort, sort_of,
-                        sort_str, substitute, subterms)
+from hosmt.core import (App, Applied, Atom, BOOL, Binder, Const,
+                        DivergenceError, Fun, INT, Let, Var, alpha_eq,
+                        beta_normal_form, expand_lets, free_vars, fresh_var,
+                        fun_sort, sort_of, sort_str, substitute, subterms)
+from hosmt.surface import BINDER_WORDS
 
 import gen
 import mutate
@@ -28,7 +30,7 @@ a = Const("a", INT)
 
 
 def lam(v, b):
-    return Lam(v, b)
+    return Binder("lambda", v, b)
 
 
 class TestSorts:
@@ -67,7 +69,7 @@ class TestSubterms:
         x, v, w = (fresh_var(n, INT) for n in "xvw")
         body = App(f1, x)
         eq = Const("=", Fun(INT, Fun(INT, BOOL)))
-        forall = Quant("forall", x, App(App(eq, body), v))
+        forall = Binder("forall", x, App(App(eq, body), v))
         img = App(f1, a)
         t = Let(((v, img), (w, a)), forall)
         assert list(subterms(t)) == [
@@ -106,6 +108,12 @@ class TestAlphaEq:
         x, y = fresh_var("x", INT), fresh_var("y", BOOL)
         assert not alpha_eq(lam(x, x), lam(y, y))
 
+    @pytest.mark.parametrize("ks, kt", itertools.permutations(BINDER_WORDS, 2))
+    def test_kinds_matter(self, ks, kt):
+        x = fresh_var("x", INT)
+        body = App(Const("p", Fun(INT, BOOL)), x)
+        assert not alpha_eq(Binder(ks, x, body), Binder(kt, x, body))
+
     def test_agrees_with_nameless(self):
         rng = random.Random(11)
         for _ in range(300):
@@ -136,7 +144,7 @@ class TestSubstitute:
         x, y = fresh_var("x", INT), fresh_var("y", INT)
         t = lam(x, y)
         r = substitute(t, {y.id: x})
-        assert isinstance(r, Lam)
+        assert r.kind == "lambda"
         assert r.var.id != x.id  # binder renamed
         assert r.body == x
         db = nameless.db_subst(nameless.to_db(t), {y.id: nameless.to_db(x)})
@@ -198,14 +206,15 @@ class TestNormalForm:
         y = fresh_var("y", INT)
         xa, za = fresh_var("x", INTI), fresh_var("z", INTI)
         xb, xc = fresh_var("x", INT), fresh_var("x", INT)
-        left = App(Lam(xa, App(Lam(za, za), xa)), Lam(xb, y))
-        right = App(Lam(xc, App(p1, xc)), y)
+        left = App(Binder("lambda", xa, App(Binder("lambda", za, za), xa)),
+                   Binder("lambda", xb, y))
+        right = App(Binder("lambda", xc, App(p1, xc)), y)
         assert beta_normal_form(App(left, right)) == y
 
     def test_divergence_cap(self):
         # omega is ill-sorted, built by force for the cap check
         d = fresh_var("d", INT)
-        omega = Lam(d, App(d, d))
+        omega = Binder("lambda", d, App(d, d))
         with pytest.raises(DivergenceError):
             beta_normal_form(App(omega, omega), max_steps=50)
 
@@ -223,7 +232,7 @@ class TestNormalForm:
         rng = random.Random(37)
         for _ in range(100):
             t = gen.gen_closed(rng, depth=4)
-            fresh = substitute(Lam(fresh_var("q", INT), t),
+            fresh = substitute(Binder("lambda", fresh_var("q", INT), t),
                                {}).body  # cheap alpha copy via identity
             assert alpha_eq(beta_normal_form(t), beta_normal_form(fresh))
 
@@ -247,17 +256,19 @@ class TestExpandLets:
     def test_simultaneous(self):
         x, y = fresh_var("x", INT), fresh_var("y", INT)
         outer_x = fresh_var("x", INT)
-        t = Lam(outer_x, Let(((x, outer_x), (y, x)), App(App(p2, x), y)))
+        t = Binder("lambda", outer_x,
+                   Let(((x, outer_x), (y, x)), App(App(p2, x), y)))
         r = expand_lets(t)
         # simultaneous: y's image is the outer-bound x occurrence, untouched
-        assert alpha_eq(r, Lam(outer_x, App(App(p2, outer_x), x)))
+        assert alpha_eq(r, Binder("lambda", outer_x, App(App(p2, outer_x), x)))
 
 
 def test_sort_of():
     x = fresh_var("x", INT)
     assert sort_of(lam(x, App(f1, x))) == INTI
-    assert sort_of(Quant("forall", x, App(Const("p", Fun(INT, BOOL)), x))) == BOOL
-    assert sort_of(Quant("eps", x, Const("true", BOOL))) == INT
+    assert sort_of(Binder("forall", x,
+                          App(Const("p", Fun(INT, BOOL)), x))) == BOOL
+    assert sort_of(Binder("eps", x, Const("true", BOOL))) == INT
 
 
 def _rebuild(t):
@@ -274,10 +285,8 @@ def _rebuild(t):
         return Const(t.name, _rebuild(t.sort))
     if isinstance(t, App):
         return App(_rebuild(t.fn), _rebuild(t.arg))
-    if isinstance(t, Lam):
-        return Lam(_rebuild(t.var), _rebuild(t.body))
-    if isinstance(t, Quant):
-        return Quant(t.kind, _rebuild(t.var), _rebuild(t.body))
+    if isinstance(t, Binder):
+        return Binder(t.kind, _rebuild(t.var), _rebuild(t.body))
     return Let(tuple((_rebuild(v), _rebuild(i)) for v, i in t.bindings),
                _rebuild(t.body))
 

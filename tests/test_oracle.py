@@ -7,7 +7,7 @@ import pytest
 
 from hosmt.calculus import EqJudgment, check_certificate, parse_certificate
 from hosmt.context import EMPTY, apply_context
-from hosmt.core import (App, Const, Fun, INT, Lam, Quant, alpha_eq, eq_term,
+from hosmt.core import (App, Binder, Const, Fun, INT, alpha_eq, eq_term,
                         fresh_var, sort_of, substitute)
 from hosmt.oracle import check_certificate_oracle, fold, oracle_check
 from hosmt.processor import process
@@ -58,7 +58,7 @@ class TestReify:
         ctx = EMPTY.fix(w)
         formula = reify(encode_left(ctx, App(f, w)),
                         encode_left(ctx, App(f, w)))
-        assert isinstance(formula, Quant) and formula.kind == "forall"
+        assert isinstance(formula, Binder) and formula.kind == "forall"
         assert formula.var.sort == INT
 
     def test_map_entries_are_contracted(self):
@@ -66,7 +66,7 @@ class TestReify:
         x = fresh_var("x", INT)
         ctx = EMPTY.map([(x, a)])
         formula = reify(encode_left(ctx, x), encode_left(ctx, a))
-        assert not isinstance(formula, Quant)
+        assert not isinstance(formula, Binder)
         assert formula.fn.arg == a and formula.arg == a
 
     def test_prefix_mismatch(self):
@@ -102,7 +102,7 @@ def fold_reify(ctx, lhs, rhs):
     prefix, sigma = fold(ctx)
     formula = eq_term(substitute(lhs, sigma), substitute(rhs, sigma))
     for x in reversed(prefix):
-        formula = Quant("forall", x, formula)
+        formula = Binder("forall", x, formula)
     return formula
 
 
@@ -218,15 +218,17 @@ class TestVerdictParity:
 class TestOracleCheck:
     def test_example1_root(self):
         x = fresh_var("x", INT)
-        lhs = App(Lam(x, App(App(p2, x), x)), a)
+        lhs = App(Binder("lambda", x, App(App(p2, x), x)), a)
         rhs = App(App(p2, a), a)
         assert oracle_check(EqJudgment(EMPTY, lhs, rhs)) == "lambda-valid"
 
     def test_example2_root(self):
         pb = Const("p", INTI)
         x, y, z, w = (fresh_var(n, INT) for n in "xyzw")
-        lhs = Lam(x, App(Lam(y, App(Lam(z, App(pb, z)), y)), App(f, x)))
-        rhs = Lam(w, App(pb, App(f, w)))
+        lhs = Binder("lambda", x, App(
+            Binder("lambda", y, App(Binder("lambda", z, App(pb, z)), y)),
+            App(f, x)))
+        rhs = Binder("lambda", w, App(pb, App(f, w)))
         assert oracle_check(EqJudgment(EMPTY, lhs, rhs)) == "lambda-valid"
 
     def test_arithmetic_needs_theory(self):

@@ -16,7 +16,7 @@ from hosmt.calculus import (Certificate, EqJudgment, ProofStep,
                             parse_certificate, print_certificate)
 from hosmt.certprinter import print_term
 from hosmt.context import EMPTY
-from hosmt.core import (App, BOOL, Const, Fun, INT, Lam, Let, Quant, alpha_eq,
+from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, alpha_eq,
                         eq_term, fresh_var)
 from hosmt.sexpr import SList, sexpr_to_str
 
@@ -40,7 +40,7 @@ def nested(n, names):
         body = App(App(G, v), body)
     t = eq_term(body, A)
     for v in reversed(vs):
-        t = Quant("forall", v, t)
+        t = Binder("forall", v, t)
     return t
 
 
@@ -72,24 +72,25 @@ class TestReference:
         x, y = fresh_var("x", INT), fresh_var("x", INT)
         gxy = App(App(G, x), y)
         cases = {
-            Lam(x, Lam(x, App(App(G, x), x))):
+            Binder("lambda", x, Binder("lambda", x, App(App(G, x), x))):
                 "(lambda ((x Int)) (lambda ((x Int)) (g x x)))",
-            Lam(x, Lam(y, Lam(x, gxy))):
+            Binder("lambda", x, Binder("lambda", y, Binder("lambda", x, gxy))):
                 "(lambda ((x Int)) (lambda ((x Int)) "
                 "(lambda ((x1 Int)) (g x1 x))))",
-            Lam(x, gxy): "(lambda ((x1 Int)) (g x1 x))",
+            Binder("lambda", x, gxy): "(lambda ((x1 Int)) (g x1 x))",
             Let(((x, y), (y, x)), gxy): "(let ((x x) (x1 x)) (g x x1))",
-            Lam(x, Let(((x, x),), Lam(y, gxy))):
+            Binder("lambda", x, Let(((x, x),), Binder("lambda", y, gxy))):
                 "(lambda ((x Int)) (let ((x x)) (lambda ((x1 Int)) (g x x1))))",
-            Quant("forall", x, eq_term(gxy, Const("x", INT))):
+            Binder("forall", x, eq_term(gxy, Const("x", INT))):
                 "(forall ((x1 Int)) (= (g x1 x) x))",
         }
         # i is free outside and rebound inside as x1, apart from the
         # constant x; below that, y (named x) may print as x
         i, y = fresh_var("x", INT), fresh_var("x", INT)
         h = Const("h", Fun(INT, Fun(Fun(INT, INT), INT)))
-        inner = App(App(h, Const("x", INT)), Lam(y, App(App(G, i), y)))
-        cases[App(App(h, i), Lam(i, inner))] = \
+        inner = App(App(h, Const("x", INT)),
+                    Binder("lambda", y, App(App(G, i), y)))
+        cases[App(App(h, i), Binder("lambda", i, inner))] = \
             "(h x (lambda ((x1 Int)) (h x (lambda ((x Int)) (g x1 x)))))"
         for t, text in cases.items():
             assert print_term(t) == print_ref.print_core(t) == text
@@ -106,8 +107,8 @@ def test_renamed_binder_is_not_shared():
     # free: the node (g z z) is defined only where z prints as y
     y, z = fresh_var("y", INT), fresh_var("y", INT)
     b = App(App(G, z), z)
-    lhs = Lam(z, App(App(G, b), y))
-    rhs = Lam(z, App(App(G, b), b))
+    lhs = Binder("lambda", z, App(App(G, b), y))
+    rhs = Binder("lambda", z, App(App(G, b), b))
     sig = typecheck.Signature()
     sig.symbols.update(g=G.sort, a=A.sort)
     cert = Certificate((ProofStep("s1", "refl", (),
@@ -119,8 +120,8 @@ def test_renamed_binder_is_not_shared():
     (step,) = parse_certificate(text).steps
     read = step.conclusion
     y2 = read.ctx.entry.var
-    assert alpha_eq(Lam(y2, read.lhs), Lam(y, lhs))
-    assert alpha_eq(Lam(y2, read.rhs), Lam(y, rhs))
+    assert alpha_eq(Binder("lambda", y2, read.lhs), Binder("lambda", y, lhs))
+    assert alpha_eq(Binder("lambda", y2, read.rhs), Binder("lambda", y, rhs))
 
 
 def _scripts():

@@ -8,7 +8,7 @@ import pytest
 
 from hosmt import context
 from hosmt.calculus import check_certificate, check_step
-from hosmt.core import (App, BOOL, Const, Fun, INT, Lam, Let, Quant, Var,
+from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, Var,
                         alpha_eq, beta_normal_form, expand_lets, fresh_var,
                         sort_of)
 from hosmt.processor import (instantiate_exists, instantiate_forall, process,
@@ -28,16 +28,18 @@ def example1_term():
     p = Const("p", Fun(INT, Fun(INT, INT)))
     a = Const("a", INT)
     x = fresh_var("x", INT)
-    return App(Lam(x, App(App(p, x), x)), a), App(App(p, a), a)
+    return App(Binder("lambda", x, App(App(p, x), x)), a), App(App(p, a), a)
 
 
 def example2_term():
     f = Const("f", INTI)
     p = Const("p", INTI)
     x, y, z = (fresh_var(n, INT) for n in "xyz")
-    t = Lam(x, App(Lam(y, App(Lam(z, App(p, z)), y)), App(f, x)))
+    t = Binder("lambda", x, App(
+        Binder("lambda", y, App(Binder("lambda", z, App(p, z)), y)),
+        App(f, x)))
     w = fresh_var("w", INT)
-    return t, Lam(w, App(p, App(f, w)))
+    return t, Binder("lambda", w, App(p, App(f, w)))
 
 
 def example3_term():
@@ -45,11 +47,12 @@ def example3_term():
     y = fresh_var("y", INT)
     xa, za = fresh_var("x", INTI), fresh_var("z", INTI)
     xb, xc = fresh_var("x", INT), fresh_var("x", INT)
-    left = App(Lam(xa, App(Lam(za, za), xa)), Lam(xb, y))
-    right = App(Lam(xc, App(p, xc)), y)
-    t = Lam(y, App(left, right))
+    left = App(Binder("lambda", xa, App(Binder("lambda", za, za), xa)),
+               Binder("lambda", xb, y))
+    right = App(Binder("lambda", xc, App(p, xc)), y)
+    t = Binder("lambda", y, App(left, right))
     w = fresh_var("w", INT)
-    return t, Lam(w, w)
+    return t, Binder("lambda", w, w)
 
 
 class TestExamples:
@@ -85,7 +88,7 @@ class TestExamples:
         # binder variables are renamed to the canonical fresh family w, w1, ...
         t, _ = example3_term()
         result = process(t)
-        assert isinstance(result.term, Lam)
+        assert result.term.kind == "lambda"
         assert result.term.var.name == "w"
         names = set()
         for s in result.certificate.steps:
@@ -176,7 +179,7 @@ class TestGeneralProperties:
     def test_eps_rejected(self):
         p = Const("p", Fun(INT, BOOL))
         x = fresh_var("x", INT)
-        t = App(p, Quant("eps", x, App(p, x)))
+        t = App(p, Binder("eps", x, App(p, x)))
         with pytest.raises(ValueError) as e:
             process(t)
         assert "choice binder" in str(e.value)
@@ -196,7 +199,7 @@ class TestInstantiation:
 
     def test_forall_int(self):
         x = fresh_var("x", INT)
-        phi = Quant("forall", x, App(self.p, x))
+        phi = Binder("forall", x, App(self.p, x))
         lemma, step = instantiate_forall(phi, self.a)
         assert check_step(step, []).status == "ok"
         # the instance side is the substituted body
@@ -204,16 +207,16 @@ class TestInstantiation:
 
     def test_exists_int(self):
         x = fresh_var("x", INT)
-        phi = Quant("exists", x, App(self.p, x))
+        phi = Binder("exists", x, App(self.p, x))
         lemma, step = instantiate_exists(phi, self.a)
         assert check_step(step, []).status == "ok"
         assert alpha_eq(lemma.formula.fn.arg, App(self.p, self.a))
 
     def test_forall_higher_order_instance(self):
         g = fresh_var("g", INTI)
-        phi = Quant("forall", g, App(self.q, g))
+        phi = Binder("forall", g, App(self.q, g))
         y = fresh_var("y", INT)
-        ident = Lam(y, y)
+        ident = Binder("lambda", y, y)
         lemma, step = instantiate_forall(phi, ident)
         assert check_step(step, []).status == "ok"
         assert alpha_eq(lemma.formula.arg, App(self.q, ident))
@@ -225,8 +228,8 @@ class TestInstantiation:
 
     def test_sort_mismatch(self):
         x = fresh_var("x", INT)
-        phi = Quant("forall", x, App(self.p, x))
+        phi = Binder("forall", x, App(self.p, x))
         y = fresh_var("y", INT)
         with pytest.raises(ValueError) as e:
-            instantiate_forall(phi, Lam(y, y))
+            instantiate_forall(phi, Binder("lambda", y, y))
         assert "sort" in str(e.value)

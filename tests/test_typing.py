@@ -223,11 +223,11 @@ class TestErase:
 
     def test_binder_shadowing_renamed(self):
         # two nested binders sharing a display name must print apart
-        from hosmt.core import App, Lam, fresh_var
+        from hosmt.core import App, Binder, fresh_var
         x1 = fresh_var("x", INT)
         x2 = fresh_var("x", INT)
         g = gen.CONSTS[4]  # g : Int -> Int -> Int
-        t = Lam(x1, Lam(x2, App(App(g, x1), x2)))
+        t = Binder("lambda", x1, Binder("lambda", x2, App(App(g, x1), x2)))
         text = print_term(t)
         sig = Signature()
         sig.symbols["g"] = g.sort
