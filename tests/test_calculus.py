@@ -285,9 +285,9 @@ class TestEveryRule:
     eq = EqJudgment(EMPTY, a, a)
     lemma = LemmaFormula(Const("c", BOOL))
 
-    def rejected(self, rule, conclusion, n):
+    def rejected(self, rule, conclusion, n, premise=leaf):
         s = ProofStep("s9", rule, ("p",) * n, conclusion, theory=BETA_THEORY)
-        r = check_step(s, [self.leaf] * n)
+        r = check_step(s, [premise] * n)
         assert r.status == "invalid"
         assert r.message.startswith(f"{rule} step s9: ")
         return r.message
@@ -306,6 +306,12 @@ class TestEveryRule:
     def test_equality_rule_rejects_lemma(self, rule):
         message = self.rejected(rule, self.lemma, PREMISE_COUNTS[rule])
         assert "expected an equality conclusion" in message
+
+    @pytest.mark.parametrize("rule", [r for r in RULES if PREMISE_COUNTS[r]])
+    def test_rule_rejects_lemma_premise(self, rule):
+        premise = ProofStep("p", "inst_forall", (), self.lemma)
+        message = self.rejected(rule, self.eq, PREMISE_COUNTS[rule], premise)
+        assert "premises must be equality judgments" in message
 
     @pytest.mark.parametrize("rule", ("inst_forall", "inst_exists"))
     def test_lemma_rule_rejects_equality(self, rule):
@@ -397,6 +403,83 @@ class TestSideConditions:
         conc = step("c", "let", ("p1", "p2"), ctx, Let(((v, x),), v), x)
         r = check_step(conc, [p1, p2])
         assert r.status == "invalid" and "side condition" in r.message
+
+
+_DECLS = ("(declare-fun p (Int) Bool)\n(declare-fun f (Int) Int)\n"
+          "(declare-fun a () Int)\n(declare-fun b () Int)\n")
+_EPS = "(define @e (eps ((x Int)) (p x)))\n"
+
+
+class TestRuleConditions:
+    """Each condition of the bind, beta, let, sko and inst checks rejects a
+    step that breaks only it."""
+
+    @pytest.mark.parametrize("steps,message", [
+        pytest.param(
+            "(step s1 :rule refl :context ((fix y Int) (map (x a))) "
+            ":conclusion (= (p x) (p a)))\n"
+            "(step s2 :rule bind :premises (s1) :conclusion "
+            "(= (forall ((x Int)) (p x)) (forall ((y Int)) (p a))))",
+            "bind step s2: premise mapping must send the bound variable to "
+            "the fixed one", id="bind-mapping"),
+        pytest.param(
+            _EPS + "(step s1 :rule refl :context ((map (x @e))) "
+            ":conclusion (= (p x) (p @e)))\n"
+            "(step s2 :rule sko_ex :premises (s1) :conclusion "
+            "(= (exists ((x Int)) (p (f x))) (p @e)))",
+            "sko_ex step s2: conclusion left side does not quantify the "
+            "premise's left term", id="sko-left"),
+        pytest.param(
+            _EPS + "(step s1 :rule refl :context ((map (x @e))) "
+            ":conclusion (= (p x) (p @e)))\n"
+            "(step s2 :rule sko_ex :premises (s1) :conclusion "
+            "(= (exists ((x Int)) (p x)) (p a)))",
+            "sko_ex step s2: conclusion right side does not match the "
+            "premise", id="sko-right"),
+        pytest.param(
+            "(step s1 :rule refl :conclusion (= b b))\n"
+            "(step s2 :rule refl :context ((map (x b))) :conclusion (= x b))\n"
+            "(step s3 :rule beta :premises (s1 s2) :conclusion "
+            "(= ((lambda ((x Int)) x) a) b))",
+            "beta step s3: redex argument does not match the first premise's "
+            "left side", id="beta-argument"),
+        pytest.param(
+            "(step s1 :rule refl :conclusion (= a a))\n"
+            "(step s2 :rule refl :context ((map (x a))) :conclusion (= x a))\n"
+            "(step s3 :rule let :premises (s1 s2) :conclusion "
+            "(= (let ((x a)) x) b))",
+            "let step s3: conclusion right side does not match the body "
+            "premise", id="let-right"),
+        pytest.param(
+            "(step i1 :rule inst_forall :binding ((y a)) :conclusion "
+            "(=> (forall ((x Int)) (p x)) (p a)))",
+            "inst_forall step i1: binding names y, the quantifier binds x",
+            id="inst-binding-name"),
+        pytest.param(
+            "(step i1 :rule inst_forall :binding ((x a)) :conclusion "
+            "(and (forall ((x Int)) (p x)) (p a)))",
+            "inst_forall step i1: lemma must be an implication",
+            id="inst-implication"),
+        pytest.param(
+            "(step i1 :rule inst_exists :binding ((x a)) :conclusion "
+            "(or (p a) (exists ((x Int)) (p x))))",
+            "inst_exists step i1: lemma must be an implication",
+            id="inst-exists-implication"),
+        pytest.param(
+            "(step i1 :rule inst_forall :binding ((x a)) :conclusion "
+            "(=> (exists ((x Int)) (p x)) (p a)))",
+            "inst_forall step i1: lemma lacks a forall on the quantified "
+            "side", id="inst-kind"),
+        pytest.param(
+            "(step i1 :rule inst_exists :binding ((x a)) :conclusion "
+            "(=> (p a) (forall ((x Int)) (p x))))",
+            "inst_exists step i1: lemma lacks a exists on the quantified "
+            "side", id="inst-exists-kind"),
+    ])
+    def test_rejected(self, steps, message):
+        report = check_certificate(parse_certificate(_DECLS + steps))
+        assert report.verdict == "invalid"
+        assert report.first_failure.message == message
 
 
 class TestMutations:

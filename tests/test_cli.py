@@ -209,6 +209,20 @@ class TestProcess:
         assert done.stdout == (f"{proof}: oracle: all steps lambda-valid\n"
                                f"{proof}: valid (1 steps)\n")
 
+    def test_named_sorts_through_proof(self, capsys, tmp_path):
+        decls = ("(declare-sort U 0)\n(declare-sort L 1)\n"
+                 "(declare-fun u () U)\n(declare-fun f ((L U)) U)\n")
+        src = tmp_path / "sorts.smt2"
+        src.write_text(decls + "(assert (forall ((y (L U))) "
+                       "(= (f y) ((lambda ((z U)) z) u))))\n")
+        proof = tmp_path / "sorts.hoproof"
+        code, out, _ = run(capsys, "process", "--proof", str(proof), str(src))
+        assert code == 0
+        assert out == decls + "(assert (forall ((w (L U))) (= (f w) u)))\n"
+        assert proof.read_text().startswith(decls)
+        code, out, _ = run(capsys, "verify", "--oracle", str(proof))
+        assert code == 0 and "all steps lambda-valid" in out
+
     def test_divergence_exit_3(self, capsys, tmp_path):
         src = tmp_path / "deep.smt2"
         src.write_text(
@@ -260,6 +274,43 @@ class TestVerify:
         assert code == 4
         assert err == (f"{bad}:1:1: invalid: refl step s1: context applied "
                        "to the left side does not match the right side\n")
+
+    @pytest.mark.parametrize("lines,err", [
+        (("(declare-fun a () Int)", "(declare-fun b () Int)",
+          "(step s1 :rule refl :conclusion (= b b))",
+          "(step s2 :rule refl :context ((map (x b))) :conclusion (= x b))",
+          "(step s3 :rule beta :premises (s1 s2) :conclusion "
+          "(= ((lambda ((x Int)) x) a) b))"),
+         "5:1: invalid: beta step s3: redex argument does not match the "
+         "first premise's left side"),
+        (("(declare-fun p (Int) Bool)", "(declare-fun a () Int)",
+          "(step s1 :rule refl :context ((fix y Int) (map (x a))) "
+          ":conclusion (= (p x) (p a)))",
+          "(step s2 :rule bind :premises (s1) :conclusion "
+          "(= (forall ((x Int)) (p x)) (forall ((y Int)) (p a))))"),
+         "4:1: invalid: bind step s2: premise mapping must send the bound "
+         "variable to the fixed one"),
+    ], ids=("beta-argument", "bind-mapping"))
+    def test_unsound_step_rejected(self, capsys, tmp_path, lines, err):
+        # each conclusion is false: a differs from b, and p x from p a
+        bad = tmp_path / "unsound.hoproof"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(capsys, "verify", str(bad)) == (4, "", f"{bad}:{err}\n")
+
+    def test_let_renames_a_captured_variable(self, capsys, tmp_path):
+        # the context sends y to x, so (let ((x a)) y) becomes a let whose
+        # variable is renamed: s1 holds, s2 captures x and is rejected
+        ctx = ":context ((fix x Int) (fix y Int) (map (y x)))"
+        path = tmp_path / "capture.hoproof"
+        path.write_text(
+            "(declare-fun a () Int)\n"
+            f"(step s1 :rule refl {ctx} :conclusion "
+            "(= (let ((x a)) y) (let ((z a)) x)))\n"
+            f"(step s2 :rule refl {ctx} :conclusion "
+            "(= (let ((x a)) y) (let ((x a)) x)))\n")
+        assert run(capsys, "verify", str(path)) == (
+            4, "", f"{path}:3:1: invalid: refl step s2: context applied to "
+            "the left side does not match the right side\n")
 
     def test_trans_message_quotes_terms(self, capsys, tmp_path):
         # the message prints both middle terms, binders included

@@ -150,6 +150,16 @@ class TestSubstitute:
         db = nameless.db_subst(nameless.to_db(t), {y.id: nameless.to_db(x)})
         assert nameless.to_db(r) == db
 
+    def test_let_capture_avoidance(self):
+        x, y = fresh_var("x", INT), fresh_var("y", INT)
+        t = Let(((x, a),), App(App(p2, x), y))
+        r = substitute(t, {y.id: x})
+        ((v, img),) = r.bindings
+        assert v.id != x.id and img == a  # let variable renamed
+        assert r.body == App(App(p2, v), x)
+        db = nameless.db_subst(nameless.to_db(t), {y.id: nameless.to_db(x)})
+        assert nameless.to_db(r) == db
+
     def test_empty(self):
         t = App(f1, a)
         assert substitute(t, {}) == t

@@ -7,14 +7,15 @@ from collections import Counter
 import pytest
 
 from hosmt import context
-from hosmt.calculus import check_certificate, check_step
+from hosmt.calculus import (Certificate, check_certificate, check_step,
+                            parse_certificate, print_certificate)
 from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, Var,
                         alpha_eq, beta_normal_form, expand_lets, fresh_var,
                         sort_of)
 from hosmt.processor import (instantiate_exists, instantiate_forall, process,
                              signature_for_term)
 from hosmt.surface import parse_script
-from hosmt.typecheck import check_script
+from hosmt.typecheck import Signature, check_script
 
 from conftest import best_times, recursion_limit
 
@@ -220,6 +221,22 @@ class TestInstantiation:
         lemma, step = instantiate_forall(phi, ident)
         assert check_step(step, []).status == "ok"
         assert alpha_eq(lemma.formula.arg, App(self.q, ident))
+
+    def test_lemma_steps_round_trip(self):
+        x, y = fresh_var("x", INT), fresh_var("x", INT)
+        _, s1 = instantiate_forall(Binder("forall", x, App(self.p, x)), self.a)
+        _, s2 = instantiate_exists(Binder("exists", y, App(self.p, y)), self.a)
+        sig = Signature()
+        sig.symbols.update(p=self.p.sort, a=self.a.sort)
+        text = print_certificate(Certificate((s1, s2), sig))
+        assert text == (
+            "(declare-fun p (Int) Bool)\n(declare-fun a () Int)\n"
+            "(define @t1 (p a))\n"
+            f"(step {s1.id} :rule inst_forall :binding ((x a)) :conclusion "
+            "(=> (forall ((x Int)) (p x)) @t1))\n"
+            f"(step {s2.id} :rule inst_exists :binding ((x a)) :conclusion "
+            "(=> @t1 (exists ((x Int)) (p x))))\n")
+        assert check_certificate(parse_certificate(text)).verdict == "valid"
 
     def test_not_a_universal(self):
         with pytest.raises(ValueError) as e:
