@@ -30,9 +30,13 @@ input above uses.  Fixed certificates hold `sko_ex` and `sko_all` steps
 (choice terms in their mappings), `inst_forall` and `inst_exists` steps
 and `bind` steps over lambda, forall and exists; two are rejected.  Each
 certificate and, for each seed, MUTANTS_PER_CERT seeded
-`mutate.random_text_mutation` mutants of it go through `verify --oracle`.
-Fixed scripts that assert lambda, exists and eps terms go through the
-calls above.
+`mutate.random_text_mutation` mutants of it go through `verify --oracle`,
+and so do three certificates that a weaker checker would accept: a beta
+step whose redex argument is not its first premise's, a bind step whose
+mapping does not send the bound variable to the fixed one, and a refl
+step whose context substitution must rename a let variable.  Fixed
+scripts that assert lambda, exists and eps terms go through the calls
+above.
 
 Every call contributes its stdout, stderr and exit code.  The inputs are
 copied into a temporary directory and named relative to it, since file
@@ -154,6 +158,24 @@ RULE_CERTS = {
     "refl_kinds": """(define @t1 (p x))
 (step s1 :rule refl :conclusion (= (forall ((x Int)) @t1) (forall ((x Int)) @t1)))
 (step s2 :rule refl :conclusion (= (forall ((x Int)) @t1) (exists ((x Int)) @t1)))
+""",
+}
+# rejected at their last step; the first two conclude false equalities
+REJECTED_CERTS = {
+    "beta_argument": """(declare-fun a () Int)
+(declare-fun b () Int)
+(step s1 :rule refl :conclusion (= b b))
+(step s2 :rule refl :context ((map (x b))) :conclusion (= x b))
+(step s3 :rule beta :premises (s1 s2) :conclusion (= ((lambda ((x Int)) x) a) b))
+""",
+    "bind_mapping": """(declare-fun p (Int) Bool)
+(declare-fun a () Int)
+(step s1 :rule refl :context ((fix y Int) (map (x a))) :conclusion (= (p x) (p a)))
+(step s2 :rule bind :premises (s1) :conclusion (= (forall ((x Int)) (p x)) (forall ((y Int)) (p a))))
+""",
+    "let_capture": """(declare-fun a () Int)
+(step s1 :rule refl :context ((fix x Int) (fix y Int) (map (y x))) :conclusion (= (let ((x a)) y) (let ((z a)) x)))
+(step s2 :rule refl :context ((fix x Int) (fix y Int) (map (y x))) :conclusion (= (let ((x a)) y) (let ((x a)) x)))
 """,
 }
 RULE_SCRIPTS = {
@@ -307,6 +329,9 @@ def write_inputs(seeds, work):
                     cert = f"rules-{name}-{seed}-{k}.hoproof"
                     (work / cert).write_text(mutant[1])
                     inputs["rules"].append(cert)
+    for name, text in REJECTED_CERTS.items():
+        (work / f"rules-{name}.hoproof").write_text(text)
+        inputs["rules"].append(f"rules-{name}.hoproof")
     for name, script in RULE_SCRIPTS.items():
         (work / f"rules-{name}.smt2").write_text(script)
         inputs["rules"].append(f"rules-{name}.smt2")

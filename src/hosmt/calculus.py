@@ -1,10 +1,11 @@
 """The extended fine-grained proof calculus.
 
-Certificates are DAGs of steps, each carrying a context and an equality
-conclusion `ctx |> lhs ~ rhs` (or, for instantiation lemmas, a closed
-Boolean formula).  The checker validates every rule locally from the step,
-its premises' conclusions, and the context; terms are always compared up to
-alpha.
+Certificates are DAGs of steps.  A step concludes one of two shapes: an
+`EqJudgment`, the equality `ctx |> lhs ~ rhs` under a context, or, for the
+instantiation lemmas `inst_forall` and `inst_exists`, the lemma formula
+itself, a closed core term of sort Bool.  The checker validates every rule
+locally from the step, its premises' conclusions, and the context; terms
+are always compared up to alpha.
 
 Concrete syntax, one step per line:
 
@@ -83,13 +84,6 @@ class EqJudgment(Record):
         self.rhs = rhs
 
 
-class LemmaFormula(Record):
-    __slots__ = ("formula",)
-
-    def __init__(self, formula):
-        self.formula = formula  # closed core term of sort Bool
-
-
 class ProofStep(Record):
     __slots__ = ("id", "rule", "premises", "conclusion", "binding", "theory",
                  "line", "col")
@@ -99,7 +93,7 @@ class ProofStep(Record):
         self.id = id
         self.rule = rule
         self.premises = premises  # step ids
-        self.conclusion = conclusion  # EqJudgment | LemmaFormula
+        self.conclusion = conclusion  # EqJudgment, or a lemma step's formula
         self.binding = binding  # ((name, term), ...) for lemma steps
         self.theory = theory  # for taut steps
         self.line = line  # of the (step ...) form
@@ -130,13 +124,11 @@ class StepResult(Record):
 
 
 class Report(Record):
-    __slots__ = ("results", "verdict", "final_conclusion", "trusted_count")
+    __slots__ = ("results", "verdict", "trusted_count")
 
-    def __init__(self, results, verdict, final_conclusion=None,
-                 trusted_count=0):
+    def __init__(self, results, verdict, trusted_count):
         self.results = results
         self.verdict = verdict  # "valid" | "invalid" | "valid-with-trust"
-        self.final_conclusion = final_conclusion
         self.trusted_count = trusted_count
 
     @property
@@ -329,9 +321,9 @@ def _check_taut(step, premises, max_steps):
 def _check_inst(step, premises, max_steps):
     if premises:
         raise ValueError(f"{step.rule} takes no premises")
-    if not isinstance(step.conclusion, LemmaFormula):
+    f = step.conclusion
+    if isinstance(f, EqJudgment):
         raise ValueError("expected a lemma formula conclusion")
-    f = step.conclusion.formula
     if not (isinstance(f, App) and isinstance(f.fn, App)
             and isinstance(f.fn.fn, Const) and f.fn.fn.name == "=>"):
         raise ValueError("lemma must be an implication")
@@ -419,7 +411,7 @@ def check_certificate(cert, max_steps=core.DEFAULT_STEP_CAP):
         verdict = "valid-with-trust"
     else:
         verdict = "valid"
-    return Report(results, verdict, final, trusted)
+    return Report(results, verdict, trusted)
 
 
 # ------------------------------------------------------- text format

@@ -111,7 +111,7 @@ class _Printer:
             else:
                 for _, t in step.binding:
                     self.count(t)
-                self.count(c.formula)
+                self.count(c)
 
     def claim(self, v, taken):
         """Gives a context variable its canonical name, one unique in the
@@ -318,7 +318,7 @@ class _Printer:
                 bs = " ".join(f"({quote(n)} {self.text(t)})"
                               for n, t in step.binding)
                 parts.append(f":binding ({bs})")
-            parts.append(f":conclusion {self.text(c.formula)})")
+            parts.append(f":conclusion {self.text(c)})")
         self.lines.append(" ".join(parts))
 
 

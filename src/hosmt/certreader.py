@@ -9,7 +9,7 @@ and `@`-names are resolved by `_CertParser.term_ref`.
 
 from . import core, sexpr, surface, typecheck
 from .calculus import (LEMMA_RULES, RULES, Certificate, CertificateError,
-                       EqJudgment, LemmaFormula, ProofStep)
+                       EqJudgment, ProofStep)
 from .context import EMPTY, move
 from .core import BOOL, const_names, free_vars
 from .sexpr import SList, Token
@@ -219,11 +219,10 @@ class _CertParser:
                 bs.append((item.items[0].text, t))
             binding = tuple(bs)
         if rule in LEMMA_RULES:
-            formula, fsort = self.elab(kw[":conclusion"])
+            conclusion, fsort = self.elab(kw[":conclusion"])
             if fsort != BOOL:
                 raise self.error("lemma formula must have sort Bool",
                                  kw[":conclusion"])
-            conclusion = LemmaFormula(formula)
         else:
             ctx = self.parse_context(kw.get(":context"))
             ce = kw[":conclusion"]

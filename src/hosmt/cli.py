@@ -73,7 +73,7 @@ def _run_process(path, args, out, err):
     cmds = surface.parse_script(text, name)
     checked = typecheck.check_script(cmds, name)
     n = 0
-    for c in checked.commands:
+    for c in cmds:
         if c.items[0].text == "assert":
             n += 1
             term = checked.asserts[n - 1]

@@ -23,11 +23,8 @@ from .sexpr import quote
 
 # ---------------------------------------------------------------- sorts
 
-class Atom(Interned):
-    __slots__ = ("name",)
-
-
 class Applied(Interned):
+    # a named sort applied to args, () for a sort of arity 0
     __slots__ = ("name", "args")
 
 
@@ -35,9 +32,9 @@ class Fun(Interned):
     __slots__ = ("dom", "cod")
 
 
-BOOL = Atom("Bool")
-INT = Atom("Int")
-REAL = Atom("Real")
+BOOL = Applied("Bool", ())
+INT = Applied("Int", ())
+REAL = Applied("Real", ())
 
 
 def fun_sort(arg_sorts, result):
@@ -48,9 +45,9 @@ def fun_sort(arg_sorts, result):
 
 
 def sort_str(s):
-    if isinstance(s, Atom):
-        return quote(s.name)
     if isinstance(s, Applied):
+        if not s.args:
+            return quote(s.name)
         return "(" + " ".join([quote(s.name)] + [sort_str(a) for a in s.args]) + ")"
     # flatten the curried chain for readability
     args = []

@@ -14,10 +14,10 @@ import itertools
 from collections import namedtuple
 
 from . import core
-from .calculus import Certificate, EqJudgment, LemmaFormula, ProofStep
+from .calculus import Certificate, EqJudgment, ProofStep
 from .context import EMPTY, apply_context, fixes
-from .core import (App, Applied, Atom, Binder, Const, DivergenceError, Let,
-                   Var, fresh_var, implies_term, sort_of, substitute)
+from .core import (App, Applied, Binder, Const, DivergenceError, Let, Var,
+                   fresh_var, implies_term, sort_of, substitute)
 from .typecheck import ARITH_SYMBOLS, CORE_SYMBOLS, Signature
 
 
@@ -30,12 +30,8 @@ def signature_for_term(t):
     sig = Signature()
 
     def add_sort(s):
-        if isinstance(s, Atom):
-            if s.name not in sig.sorts:
-                sig.sorts[s.name] = 0
-        elif isinstance(s, Applied):
-            if s.name not in sig.sorts:
-                sig.sorts[s.name] = len(s.args)
+        if isinstance(s, Applied):
+            sig.sorts.setdefault(s.name, len(s.args))
             for a in s.args:
                 add_sort(a)
         else:
@@ -144,7 +140,7 @@ class _Processor:
 
 def process(t, signature=None, max_steps=core.DEFAULT_STEP_CAP):
     """Process t, returning (processed term, certificate of () |> t ~ u)."""
-    sig = signature.copy() if signature is not None else signature_for_term(t)
+    sig = signature if signature is not None else signature_for_term(t)
     used = set(sig.symbols) | set(CORE_SYMBOLS)
     used.update(u.name for u in core.subterms(t) if isinstance(u, (Var, Const)))
     proc = _Processor(used, max_steps)
@@ -175,9 +171,9 @@ def _instantiate(phi, t, kind):
     else:
         formula = implies_term(inst, phi)
         rule = "inst_exists"
-    step = ProofStep(f"i{next(_inst_ids)}", rule, (), LemmaFormula(formula),
+    step = ProofStep(f"i{next(_inst_ids)}", rule, (), formula,
                      binding=((x.name, t),))
-    return LemmaFormula(formula), step
+    return formula, step
 
 
 def instantiate_forall(phi, t):

@@ -7,7 +7,7 @@ pass.  Core terms print through `hosmt.certprinter`.
 """
 
 from . import core, surface
-from .core import (Applied, Atom, BOOL, Binder, Const, Fun, INT, REAL, Let,
+from .core import (Applied, BOOL, Binder, Const, Fun, INT, REAL, Let,
                    fresh_var, fun_sort, sort_str)
 from .nodes import Record, Scope
 from .sexpr import DECIMAL, NUMERAL, SYMBOL, SourceError, Token
@@ -48,12 +48,9 @@ class Signature(Record):
 
     __slots__ = ("symbols", "sorts")
 
-    def __init__(self, symbols=None, sorts=None):
-        self.symbols = {} if symbols is None else symbols
-        self.sorts = dict(BUILTIN_SORTS) if sorts is None else sorts
-
-    def copy(self):
-        return Signature(dict(self.symbols), dict(self.sorts))
+    def __init__(self):
+        self.symbols = {}
+        self.sorts = dict(BUILTIN_SORTS)
 
     def declare_sort(self, name, arity, pos=(0, 0), filename="<input>"):
         # (-> ...) is always the arrow (`normalize_sort`), never a declaration
@@ -108,7 +105,7 @@ def normalize_sort(s, signature, filename="<input>"):
         if arity != 0:
             raise SortError(f"sort {s.text} expects arguments",
                             s.line, s.col, filename)
-        return Atom(s.text)
+        return Applied(s.text, ())
     head, *args = s.items
     name = head.text
     if name == "->":
@@ -188,6 +185,9 @@ def infer_sort(env, t):
     if word == "as":
         return _identifier(env, items[1].text, items[2], t)
     if word in BINDER_WORDS:
+        # nested choices would make an outer eps body of the witness sort
+        if word == "eps" and len(items[1].items) != 1:
+            raise SortError("eps takes exactly one variable", t.line, t.col, f)
         vars_ = [env.make_var(b.items[0].text,
                               normalize_sort(b.items[1], env.signature, f))
                  for b in items[1].items]
@@ -247,13 +247,11 @@ def infer_sort(env, t):
 
 
 class CheckedScript(Record):
-    __slots__ = ("signature", "asserts", "logic", "commands")
+    __slots__ = ("signature", "asserts")
 
-    def __init__(self, signature, asserts, logic=None, commands=None):
+    def __init__(self, signature, asserts):
         self.signature = signature
         self.asserts = asserts  # core terms of sort Bool
-        self.logic = logic
-        self.commands = commands  # canonical commands (`hosmt.surface`)
 
 
 def declare(sig, cmd, filename="<input>"):
@@ -303,7 +301,7 @@ def check_script(cmds, filename="<input>"):
                     f"assert body has sort {sort_str(s)}, expected Bool",
                     c.line, c.col, filename)
             asserts.append(term)
-    return CheckedScript(sig, asserts, logic, list(cmds))
+    return CheckedScript(sig, asserts)
 
 
 # ------------------------------------------------------- core -> surface

@@ -67,8 +67,7 @@ def print_step(step, names):
             bs = " ".join(f"({n} {print_core(t, names)})"
                           for n, t in step.binding)
             parts.append(f":binding ({bs})")
-        parts.append(
-            f":conclusion {print_core(step.conclusion.formula, names)})")
+        parts.append(f":conclusion {print_core(step.conclusion, names)})")
     return " ".join(parts)
 
 

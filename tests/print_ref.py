@@ -7,7 +7,7 @@ Surface terms are canonical s-expressions (`hosmt.surface`).
 """
 
 from hosmt import core, surface
-from hosmt.core import (Applied, Atom, Binder, Const, Fun, INT, Let, REAL, Var)
+from hosmt.core import (Applied, Binder, Const, Fun, INT, Let, REAL, Var)
 from hosmt.sexpr import DECIMAL, NUMERAL, SYMBOL, SList, Token
 
 
@@ -20,9 +20,9 @@ def slist(*items):
 
 
 def sort_to_surface(s):
-    if isinstance(s, Atom):
-        return sym(s.name)
     if isinstance(s, Applied):
+        if not s.args:
+            return sym(s.name)
         return slist(sym(s.name), *(sort_to_surface(a) for a in s.args))
     args = []
     while isinstance(s, Fun):

