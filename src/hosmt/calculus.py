@@ -51,8 +51,11 @@ term named under that context as its body.
 The printer (`hosmt.certprinter`) defines each context node and each
 non-leaf term node used twice once, just before the first line that uses
 it.  Lemma steps use `:conclusion <formula>` and `:binding ((<name>
-<term>)+)`; taut steps name their theory with `:theory <tag>`.  Files may
-open with declare-sort/declare-fun commands.  The reader is
+<term>)+)`; taut steps name their theory with `:theory <tag>`.  A step
+carries each keyword at most once, and only those its rule reads: every
+rule reads `:rule`, `:conclusion` and, optionally, `:premises`; the
+judgment rules read `:context`, `taut` also `:theory`, and the lemma rules
+`:binding`.  Files may open with declare-sort/declare-fun commands.  The reader is
 `hosmt.certreader`.  Both are imported on first use, so that a call that
 only reads, or only writes, certificates compiles one of them.
 """

@@ -16,6 +16,15 @@ from .sexpr import SList, Token
 from .typecheck import Signature, TypingEnv, infer_sort, normalize_sort
 
 
+# the keywords a step of each rule reads, each at most once
+_KEYWORDS = {
+    rule: {":rule", ":premises", ":conclusion"}
+    | ({":binding"} if rule in LEMMA_RULES else {":context"})
+    | ({":theory"} if rule == "taut" else set())
+    for rule in RULES}
+_ALL_KEYWORDS = set().union(*_KEYWORDS.values())
+
+
 def _named(node):
     """What entering a context node binds in the reader's scope."""
     return [(v.name, v) for v in node.entry_vars()]
@@ -175,21 +184,27 @@ class _CertParser:
         if len(items) < 2 or not _is_sym(items[0], "step") or not _is_sym(items[1]):
             raise self.error("expected (step <id> ...)", e)
         step_id = items[1].text
-        kw = {}
-        i = 2
-        while i < len(items):
+        kw, keys = {}, []
+        for i in range(2, len(items), 2):
             k = items[i]
             if not (isinstance(k, Token) and k.kind == sexpr.KEYWORD):
                 raise self.error("expected a keyword", k)
             if i + 1 >= len(items):
                 raise self.error(f"missing value for {k.text}", k)
+            if k.text not in _ALL_KEYWORDS:
+                raise self.error(f"unknown keyword {k.text}", k)
+            if k.text in kw:
+                raise self.error(f"repeated keyword {k.text}", k)
             kw[k.text] = items[i + 1]
-            i += 2
+            keys.append(k)
         if ":rule" not in kw or not _is_sym(kw[":rule"]):
             raise self.error("step lacks a :rule", e)
         rule = kw[":rule"].text
         if rule not in RULES:
             raise self.error(f"unknown rule {rule}", kw[":rule"])
+        for k in keys:
+            if k.text not in _KEYWORDS[rule]:
+                raise self.error(f"rule {rule} takes no {k.text}", k)
         premises = ()
         if ":premises" in kw:
             pe = kw[":premises"]
@@ -204,21 +219,20 @@ class _CertParser:
         if ":conclusion" not in kw:
             raise self.error("step lacks a :conclusion", e)
         binding = ()
-        if ":binding" in kw or rule in LEMMA_RULES:  # closed terms
-            move(self.env.scope, EMPTY, _named)
-        if ":binding" in kw:
-            be = kw[":binding"]
-            if not isinstance(be, SList):
-                raise self.error("expected a binding list", be)
-            bs = []
-            for item in be.items:
-                if (not isinstance(item, SList) or len(item.items) != 2
-                        or not _is_sym(item.items[0])):
-                    raise self.error("expected (<name> <term>)", item)
-                t, _ = self.elab(item.items[1])
-                bs.append((item.items[0].text, t))
-            binding = tuple(bs)
         if rule in LEMMA_RULES:
+            move(self.env.scope, EMPTY, _named)  # closed terms
+            if ":binding" in kw:
+                be = kw[":binding"]
+                if not isinstance(be, SList):
+                    raise self.error("expected a binding list", be)
+                bs = []
+                for item in be.items:
+                    if (not isinstance(item, SList) or len(item.items) != 2
+                            or not _is_sym(item.items[0])):
+                        raise self.error("expected (<name> <term>)", item)
+                    t, _ = self.elab(item.items[1])
+                    bs.append((item.items[0].text, t))
+                binding = tuple(bs)
             conclusion, fsort = self.elab(kw[":conclusion"])
             if fsort != BOOL:
                 raise self.error("lemma formula must have sort Bool",

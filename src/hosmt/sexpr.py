@@ -1,14 +1,24 @@
 """SMT-LIB flavoured s-expression lexer and reader.
 
-One compiled regex splits the input into tokens in a single left-to-right
-scan; `;` comments and whitespace are dropped.  Every token carries its
-1-based line and column, so each diagnostic downstream can point into the
-offending lexeme.  Numerals and decimals are ASCII digits only, as in
-SMT-LIB; any other word is a symbol, or a keyword when it starts with `:`.
+One compiled regex reads the input in a single left-to-right scan, one
+match per token.  Whitespace matches nothing, so the regex's own search
+skips it; a `;` comment is one match that yields nothing.  A token's kind
+comes from its first character: `(`, `)`, `;`, `"` (a string), `|` (a
+quoted symbol) and `:` (a keyword) each start one kind, and any other word
+is a symbol unless it is all ASCII digits, with at most one inner `.`: a
+numeral or decimal, as in SMT-LIB.
 
-The reader builds nested lists with an explicit stack, so nesting depth is
-bounded by memory, not by the Python call stack.  Atoms are `Token`s;
-lists are `SList` nodes at the position of their opening parenthesis.
+Every token carries its 1-based line and column, so each diagnostic
+downstream can point into the offending lexeme.  The scan keeps the offset
+of the current line's end and counts newlines only when a match starts
+past it, between that end and the match: most tokens pay one comparison,
+and the count stays linear however the lines fall.
+
+`parse_text` builds nested lists in the scan loop itself, with an explicit
+stack, so nesting depth is bounded by memory, not by the Python call
+stack.  Atoms are `Token`s; lists are `SList` nodes at the position of
+their opening parenthesis.  `tokenize` lists the same tokens, parentheses
+included.
 """
 
 import re
@@ -64,53 +74,89 @@ class SList(Record):
         self.col = col
 
 
-# Alternatives are tried in order at each offset and together match every
-# character, so consecutive matches tile the input.  A quote or bar that
-# cannot open a complete string or quoted symbol falls through to
-# `unterminated`.  Strings take `""` as an escaped quote; the trailing
-# lookahead keeps a match from ending between the two quotes of an escape.
-# No possessive quantifiers or atomic groups: Python 3.10 has neither.
+# Whitespace matches no alternative, so `finditer`'s own search skips it,
+# and every other character starts a match: consecutive matches and the
+# whitespace between them tile the input.  A token's kind is read off its
+# first character.  A quote or bar that cannot open a complete string or
+# quoted symbol matches alone and is reported unterminated.  Strings take
+# `""` as an escaped quote; the trailing lookahead keeps a match from ending
+# between the two quotes of an escape.  No possessive quantifiers or atomic
+# groups: Python 3.10 has neither.
 _TOKEN = re.compile(r"""
-    (?P<space>[ \t\r\n]+)
-  | (?P<comment>;[^\n]*)
-  | (?P<lpar>\()
-  | (?P<rpar>\))
-  | \|(?P<quoted>[^|]*)\|
-  | "(?P<string>[^"]*(?:""[^"]*)*)"(?!")
-  | (?P<unterminated>["|])
-  | (?P<keyword>:[^ \t\r\n();|"]*)
-  | (?P<decimal>[0-9]+\.[0-9]+)(?![^ \t\r\n();|"])
-  | (?P<numeral>[0-9]+)(?![^ \t\r\n();|"])
-  | (?P<symbol>[^ \t\r\n();|"]+)
+    [()]
+  | ;[^\n]*
+  | \|[^|]*\|
+  | "[^"]*(?:""[^"]*)*"(?!")
+  | ["|]
+  | [^ \t\r\n();|"]+
 """, re.VERBOSE)
 
-_ONE_LINE = frozenset((LPAR, RPAR, KEYWORD, DECIMAL, NUMERAL, SYMBOL))
 _UNTERMINATED = {'"': "unterminated string literal",
                  "|": "unterminated quoted symbol"}
+_SPECIAL = frozenset(';"|')  # first characters of comments and quoted tokens
+_KINDED = frozenset(":0123456789")  # words that may not be symbols
+
+
+def _word_kind(word):
+    """The kind of a match that starts with none of `()";|`: numerals and
+    decimals are ASCII digits only, as in SMT-LIB."""
+    c = word[0]
+    if c == ":":
+        return KEYWORD
+    if "0" <= c <= "9" and word.isascii():
+        if word.isdigit():
+            return NUMERAL
+        whole, _, frac = word.partition(".")
+        if whole.isdigit() and frac.isdigit():
+            return DECIMAL
+    return SYMBOL
+
+
+def _quoted(word, line, col, filename):
+    """(kind, text) of a match that starts with a quote or a bar; a lone
+    one is unterminated."""
+    if len(word) == 1:
+        raise LexError(_UNTERMINATED[word], line, col, filename)
+    if word[0] == '"':
+        return STRING, word[1:-1].replace('""', '"')
+    return SYMBOL, word[1:-1]
+
+
+def _eol(text, i):
+    """The offset of the newline that ends the line holding offset i, or
+    len(text) on the last line."""
+    eol = text.find("\n", i)
+    return eol if eol >= 0 else len(text)
+
+
+def _next_line(text, line, eol, start):
+    """(line, line_start, eol) of the line holding offset start, which lies
+    past eol, the end of line `line`.  Only the text between the two is
+    searched, so a scan that calls this as it crosses lines stays linear."""
+    return (line + text.count("\n", eol, start),
+            text.rfind("\n", eol, start) + 1, _eol(text, start))
 
 
 def _scan(text, filename):
     """Yield (kind, text, line, col) for each token of text."""
-    line, line_start = 1, 0
+    line, line_start, eol = 1, 0, _eol(text, 0)
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        col = m.start() - line_start + 1
-        if kind in _ONE_LINE:
-            yield kind, m.group(), line, col
+        start = m.start()
+        if start > eol:
+            line, line_start, eol = _next_line(text, line, eol, start)
+        word = m[0]
+        c = word[0]
+        col = start - line_start + 1
+        if c == "(":
+            yield LPAR, word, line, col
+        elif c == ")":
+            yield RPAR, word, line, col
+        elif c == ";":
             continue
-        if kind == "string":
-            yield STRING, m.group(kind).replace('""', '"'), line, col
-        elif kind == "quoted":
-            yield SYMBOL, m.group(kind), line, col
-        elif kind == "unterminated":
-            raise LexError(_UNTERMINATED[m.group()], line, col, filename)
-        # spaces, comments, strings and quoted symbols: all but comments
-        # can span lines
-        start, end = m.span()
-        newlines = text.count("\n", start, end)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", start, end) + 1
+        elif c == '"' or c == "|":
+            yield (*_quoted(word, line, col, filename), line, col)
+        else:
+            yield _word_kind(word), word, line, col
 
 
 def tokenize(text, filename="<input>"):
@@ -122,18 +168,29 @@ def parse_text(text, filename="<input>"):
     """Read text into a list of nested s-expressions."""
     top = items = []
     open_lists = []  # (enclosing items, line, col) per unclosed parenthesis
-    for kind, word, line, col in _scan(text, filename):
-        if kind == LPAR:
-            open_lists.append((items, line, col))
+    line, line_start, eol = 1, 0, _eol(text, 0)
+    for m in _TOKEN.finditer(text):
+        start = m.start()
+        if start > eol:
+            line, line_start, eol = _next_line(text, line, eol, start)
+        word = m[0]
+        c = word[0]
+        if c == "(":
+            open_lists.append((items, line, start - line_start + 1))
             items = []
-        elif kind == RPAR:
+        elif c == ")":
             if not open_lists:
-                raise ParseError("unexpected )", line, col, filename)
-            outer, line, col = open_lists.pop()
-            outer.append(SList(tuple(items), line, col))
+                raise ParseError("unexpected )", line, start - line_start + 1,
+                                 filename)
+            outer, l0, c0 = open_lists.pop()
+            outer.append(SList(tuple(items), l0, c0))
             items = outer
-        else:
-            items.append(Token(kind, word, line, col))
+        elif c not in _SPECIAL:
+            items.append(Token(SYMBOL if c not in _KINDED else _word_kind(word),
+                               word, line, start - line_start + 1))
+        elif c != ";":
+            col = start - line_start + 1
+            items.append(Token(*_quoted(word, line, col, filename), line, col))
     if open_lists:
         _, line, col = open_lists[-1]
         raise ParseError("unbalanced parentheses: missing )", line, col,

@@ -1,9 +1,10 @@
 """Reference s-expression lexer and reader.
 
 The character-at-a-time lexer and recursive reader `hosmt.sexpr` used
-before its one-pass scanner.  They are kept unchanged, apart from imports,
-as the reference the scanner and its explicit-stack reader are compared
-with.  The reader recurses once per open parenthesis, so deep input
+before its one-pass scanner.  They are kept unchanged as the reference the
+scanner and its explicit-stack reader are compared with, apart from imports
+and one rule: numerals and decimals are ASCII digits only, as in SMT-LIB
+and in the scanner (`str.isdigit` alone also takes `²` and `٣`).  The reader recurses once per open parenthesis, so deep input
 overflows the stack here.
 """
 
@@ -81,7 +82,7 @@ def tokenize(text, filename="<input>"):
             word = text[start:i]
             if word.startswith(":"):
                 tokens.append(Token(KEYWORD, word, l0, c0))
-            elif word.isdigit():
+            elif word.isascii() and word.isdigit():
                 tokens.append(Token(NUMERAL, word, l0, c0))
             elif _is_decimal(word):
                 tokens.append(Token(DECIMAL, word, l0, c0))
@@ -91,7 +92,7 @@ def tokenize(text, filename="<input>"):
 
 
 def _is_decimal(word):
-    if word.count(".") != 1:
+    if not word.isascii() or word.count(".") != 1:
         return False
     a, b = word.split(".")
     return a.isdigit() and b.isdigit()

@@ -25,6 +25,32 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# beyond :rule, :conclusion and :premises, which every rule reads: the
+# keywords that each rule class reads, and a value for each keyword
+READS = {"inst_forall": (":binding",), "inst_exists": (":binding",),
+         "taut": (":context", ":theory")}
+VALUES = {":context": "c9", ":theory": "beta", ":binding": "((x a))"}
+
+
+def _second_reading_cases():
+    """(step text, offending keyword, message): a step with a keyword that
+    its rule does not read, one per (rule, keyword) pair, a repeated
+    keyword and an unknown keyword.  c9 names no context, so only the
+    keyword check stops the inst_* steps."""
+    cases = [pytest.param(
+        f"(step s1 :rule {rule} {k} {VALUES[k]} :conclusion (= a a))",
+        k, f"rule {rule} takes no {k}", id=rule + k)
+        for rule in calculus.RULES for k in VALUES
+        if k not in READS.get(rule, (":context",))]
+    cases.append(pytest.param(
+        "(step s1 :rule refl :conclusion (= a b) :conclusion (= a a))",
+        ":conclusion (= a a)", "repeated keyword :conclusion", id="repeated"))
+    cases.append(pytest.param(
+        "(step s1 :rule refl :frobnicate 7 :conclusion (= a a))",
+        ":frobnicate", "unknown keyword :frobnicate", id="unknown"))
+    return cases
+
+
 class TestParse:
     def test_canonical_echo(self, capsys):
         code, out, _ = run(capsys, "parse", str(DATA / "program1.smt2"))
@@ -289,6 +315,15 @@ class TestVerify:
                        f"(step s1 :rule refl :conclusion (= {eps} {eps}))\n")
         assert run(capsys, "verify", str(bad)) == (
             1, "", f"{bad}:2:36: error: eps takes exactly one variable\n")
+
+    @pytest.mark.parametrize("step, at, message", _second_reading_cases())
+    def test_step_has_one_reading(self, capsys, tmp_path, step, at, message):
+        path = tmp_path / "keywords.hoproof"
+        path.write_text("(declare-fun a () Int)(declare-fun b () Int)\n"
+                        f"{step}\n")
+        col = step.index(at) + 1
+        assert run(capsys, "verify", str(path)) == (
+            1, "", f"{path}:2:{col}: error: {message}\n")
 
     def test_let_renames_a_captured_variable(self, capsys, tmp_path):
         # the context sends y to x, so (let ((x a)) y) becomes a let whose

@@ -1,5 +1,6 @@
 """Lexer, reader, surface parser, and printer."""
 
+import math
 import pathlib
 import random
 import sys
@@ -12,7 +13,7 @@ from hosmt.surface import (command_from_sexpr, parse_script, parse_sort,
                            parse_term, print_term, sort_from_sexpr,
                            term_from_sexpr)
 
-from conftest import DATA
+from conftest import DATA, best_times
 import sexpr_ref
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -71,6 +72,17 @@ class TestTokenize:
 
 
 class TestReader:
+    @pytest.mark.parametrize("unit, n", [
+        ("(f x) ", 5_000),
+        ("(f x)\n", 10_000),
+        ('(f "a\nb" |c\nd|)\n', 5_000),
+    ], ids=["one-line", "short-lines", "multiline-strings"])
+    def test_reading_is_linear(self, unit, n):
+        # newlines are counted between a line's end and the next match
+        # only: counting them from the start of the text is quadratic
+        t1, t2 = best_times(sexpr.parse_text, [unit * n, unit * 2 * n], 15)
+        assert math.log2(t2 / t1) <= 1.3
+
     def test_unbalanced(self):
         with pytest.raises(ParseError):
             sexpr.parse_text("(a (b)")
@@ -144,9 +156,16 @@ class TestAgainstReference:
             assert new[:2] == ("ParseError", "unexpected )")
             assert ref[0] == "LexError" and ref[2:] > new[2:]
 
-    def test_random_strings(self):
+    @pytest.mark.parametrize("alphabet", [
+        ' \t\r\n();|"abx:1.2;',
+        # what reading a kind off the first character could get wrong:
+        # leading zeros, non-ASCII digits, runs of dots and digits, `\f`
+        # (a symbol character), and strings and quoted symbols across lines
+        ("0", "007", "1.2.3", "1a", "1.", ".5", "²", "٣", "1.٣", "\f", "\n",
+         " ", "(", ")", '"', "|", ":", ";", "x"),
+    ], ids=["delimiters", "kinds"])
+    def test_random_strings(self, alphabet):
         rng = random.Random(11)
-        alphabet = ' \t\r\n();|"abx:1.2;'
         for _ in range(5000):
             self.assert_same("".join(rng.choice(alphabet)
                                      for _ in range(rng.randint(0, 30))))
