@@ -55,9 +55,15 @@ it.  Lemma steps use `:conclusion <formula>` and `:binding ((<name>
 carries each keyword at most once, and only those its rule reads: every
 rule reads `:rule`, `:conclusion` and, optionally, `:premises`; the
 judgment rules read `:context`, `taut` also `:theory`, and the lemma rules
-`:binding`.  Files may open with declare-sort/declare-fun commands.  The reader is
-`hosmt.certreader`.  Both are imported on first use, so that a call that
-only reads, or only writes, certificates compiles one of them.
+`:binding`.  Files may open with declare-sort, declare-fun and
+declare-const commands.
+
+The reader (`hosmt.certreader`) turns the s-expressions of each line into
+core terms and sorts itself, in one walk per term, with the messages of
+the script front end; it loads neither `hosmt.surface` nor
+`hosmt.typecheck`.  Reader and printer are each imported on first use, so
+that a call that only reads, or only writes, certificates compiles one of
+them.
 """
 
 from . import core

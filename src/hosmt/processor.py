@@ -6,8 +6,6 @@ while emitting a certificate deriving `() |> t ~ u` in the calculus.  The
 recursion mirrors the rules: Refl at leaves, Cong at applications, Beta at
 redexes, Bind at binders, Let at lets, and Trans where the head of an
 application itself reduces to a lambda-abstraction.
-
-Also provides the two instantiation lemma generators.
 """
 
 import itertools
@@ -16,9 +14,8 @@ from collections import namedtuple
 from . import core
 from .calculus import Certificate, EqJudgment, ProofStep
 from .context import EMPTY, apply_context, fixes
-from .core import (App, Applied, Binder, Const, DivergenceError, Let, Var,
-                   fresh_var, implies_term, sort_of, substitute)
-from .typecheck import ARITH_SYMBOLS, CORE_SYMBOLS, Signature
+from .core import (ARITH_SYMBOLS, CORE_SYMBOLS, App, Applied, Binder, Const,
+                   DivergenceError, Let, Signature, Var, fresh_var)
 
 
 # term: the processed form; certificate: a Certificate deriving it
@@ -147,40 +144,3 @@ def process(t, signature=None, max_steps=core.DEFAULT_STEP_CAP):
     _, u = proc.run(EMPTY, t)
     return ProcessResult(u, Certificate(tuple(proc.steps), sig))
 
-
-# ------------------------------------------------- instantiation lemmas
-
-_inst_ids = itertools.count(1)
-
-
-def _instantiate(phi, t, kind):
-    if not (isinstance(phi, Binder) and phi.kind == kind):
-        article = "a universal" if kind == "forall" else "an existential"
-        found = (phi.kind if isinstance(phi, Binder)
-                 else type(phi).__name__.lower())
-        raise ValueError(f"not {article}: a {found} term")
-    x = phi.var
-    if sort_of(t) != x.sort:
-        raise ValueError(
-            f"instantiation term has sort {core.sort_str(sort_of(t))}, "
-            f"expected {core.sort_str(x.sort)}")
-    inst = substitute(phi.body, {x.id: t})
-    if kind == "forall":
-        formula = implies_term(phi, inst)
-        rule = "inst_forall"
-    else:
-        formula = implies_term(inst, phi)
-        rule = "inst_exists"
-    step = ProofStep(f"i{next(_inst_ids)}", rule, (), formula,
-                     binding=((x.name, t),))
-    return formula, step
-
-
-def instantiate_forall(phi, t):
-    """The lemma (forall x. body) => body[x := t] with its inst step."""
-    return _instantiate(phi, t, "forall")
-
-
-def instantiate_exists(phi, t):
-    """The lemma body[x := t] => (exists x. body) with its inst step."""
-    return _instantiate(phi, t, "exists")

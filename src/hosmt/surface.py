@@ -37,11 +37,9 @@ and C are symbols, n >= 1, and the xi of one list are distinct):
 """
 
 from . import sexpr
+from .core import BINDER_WORDS
 from .sexpr import (KEYWORD, NUMERAL, SYMBOL, ParseError, SList, Token,
                     sexpr_to_str)
-
-
-BINDER_WORDS = ("lambda", "forall", "exists", "eps")
 
 
 def _sym(e):
@@ -86,13 +84,6 @@ def sort_from_sexpr(e, filename="<input>"):
         return Token(SYMBOL, name, e.line, e.col)
     return _keep(e, [head, *(sort_from_sexpr(x, filename)
                              for x in e.items[1:])])
-
-
-def parse_sort(text, filename="<input>"):
-    exprs = sexpr.parse_text(text, filename)
-    if len(exprs) != 1:
-        raise ParseError("expected exactly one sort", 1, 1, filename)
-    return sort_from_sexpr(exprs[0], filename)
 
 
 # ---------------------------------------------------------------- terms

@@ -1,98 +1,35 @@
-"""Signatures, well-sortedness, and elaboration of surface terms into core.
+"""Well-sortedness and elaboration of script terms into core.
 
-Declarations are normalized to fully curried sorts, so the three spellings
-of a binary function declaration coincide; partial application is then
-well-typed for every symbol.  Elaboration and sort inference happen in one
-pass.  Core terms print through `hosmt.certprinter`.
+Declarations are normalized to fully curried sorts and kept in a
+`core.Signature`, so the three spellings of a binary function declaration
+coincide; partial application is then well-typed for every symbol.
+Elaboration and sort inference happen in one pass over the canonical
+surface terms of `hosmt.surface`.  Certificates are read by
+`hosmt.certreader`, which does not use this module.  Core terms print
+through `hosmt.certprinter`.
 """
 
 from . import core, surface
-from .core import (Applied, BOOL, Binder, Const, Fun, INT, REAL, Let,
-                   fresh_var, fun_sort, sort_str)
+from .core import (BINDER_WORDS, Applied, BOOL, Binder, Const, Fun, INT, REAL,
+                   Let, Signature, SortError, fresh_var, fun_sort, sort_str)
 from .nodes import Record, Scope
-from .sexpr import DECIMAL, NUMERAL, SYMBOL, SourceError, Token
-from .surface import BINDER_WORDS
-
-
-class SortError(SourceError):
-    pass
-
-
-BUILTIN_SORTS = {"Bool": 0, "Int": 0, "Real": 0}
-
-_B2 = Fun(BOOL, Fun(BOOL, BOOL))
-CORE_SYMBOLS = {
-    "true": BOOL,
-    "false": BOOL,
-    "not": Fun(BOOL, BOOL),
-    "and": _B2,
-    "or": _B2,
-    "xor": _B2,
-    "=>": _B2,
-}
-
-_I2I = Fun(INT, Fun(INT, INT))
-_I2B = Fun(INT, Fun(INT, BOOL))
-ARITH_SYMBOLS = {
-    "+": _I2I, "-": _I2I, "*": _I2I,
-    "<=": _I2B, "<": _I2B, ">=": _I2B, ">": _I2B,
-}
+from .sexpr import DECIMAL, NUMERAL, SYMBOL, Token
 
 
 def logic_has_arith(logic):
     return logic is not None and ("IA" in logic or "RA" in logic or logic == "ALL")
 
 
-class Signature(Record):
-    """Declared symbols and sort names.  Symbols map to curried core sorts."""
-
-    __slots__ = ("symbols", "sorts")
-
-    def __init__(self):
-        self.symbols = {}
-        self.sorts = dict(BUILTIN_SORTS)
-
-    def declare_sort(self, name, arity, pos=(0, 0), filename="<input>"):
-        # (-> ...) is always the arrow (`normalize_sort`), never a declaration
-        if name in self.sorts or name == "->":
-            raise SortError(f"sort {name} declared twice", *pos, filename)
-        self.sorts[name] = arity
-
-    def declare_fun(self, name, sort, pos=(0, 0), filename="<input>"):
-        # = is always the built-in (`_identifier`), never a declaration
-        if name in self.symbols or name in CORE_SYMBOLS or name == "=":
-            raise SortError(f"symbol {name} declared twice", *pos, filename)
-        self.symbols[name] = sort
-
-    def lookup(self, name, arith=False):
-        if name in self.symbols:
-            return self.symbols[name]
-        if name in CORE_SYMBOLS:
-            return CORE_SYMBOLS[name]
-        if arith and name in ARITH_SYMBOLS:
-            return ARITH_SYMBOLS[name]
-        return None
-
-
 class TypingEnv:
     """A signature plus `scope`, which maps the names of the local binder
-    variables to them (a `nodes.Scope`).
+    variables to them (a `nodes.Scope`).  Each binder and let variable is
+    a fresh one."""
 
-    Two hooks let a reader change how names are elaborated: `make_var(name,
-    sort)` makes each binder and let variable (a fresh one by default), and
-    `lookup_ref(env, name, at)`, when set, is asked first about every
-    identifier that starts with `@`, where `at` is the token or list that
-    names it; it returns (term, sort), or None to look the name up as usual.
-    """
-
-    def __init__(self, signature, arith=False, filename="<input>",
-                 make_var=fresh_var, lookup_ref=None):
+    def __init__(self, signature, arith=False, filename="<input>"):
         self.signature = signature
         self.arith = arith
         self.filename = filename
         self.scope = Scope()
-        self.make_var = make_var
-        self.lookup_ref = lookup_ref
 
 
 def normalize_sort(s, signature, filename="<input>"):
@@ -144,13 +81,8 @@ def _identifier(env, name, ascribed, at):
             raise SortError("= must be ascribed a sort (-> S S Bool)",
                             at.line, at.col, f)
         return Const("=", s), s
-    found = None
-    if env.lookup_ref is not None and name[:1] == "@":
-        found = env.lookup_ref(env, name, at)
-    v = env.scope.get(name) if found is None else None
-    if found is not None:
-        result, s = found
-    elif v is not None:
+    v = env.scope.get(name)
+    if v is not None:
         result, s = v, v.sort
     else:
         s = env.signature.lookup(name, env.arith)
@@ -188,8 +120,8 @@ def infer_sort(env, t):
         # nested choices would make an outer eps body of the witness sort
         if word == "eps" and len(items[1].items) != 1:
             raise SortError("eps takes exactly one variable", t.line, t.col, f)
-        vars_ = [env.make_var(b.items[0].text,
-                              normalize_sort(b.items[1], env.signature, f))
+        vars_ = [fresh_var(b.items[0].text,
+                           normalize_sort(b.items[1], env.signature, f))
                  for b in items[1].items]
         env.scope.bind((v.name, v) for v in vars_)
         try:
@@ -209,7 +141,7 @@ def infer_sort(env, t):
         pairs = []
         for b in items[1].items:
             cimg, s = infer_sort(env, b.items[1])
-            pairs.append((env.make_var(b.items[0].text, s), cimg))
+            pairs.append((fresh_var(b.items[0].text, s), cimg))
         env.scope.bind((v.name, v) for v, _ in pairs)
         try:
             body, bs = infer_sort(env, items[2])

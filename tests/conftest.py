@@ -7,6 +7,9 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
+from hosmt import sexpr  # noqa: E402
+from hosmt.surface import sort_from_sexpr  # noqa: E402
+
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
@@ -36,3 +39,11 @@ def best_times(f, terms, repeat):
     finally:
         gc.enable()
     return best
+
+
+def parse_sort(text, filename="<input>"):
+    """The one sort that `text` spells, checked and in canonical form."""
+    exprs = sexpr.parse_text(text, filename)
+    if len(exprs) != 1:
+        raise sexpr.ParseError("expected exactly one sort", 1, 1, filename)
+    return sort_from_sexpr(exprs[0], filename)

@@ -59,7 +59,7 @@ def test_1_golden_parse_typecheck(capsys):
     capsys.readouterr()
     # the three equivalent declaration shapes of f share one curried sort
     from hosmt.typecheck import Signature, TypingEnv, infer_sort, normalize_decl
-    from hosmt.surface import parse_sort
+    from conftest import parse_sort
     forms = [([], "(-> (-> Int Int) Int)"),
              (["(-> Int Int)"], "Int"),
              ([], "(-> (-> Int Int) Int)")]

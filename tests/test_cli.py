@@ -701,6 +701,16 @@ def test_printer_imported_only_to_print(argv, loaded):
     assert out == ["0", *map(str, loaded.values())], err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", str(DATA / "example1.hoproof")],
+    ["verify", "--oracle", str(DATA / "example1.hoproof")],
+])
+def test_verify_loads_no_script_front_end(argv):
+    # the certificate reader elaborates its trees itself
+    out, err = _modules_after(argv, ["hosmt.surface", "hosmt.typecheck"])
+    assert out == ["0", "False", "False"], err
+
+
 def test_process_loads_no_typing_nor_dataclasses():
     # either import costs every call milliseconds
     out, err = _modules_after(["process", str(DATA / "program2.smt2")],

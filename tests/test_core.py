@@ -11,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from hosmt import nodes
 from hosmt.context import EMPTY, Context
-from hosmt.core import (App, Applied, BOOL, Binder, Const,
+from hosmt.core import (BINDER_WORDS, App, Applied, BOOL, Binder, Const,
                         DivergenceError, Fun, INT, Let, Var, alpha_eq,
                         beta_normal_form, expand_lets, free_vars, fresh_var,
                         fun_sort, sort_of, sort_str, substitute, subterms)
-from hosmt.surface import BINDER_WORDS
 
 import gen
 import mutate

@@ -9,11 +9,10 @@ import pytest
 
 from hosmt import calculus, certprinter, processor, sexpr, surface, typecheck
 from hosmt.sexpr import LexError, ParseError, SList, SourceError, tokenize
-from hosmt.surface import (command_from_sexpr, parse_script, parse_sort,
-                           parse_term, print_term, sort_from_sexpr,
-                           term_from_sexpr)
+from hosmt.surface import (command_from_sexpr, parse_script, parse_term,
+                           print_term, sort_from_sexpr, term_from_sexpr)
 
-from conftest import DATA, best_times
+from conftest import DATA, best_times, parse_sort
 import sexpr_ref
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"

@@ -216,7 +216,7 @@ class TestDepth:
         with recursion_limit(10_000):
             assert print_ref.print_core(t256) == print_term(t256)
             ref, new, new512 = best_times(lambda call: call[0](call[1]),
-                                          calls, 9)
+                                          calls, 15)
         assert new * 20 < ref
         assert math.log2(new512 / new) <= 1.5
 

@@ -1,5 +1,6 @@
 """Proof-producing processing: certificates, fidelity, and lemmas."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -7,13 +8,12 @@ from collections import Counter
 import pytest
 
 from hosmt import context
-from hosmt.calculus import (Certificate, check_certificate, check_step,
-                            parse_certificate, print_certificate)
+from hosmt.calculus import (Certificate, ProofStep, check_certificate,
+                            check_step, parse_certificate, print_certificate)
 from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, Var,
                         alpha_eq, beta_normal_form, expand_lets, fresh_var,
-                        sort_of)
-from hosmt.processor import (instantiate_exists, instantiate_forall, process,
-                             signature_for_term)
+                        sort_of, sort_str, substitute)
+from hosmt.processor import process, signature_for_term
 from hosmt.surface import parse_script
 from hosmt.typecheck import Signature, check_script
 
@@ -190,6 +190,50 @@ class TestGeneralProperties:
         sig = signature_for_term(t)
         assert set(sig.symbols) == {"p", "a"}
         assert sig.symbols["a"] == INT
+
+
+# ------------------------------------------------- instantiation lemmas
+# `process` emits no inst_* step; these producers make the lemma steps
+# that the checker's inst_* rules read.
+
+_inst_ids = itertools.count(1)
+
+
+def implies_term(a, b):
+    return App(App(Const("=>", Fun(BOOL, Fun(BOOL, BOOL))), a), b)
+
+
+def _instantiate(phi, t, kind):
+    if not (isinstance(phi, Binder) and phi.kind == kind):
+        article = "a universal" if kind == "forall" else "an existential"
+        found = (phi.kind if isinstance(phi, Binder)
+                 else type(phi).__name__.lower())
+        raise ValueError(f"not {article}: a {found} term")
+    x = phi.var
+    if sort_of(t) != x.sort:
+        raise ValueError(
+            f"instantiation term has sort {sort_str(sort_of(t))}, "
+            f"expected {sort_str(x.sort)}")
+    inst = substitute(phi.body, {x.id: t})
+    if kind == "forall":
+        formula = implies_term(phi, inst)
+        rule = "inst_forall"
+    else:
+        formula = implies_term(inst, phi)
+        rule = "inst_exists"
+    step = ProofStep(f"i{next(_inst_ids)}", rule, (), formula,
+                     binding=((x.name, t),))
+    return formula, step
+
+
+def instantiate_forall(phi, t):
+    """The lemma (forall x. body) => body[x := t] with its inst step."""
+    return _instantiate(phi, t, "forall")
+
+
+def instantiate_exists(phi, t):
+    """The lemma body[x := t] => (exists x. body) with its inst step."""
+    return _instantiate(phi, t, "exists")
 
 
 class TestInstantiation:

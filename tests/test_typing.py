@@ -8,11 +8,11 @@ import pytest
 from hosmt import surface
 from hosmt.certprinter import print_term
 from hosmt.core import BOOL, Fun, INT, alpha_eq, sort_of
-from hosmt.surface import parse_script, parse_sort, parse_term
+from hosmt.surface import parse_script, parse_term
 from hosmt.typecheck import (Signature, SortError, TypingEnv, check_script,
                              infer_sort, normalize_decl, normalize_sort)
 
-from conftest import DATA, best_times, recursion_limit
+from conftest import DATA, best_times, parse_sort, recursion_limit
 
 import gen
 from oracle_ref import beta_step
