@@ -14,7 +14,7 @@ limited by the Python call stack.
 
 import itertools
 
-from . import core
+from . import core, signature
 from .calculus import EqJudgment
 from .context import EMPTY, Fix, Map, move
 from .core import App, Binder, Const, Var, const_names, free_vars
@@ -26,7 +26,7 @@ def _declarations(sig):
     lines = []
     if sig is not None:
         for name, arity in sig.sorts.items():
-            if name not in core.BUILTIN_SORTS:
+            if name not in signature.BUILTIN_SORTS:
                 lines.append(f"(declare-sort {quote(name)} {arity})")
         for name, sort in sig.symbols.items():
             args = []
@@ -94,7 +94,7 @@ class _Printer:
         symbols = cert.signature.symbols if cert.signature else {}
         self.term_names = (f"@t{k}" for k in itertools.count(1)
                            if f"@t{k}" not in symbols)
-        taken = set(symbols) | set(core.CORE_SYMBOLS)
+        taken = set(symbols) | set(signature.CORE_SYMBOLS)
         seen = set()
         for step in cert.steps:
             c = step.conclusion

@@ -23,10 +23,11 @@ from .calculus import (LEMMA_RULES, RULES, Certificate, CertificateError,
                        EqJudgment, ProofStep)
 from .context import EMPTY, move
 from .core import (BINDER_WORDS, BOOL, INT, REAL, App, Applied, Binder, Const,
-                   Fun, Let, Signature, SortError, const_names, free_vars,
-                   fresh_var, fun_sort, sort_str)
+                   Fun, Let, const_names, free_vars, fresh_var, fun_sort,
+                   sort_str)
 from .nodes import Scope
 from .sexpr import DECIMAL, KEYWORD, NUMERAL, SYMBOL, ParseError, SList, Token
+from .signature import Signature, SortError
 
 
 # the keywords a step of each rule reads, each at most once

@@ -14,8 +14,9 @@ from collections import namedtuple
 from . import core
 from .calculus import Certificate, EqJudgment, ProofStep
 from .context import EMPTY, apply_context, fixes
-from .core import (ARITH_SYMBOLS, CORE_SYMBOLS, App, Applied, Binder, Const,
-                   DivergenceError, Let, Signature, Var, fresh_var)
+from .core import (App, Applied, Binder, Const, DivergenceError, Let, Var,
+                   fresh_var)
+from .signature import ARITH_SYMBOLS, CORE_SYMBOLS, Signature
 
 
 # term: the processed form; certificate: a Certificate deriving it

@@ -1,7 +1,7 @@
 """Well-sortedness and elaboration of script terms into core.
 
 Declarations are normalized to fully curried sorts and kept in a
-`core.Signature`, so the three spellings of a binary function declaration
+`signature.Signature`, so the three spellings of a binary function declaration
 coincide; partial application is then well-typed for every symbol.
 Elaboration and sort inference happen in one pass over the canonical
 surface terms of `hosmt.surface`.  Certificates are read by
@@ -11,9 +11,10 @@ through `hosmt.certprinter`.
 
 from . import core, surface
 from .core import (BINDER_WORDS, Applied, BOOL, Binder, Const, Fun, INT, REAL,
-                   Let, Signature, SortError, fresh_var, fun_sort, sort_str)
+                   Let, fresh_var, fun_sort, sort_str)
 from .nodes import Record, Scope
 from .sexpr import DECIMAL, NUMERAL, SYMBOL, Token
+from .signature import Signature, SortError
 
 
 def logic_has_arith(logic):

@@ -5,7 +5,7 @@ context node and each repeated term once: a certificate printed either way
 must parse to the same per-step verdicts.
 """
 
-from hosmt import core
+from hosmt import core, signature
 from hosmt.calculus import EqJudgment
 from hosmt.context import Fix
 
@@ -16,7 +16,7 @@ def _assign_names(cert):
     """Unique printed name per context-variable id across the certificate."""
     names = {}
     used = set(cert.signature.symbols) if cert.signature else set()
-    used |= set(core.CORE_SYMBOLS)
+    used |= set(signature.CORE_SYMBOLS)
 
     def claim(v):
         if v.id in names:
@@ -75,7 +75,7 @@ def print_certificate(cert):
     lines = []
     if cert.signature is not None:
         for name, arity in cert.signature.sorts.items():
-            if name not in core.BUILTIN_SORTS:
+            if name not in signature.BUILTIN_SORTS:
                 lines.append(f"(declare-sort {name} {arity})")
         for name, sort in cert.signature.symbols.items():
             args = []

@@ -16,10 +16,10 @@ from hosmt.calculus import (LEMMA_RULES, RULES, Certificate, CertificateError,
                             EqJudgment, ProofStep)
 from hosmt.context import EMPTY, move
 from hosmt.core import (BINDER_WORDS, BOOL, Binder, Const, Fun, INT, Let,
-                        REAL, Signature, SortError, const_names, free_vars,
-                        fresh_var, sort_str)
+                        REAL, const_names, free_vars, fresh_var, sort_str)
 from hosmt.nodes import Scope
 from hosmt.sexpr import DECIMAL, NUMERAL, SYMBOL, SList, Token
+from hosmt.signature import Signature, SortError
 from hosmt.typecheck import normalize_sort
 
 
