@@ -56,16 +56,14 @@ def _outcomes(text):
     return outcomes
 
 
-def _same(text):
-    """Whether both readers give the same outcome, up to the one allowed
-    difference; no input the reference rejects may be accepted."""
+def _agree(text):
+    """Both readers give the same outcome, up to the one allowed
+    difference; no input the reference rejects is accepted."""
     new, ref = _outcomes(text)
-    if new == ref:
-        return True
-    assert isinstance(new, tuple) and isinstance(ref, tuple), (new, ref)
-    assert _is_syntax(new) != _is_syntax(ref), (new, ref)
-    assert _is_elaboration(new) != _is_elaboration(ref), (new, ref)
-    return False
+    if new != ref:
+        assert isinstance(new, tuple) and isinstance(ref, tuple), (new, ref)
+        assert _is_syntax(new) != _is_syntax(ref), (new, ref)
+        assert _is_elaboration(new) != _is_elaboration(ref), (new, ref)
 
 
 def _is_syntax(outcome):
@@ -141,4 +139,4 @@ class TestAgainstReference:
                 text = text[:i] + text[i + 1:]
             else:
                 text = text[:i] + rng.choice('()|";: x1.@') + text[i:]
-            _same(text)
+            _agree(text)
