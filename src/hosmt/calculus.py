@@ -59,9 +59,9 @@ judgment rules read `:context`, `taut` also `:theory`, and the lemma rules
 declare-const commands.
 
 The reader (`hosmt.certreader`) turns the s-expressions of each line into
-core terms and sorts itself, in one walk per term, with the messages of
-the script front end; it loads neither `hosmt.surface` nor
-`hosmt.typecheck`.  Reader and printer are each imported on first use, so
+core terms and sorts in one walk per term, through the elaborator of
+script terms too (`hosmt.elaborate`); it loads neither `hosmt.surface`
+nor `hosmt.typecheck`.  Reader and printer are each imported on first use, so
 that a call that only reads, or only writes, certificates compiles one of
 them.
 """

@@ -1,0 +1,335 @@
+"""Elaboration of terms and sorts into core terms and sorts.
+
+Scripts (`hosmt.typecheck`) and certificates (`hosmt.certreader`) write
+terms in one language over a `signature.Signature`, and both elaborate
+them through `Elaborator`.  Its `term` turns a term of the reader's tree
+into a core term and its sort in one walk, which checks syntax and sorts
+as it goes; a script's terms have passed `hosmt.surface` already.  With
+`elab` false the walk checks syntax alone.  Sorts are small: each is
+checked, then elaborated.
+
+The two callers differ in three places:
+
+- `var_for(name, sort)` makes each binder and `let` variable: a fresh one,
+  or in a certificate its one variable of that (name, sort);
+- `arith` tells whether `signature.ARITH_SYMBOLS` are in scope: after a
+  script's latest `set-logic` with arithmetic, and always in a certificate;
+- `term_ref(name, at)` is asked first about each identifier that starts
+  with `@`: only certificates give such names a meaning of their own.
+"""
+
+from .core import (BINDER_WORDS, BOOL, INT, REAL, App, Applied, Binder, Const,
+                   Fun, Let, fresh_var, fun_sort, sort_str)
+from .nodes import Scope
+from .sexpr import DECIMAL, KEYWORD, NUMERAL, SYMBOL, ParseError, SList, Token
+from .signature import Signature, SortError
+
+
+# the words that begin a term form other than an application
+_FORMS = frozenset((*BINDER_WORDS, "let", "match", "!", "as", "="))
+
+
+def is_sym(e, text=None):
+    return (e.__class__ is Token and e.kind == SYMBOL
+            and (text is None or e.text == text))
+
+
+class Elaborator:
+    """The signature `sig`, and `scope`, a `nodes.Scope` that maps names to
+    the variables they mean: the binders of the term being elaborated and,
+    below them, whatever the caller binds.  `consts` caches the (Const,
+    sort) the signature gave a name: a caller that sets `arith` clears it.
+    """
+
+    arith = False
+    var_for = staticmethod(fresh_var)
+
+    def __init__(self, filename="<input>"):
+        self.sig = Signature()
+        self.filename = filename
+        self.scope = Scope()
+        self.consts = {}
+        self.const_names = {"="}  # of every constant built so far
+
+    def error(self, msg, e, kind):
+        return kind(msg, e.line, e.col, self.filename)
+
+    def symbol(self, e, what):
+        if not is_sym(e):
+            raise self.error(f"expected {what}", e, ParseError)
+        return e.text
+
+    def declare_fun(self, name, sort, at):
+        """Declare the symbol `name` at the curried `sort`, where the
+        command `at` stands."""
+        self.sig.declare_fun(name, sort, (at.line, at.col), self.filename)
+        # a declared symbol hides an arithmetic one of its name
+        self.consts.pop(name, None)
+
+    def expect(self, what, s, want, at):
+        """Check that the body of `what`, at `at`, has the sort `want`."""
+        if s is not want:
+            raise self.error(f"{what} body has sort {sort_str(s)}, expected "
+                             f"{sort_str(want)}", at, SortError)
+
+    # ------------------------------------------------------------ sorts
+
+    def check_sort(self, e):
+        if e.__class__ is Token:
+            if e.kind != SYMBOL:
+                raise self.error("expected a sort", e, ParseError)
+            return
+        if not e.items:
+            raise self.error("empty sort", e, ParseError)
+        arrow = is_sym(e.items[0], "->")
+        if not arrow:
+            self.symbol(e.items[0], "sort constructor")
+        for x in e.items[1:]:
+            self.check_sort(x)
+        if arrow and len(e.items) < 3:
+            raise self.error("arrow sort needs at least two sorts", e,
+                             ParseError)
+
+    def sort(self, e):
+        """The core sort of a checked sort, arrows curried; a parenthesized
+        atomic sort `(S)` is S."""
+        if e.__class__ is Token or len(e.items) == 1:
+            name, args = (e if e.__class__ is Token else e.items[0]).text, ()
+        else:
+            name, *args = e.items
+            name = name.text
+            if name == "->":
+                return fun_sort([self.sort(a) for a in args[:-1]],
+                                self.sort(args[-1]))
+        arity = self.sig.sorts.get(name)
+        if arity is None:
+            raise self.error(f"unknown sort {name}", e, SortError)
+        if arity != len(args):
+            raise self.error(f"sort {name} expects {arity} arguments" if args
+                             else f"sort {name} expects arguments", e,
+                             SortError)
+        return Applied(name, tuple([self.sort(a) for a in args]))
+
+    def binders(self, e):
+        """The (name, checked sort) pairs of a binder list."""
+        if e.__class__ is not SList or not e.items:
+            raise self.error("expected a nonempty binder list", e, ParseError)
+        out, seen = [], set()
+        for b in e.items:
+            if b.__class__ is not SList or len(b.items) != 2:
+                raise self.error("expected (name sort)", b, ParseError)
+            name = self.symbol(b.items[0], "binder name")
+            if name in seen:
+                raise self.error(f"duplicate binder {name}", b.items[0],
+                                 ParseError)
+            seen.add(name)
+            self.check_sort(b.items[1])
+            out.append((name, b.items[1]))
+        return out
+
+    # ------------------------------------------------------------ terms
+
+    def term(self, e, elab=True):
+        """(core term, sort) of the term e, or with `elab` false, None once
+        its syntax is checked."""
+        if e.__class__ is Token:
+            if e.kind == KEYWORD:
+                raise self.error(f"unexpected {e.kind} in term", e, ParseError)
+            if not elab:
+                return None
+            if e.kind == SYMBOL:
+                # most leaves: a variable in scope or a declared constant
+                name = e.text
+                v = self.scope.get(name)
+                if v is None:
+                    found = self.consts.get(name)
+                    if found is not None:
+                        return found
+                elif name[:1] != "@" and name != "=":
+                    return v, v.sort
+                return self.identifier(name, None, e)
+            if e.kind == NUMERAL or e.kind == DECIMAL:
+                s = INT if e.kind == NUMERAL else REAL
+                self.const_names.add(e.text)
+                return Const(e.text, s), s
+            raise self.error("string literals have no sort here", e, SortError)
+        items = e.items
+        if not items:
+            raise self.error("empty application", e, ParseError)
+        head = items[0]
+        if head.__class__ is Token and head.kind == SYMBOL and head.text in _FORMS:
+            return self.form(head.text, e, elab)
+        found = self.term(head, elab)
+        if len(items) < 2:
+            raise self.error("application needs at least one argument", e,
+                             ParseError)
+        if not elab:
+            for a in items[1:]:
+                self.term(a, False)
+            return None
+        fn, hs = found
+        for a in items[1:]:
+            arg, s = self.term(a)
+            if hs.__class__ is not Fun:
+                raise self.error("applying a term of non-functional sort "
+                                 f"{sort_str(hs)}", e, SortError)
+            if hs.dom is not s:
+                raise self.error(f"argument sort mismatch: expected "
+                                 f"{sort_str(hs.dom)}, found {sort_str(s)}",
+                                 a, SortError)
+            fn, hs = App(fn, arg), hs.cod
+        return fn, hs
+
+    def form(self, word, e, elab):
+        """`term` of a list headed by one of the words of _FORMS."""
+        items = e.items
+        n = len(items)
+        if word in BINDER_WORDS:
+            if n < 3:
+                raise self.error(f"{word} needs binders and a body", e,
+                                 ParseError)
+            binders = self.binders(items[1])
+            if n > 3 and word != "lambda":
+                for x in items[2:]:
+                    self.term(x, False)
+                raise self.error(f"{word} takes exactly one body term", e,
+                                 ParseError)
+            # a multi-term lambda body t1 ... tn is the term (t1 ... tn)
+            body = items[2] if n == 3 else SList(items[2:], e.line, e.col)
+            if not elab:
+                return self.term(body, False)
+            # nested choices would make an outer eps body of the witness sort
+            if word == "eps" and len(binders) != 1:
+                raise self.error("eps takes exactly one variable", e, SortError)
+            vs = [self.var_for(name, self.sort(s)) for name, s in binders]
+            self.scope.bind((v.name, v) for v in vs)
+            body, s = self.term(body)
+            self.scope.unbind()
+            if word != "lambda":
+                self.expect(word, s, BOOL, e)
+            for v in reversed(vs):
+                body = Binder(word, v, body)
+                # eps: the sort of the chosen witness
+                s = (Fun(v.sort, s) if word == "lambda"
+                     else v.sort if word == "eps" else BOOL)
+            return body, s
+        if word == "let":
+            if n != 3:
+                raise self.error("let takes a binding list and one body", e,
+                                 ParseError)
+            if items[1].__class__ is not SList or not items[1].items:
+                raise self.error("expected a nonempty binding list", e,
+                                 ParseError)
+            pairs, seen = [], set()
+            for b in items[1].items:
+                if b.__class__ is not SList or len(b.items) != 2:
+                    raise self.error("expected (name term)", b, ParseError)
+                name = self.symbol(b.items[0], "bound name")
+                if name in seen:
+                    raise self.error(f"duplicate let binding {name}",
+                                     b.items[0], ParseError)
+                seen.add(name)
+                found = self.term(b.items[1], elab)
+                if elab:
+                    pairs.append((self.var_for(name, found[1]), found[0]))
+            if not elab:
+                return self.term(items[2], False)
+            self.scope.bind((v.name, v) for v, _ in pairs)
+            body, s = self.term(items[2])
+            self.scope.unbind()
+            return Let(tuple(pairs), body), s
+        if word == "match":
+            if n != 3 or items[2].__class__ is not SList:
+                raise self.error("match takes a scrutinee and a case list", e,
+                                 ParseError)
+            self.term(items[1], False)
+            for c in items[2].items:
+                if c.__class__ is not SList or len(c.items) != 2:
+                    raise self.error("expected (pattern term)", c, ParseError)
+                self.term(c.items[1], False)
+            if not items[2].items:
+                raise self.error("match needs at least one case", e, ParseError)
+            if elab:
+                raise self.error("unsupported construct: match", e, SortError)
+            return None
+        if word == "!":
+            # attributes are kept only in a script's surface terms
+            if n < 3:
+                raise self.error("annotation needs a term and attributes", e,
+                                 ParseError)
+            found = self.term(items[1], elab)
+            keyword_due = True  # a value may follow a keyword, not a value
+            for x in items[2:]:
+                if x.__class__ is Token and x.kind == KEYWORD:
+                    keyword_due = False
+                elif keyword_due:
+                    raise self.error("expected a keyword attribute", x,
+                                     ParseError)
+                else:
+                    keyword_due = True
+            return found
+        if word == "as":
+            if n != 3:
+                raise self.error("as takes an identifier and a sort", e,
+                                 ParseError)
+            name = self.symbol(items[1], "identifier")
+            self.check_sort(items[2])
+            return self.identifier(name, items[2], e) if elab else None
+        # =, whose syntax is that of an application
+        if n < 2:
+            raise self.error("application needs at least one argument", e,
+                             ParseError)
+        if n != 3 or not elab:
+            for x in items[1:]:
+                self.term(x, False)
+            if elab:
+                raise self.error("= takes exactly two arguments", e, SortError)
+            return None
+        lhs, ls = self.term(items[1])
+        rhs, rs = self.term(items[2])
+        if ls is not rs:
+            raise self.error(f"equality between different sorts: "
+                             f"{sort_str(ls)} and {sort_str(rs)}", e, SortError)
+        return App(App(Const("=", Fun(ls, Fun(ls, BOOL))), lhs), rhs), BOOL
+
+    def identifier(self, name, ascribed, at):
+        """The symbol `name`, with the sort expression `ascribed` or None,
+        at the token or list `at`: (core term, sort)."""
+        if name == "=":
+            # = is polymorphic: a bare or partially applied occurrence
+            # needs an ascription (as = (-> S S Bool)) naming its instance
+            if ascribed is None:
+                raise self.error("cannot infer a sort for bare =", at,
+                                 SortError)
+            s = self.sort(ascribed)
+            if not (s.__class__ is Fun and s.cod.__class__ is Fun
+                    and s.cod.cod is BOOL and s.dom is s.cod.dom):
+                raise self.error("= must be ascribed a sort (-> S S Bool)",
+                                 at, SortError)
+            return Const("=", s), s
+        found = self.term_ref(name, at) if name[:1] == "@" else None
+        if found is None:
+            v = self.scope.get(name)
+            if v is not None:
+                found = v, v.sort
+            else:
+                s = self.sig.lookup(name, self.arith)
+                if s is None:
+                    raise self.error(f"unbound symbol {name}", at, SortError)
+                found = Const(name, s), s
+                self.const_names.add(name)
+                if name[:1] != "@":
+                    self.consts[name] = found
+        if ascribed is not None:
+            asc = self.sort(ascribed)
+            if asc is not found[1]:
+                raise self.error(f"sort ascription mismatch: expected "
+                                 f"{sort_str(asc)}, found {sort_str(found[1])}",
+                                 at, SortError)
+        return found
+
+    def term_ref(self, name, at):
+        """The (node, sort) that the name `name`, which starts with `@`,
+        denotes at its use `at`, or None to look it up as any other
+        symbol."""
+        return None

@@ -13,7 +13,8 @@ their fields, leaving out source positions (`line`, `col`).  Each
 subclass writes its own `__init__`.
 
 A `Scope` is a dict whose changes are undone in the reverse order: the
-name scope of the typechecker, the certificate reader and the printer.
+name scope of the elaborator (`hosmt.elaborate`), of scripts and
+certificates alike, and of the printer.
 """
 
 import weakref

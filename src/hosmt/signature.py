@@ -2,8 +2,8 @@
 
 A `Signature` maps each declared symbol to its curried core sort and each
 sort name to its arity; the built-in symbols are in `CORE_SYMBOLS` and,
-with arithmetic, `ARITH_SYMBOLS`.  The script front end (`hosmt.typecheck`)
-and the certificate reader (`hosmt.certreader`) both elaborate into one.
+with arithmetic, `ARITH_SYMBOLS`.  Scripts and certificates are both
+elaborated into one by `hosmt.elaborate`.
 """
 
 from .core import BOOL, INT, Fun

@@ -1,29 +1,69 @@
-"""Reference certificate reader.
+"""Reference certificate reader and script front end.
 
 The reader `hosmt.certreader` used before it elaborated the reader's
 trees itself.  It is kept unchanged as the reference the one-walk reader
 is compared with, apart from imports, and together with the hooked
-elaborator it used, which `hosmt.typecheck` no longer has: each term is
-checked by `surface.term_from_sexpr` and then elaborated by `infer_sort`
-below, whose `TypingEnv` takes two reader hooks.  Binder and `let`
-variables come from the certificate's (name, sort) registry through
-`make_var`, and `@`-names are resolved by `_CertParser.term_ref` through
-`lookup_ref`.
+elaborator it used: each term is checked by `surface.term_from_sexpr` and
+then elaborated by `infer_sort` below, whose `TypingEnv` takes two reader
+hooks.  Binder and `let` variables come from the certificate's (name,
+sort) registry through `make_var`, and `@`-names are resolved by
+`_CertParser.term_ref` through `lookup_ref`.
+
+With its default hooks, `infer_sort` is the script front end's
+elaborator from before scripts were elaborated by `hosmt.elaborate`;
+`normalize_sort`, `normalize_decl`, `declare` and `check_script` below
+are that front end's, unchanged apart from imports, and are the reference
+`typecheck.check_script` is compared with.
 """
 
-from hosmt import core, sexpr, surface, typecheck
+from hosmt import core, sexpr, surface
 from hosmt.calculus import (LEMMA_RULES, RULES, Certificate, CertificateError,
                             EqJudgment, ProofStep)
 from hosmt.context import EMPTY, move
-from hosmt.core import (BINDER_WORDS, BOOL, Binder, Const, Fun, INT, Let,
-                        REAL, const_names, free_vars, fresh_var, sort_str)
+from hosmt.core import (BINDER_WORDS, BOOL, Applied, Binder, Const, Fun, INT,
+                        Let, REAL, const_names, free_vars, fresh_var, fun_sort,
+                        sort_str)
 from hosmt.nodes import Scope
 from hosmt.sexpr import DECIMAL, NUMERAL, SYMBOL, SList, Token
 from hosmt.signature import Signature, SortError
-from hosmt.typecheck import normalize_sort
+from hosmt.typecheck import CheckedScript, logic_has_arith
 
 
 # ------------------------------------------- the hooked elaborator
+
+def normalize_sort(s, signature, filename="<input>"):
+    """Canonical surface sort (`hosmt.surface`) to core sort, arrows fully
+    curried right-associated."""
+    if isinstance(s, Token):
+        arity = signature.sorts.get(s.text)
+        if arity is None:
+            raise SortError(f"unknown sort {s.text}", s.line, s.col, filename)
+        if arity != 0:
+            raise SortError(f"sort {s.text} expects arguments",
+                            s.line, s.col, filename)
+        return Applied(s.text, ())
+    head, *args = s.items
+    name = head.text
+    if name == "->":
+        return fun_sort([normalize_sort(a, signature, filename)
+                         for a in args[:-1]],
+                        normalize_sort(args[-1], signature, filename))
+    arity = signature.sorts.get(name)
+    if arity is None:
+        raise SortError(f"unknown sort {name}", s.line, s.col, filename)
+    if arity != len(args):
+        raise SortError(f"sort {name} expects {arity} arguments",
+                        s.line, s.col, filename)
+    return Applied(name, tuple(normalize_sort(a, signature, filename)
+                               for a in args))
+
+
+def normalize_decl(arg_sorts, result, signature=None, filename="<input>"):
+    """Curried sort of a declaration: `f (A B) R` becomes A -> (B -> R')."""
+    signature = signature if signature is not None else Signature()
+    args = [normalize_sort(a, signature, filename) for a in arg_sorts]
+    return fun_sort(args, normalize_sort(result, signature, filename))
+
 
 class TypingEnv:
     """A signature plus `scope`, which maps the names of the local binder
@@ -161,6 +201,58 @@ def infer_sort(env, t):
                 f"found {sort_str(as_)}", a.line, a.col, f)
         fn, hs = core.App(fn, arg), hs.cod
     return fn, hs
+
+
+# ------------------------------------------- the script front end
+
+def declare(sig, cmd, filename="<input>"):
+    """Add the canonical (declare-sort ...) or (declare-fun ...) command
+    `cmd` to the signature `sig`."""
+    word, name, args, *result = cmd.items
+    pos = (cmd.line, cmd.col)
+    if word.text == "declare-sort":
+        sig.declare_sort(name.text, int(args.text), pos, filename)
+    else:
+        sort = normalize_decl(args.items, result[0], sig, filename)
+        sig.declare_fun(name.text, sort, pos, filename)
+
+
+def check_script(cmds, filename="<input>"):
+    """Process the canonical commands (`hosmt.surface`) in order, and
+    elaborate every assert to Bool."""
+    sig = Signature()
+    logic = None
+    asserts = []
+    for c in cmds:
+        word = c.items[0].text
+        if word == "set-logic":
+            logic = c.items[1].text
+        elif word in ("declare-sort", "declare-fun"):
+            declare(sig, c, filename)
+        elif word == "define-fun":
+            _, name, params, result, body = c.items
+            env = TypingEnv(sig, logic_has_arith(logic), filename)
+            vars_ = [fresh_var(p.items[0].text,
+                               normalize_sort(p.items[1], sig, filename))
+                     for p in params.items]
+            env.scope.bind((v.name, v) for v in vars_)
+            _, bs = infer_sort(env, body)
+            declared = normalize_sort(result, sig, filename)
+            if bs != declared:
+                raise SortError(
+                    f"define-fun body has sort {sort_str(bs)}, expected "
+                    f"{sort_str(declared)}", c.line, c.col, filename)
+            sort = fun_sort([v.sort for v in vars_], declared)
+            sig.declare_fun(name.text, sort, (c.line, c.col), filename)
+        elif word == "assert":
+            env = TypingEnv(sig, logic_has_arith(logic), filename)
+            term, s = infer_sort(env, c.items[1])
+            if s != BOOL:
+                raise SortError(
+                    f"assert body has sort {sort_str(s)}, expected Bool",
+                    c.line, c.col, filename)
+            asserts.append(term)
+    return CheckedScript(sig, asserts)
 
 
 # ------------------------------------------------------ the reader
@@ -428,7 +520,7 @@ def read_certificate(text, filename="<certificate>"):
         name = cmd.items[1]
         if word == "declare-fun" and name.text in parser.terms:
             raise parser.error(f"term {name.text} is a declared symbol", name)
-        typecheck.declare(parser.sig, cmd, filename)
+        declare(parser.sig, cmd, filename)
     if not steps:
         raise CertificateError("certificate has no steps", 1, 1, filename)
     return Certificate(tuple(steps), parser.sig)

@@ -27,15 +27,17 @@ def recursion_limit(n):
 def best_times(f, terms, repeat):
     """The fastest of `repeat` calls f(t) for each t, taken in turns so that
     a drift of the machine's speed reaches every term, with the collector
-    off: its pauses depend on what the rest of the run left on the heap."""
+    off: its pauses depend on what the rest of the run left on the heap.
+    Calls are timed in this process's CPU time, which other processes on
+    the machine do not add to."""
     best = [math.inf] * len(terms)
     gc.disable()
     try:
         for _ in range(repeat):
             for k, t in enumerate(terms):
-                start = time.perf_counter()
+                start = time.process_time()
                 f(t)
-                best[k] = min(best[k], time.perf_counter() - start)
+                best[k] = min(best[k], time.process_time() - start)
     finally:
         gc.enable()
     return best

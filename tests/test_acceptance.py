@@ -58,21 +58,18 @@ def test_1_golden_parse_typecheck(capsys):
         ok &= cli.main(["check", str(DATA / name)]) == 0
     capsys.readouterr()
     # the three equivalent declaration shapes of f share one curried sort
-    from hosmt.typecheck import Signature, TypingEnv, infer_sort, normalize_decl
-    from conftest import parse_sort
+    from hosmt.surface import parse_script
+    from hosmt.typecheck import check_script
     forms = [([], "(-> (-> Int Int) Int)"),
              (["(-> Int Int)"], "Int"),
              ([], "(-> (-> Int Int) Int)")]
-    sorts = {normalize_decl([parse_sort(s) for s in args], parse_sort(res),
-                            Signature())
-             for args, res in forms}
+    sorts = {check_script(parse_script(
+                 f"(declare-fun f ({' '.join(args)}) {res})")).signature
+             .symbols["f"] for args, res in forms}
     ok &= len(sorts) == 1
-    sig = Signature()
-    sig.declare_fun("g", normalize_decl([parse_sort("Int"), parse_sort("Int")],
-                                        parse_sort("Int"), sig))
-    t1, _ = infer_sort(TypingEnv(sig), parse_term("((g 1) 2)"))
-    t2, _ = infer_sort(TypingEnv(sig), parse_term("(g 1 2)"))
-    ok &= alpha_eq(t1, t2)
+    eq, = check_script(parse_script(
+        "(declare-fun g (Int Int) Int)(assert (= ((g 1) 2) (g 1 2)))")).asserts
+    ok &= alpha_eq(eq.fn.arg, eq.arg)
     report("golden parse/typecheck", ok, started, 1.0)
 
 

@@ -1,11 +1,12 @@
 """Certificate checking: rule contracts, parsing, printing, soundness."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from hosmt import certprinter, processor, surface, typecheck
+from hosmt import certprinter, core, processor, signature, surface, typecheck
 from hosmt.calculus import (BETA_THEORY, RULES, CertificateError, EqJudgment,
                             ProofStep, check_certificate, check_step,
                             parse_certificate, print_certificate)
@@ -506,7 +507,7 @@ class TestMutations:
     def test_side_condition_mutation(self):
         # each mutant reads back from its text and fails the side condition
         # of its mutated step, which no mutation in MUTATIONS reaches
-        sig = typecheck.Signature()
+        sig = signature.Signature()
         sig.symbols.update((c.name, c.sort) for c in gen.CONSTS)
         rng = random.Random(36)
         applied = 0
@@ -876,6 +877,25 @@ class TestTermNames:
         line = text.count("\n", 0, at) + 1
         assert (e.value.line, e.value.col) == (
             line, at - text.rfind("\n", 0, at))
+
+    def test_wrong_variable_named_whatever_the_ids(self):
+        # of the free variables that mean another one at the use, the
+        # message names the first the certificate registered, however far
+        # the process's variable counter has run
+        text = ("(declare-fun g (Int Int Int) Int)\n"
+                "(context c1 () (fix x Int))\n(context c2 c1 (fix y Int))\n"
+                "(context c3 c2 (fix z Int))\n(define @t1 (g x y z))\n"
+                "(step s1 :rule refl :context c3 :conclusion (= @t1 @t1))\n"
+                "(step s2 :rule refl :conclusion (= @t1 (g 1 1 1)))")
+        start = next(core._counter)
+        messages = set()
+        for offset in range(0, 40, 5):  # ascending: no id is made twice
+            core._counter = itertools.count(start + offset)
+            with pytest.raises(CertificateError) as e:
+                parse_certificate(text)
+            messages.add(e.value.message)
+        assert messages == {"term @t1 uses x, which means another variable "
+                            "here"}
 
     def test_bad_define_line(self):
         with pytest.raises(CertificateError) as e:

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from hosmt import cli, processor, surface, typecheck
+from hosmt import cli, processor, signature, surface, typecheck
 from hosmt.calculus import (Certificate, EqJudgment, ProofStep,
                             parse_certificate, print_certificate)
 from hosmt.certprinter import print_term
@@ -109,7 +109,7 @@ def test_renamed_binder_is_not_shared():
     b = App(App(G, z), z)
     lhs = Binder("lambda", z, App(App(G, b), y))
     rhs = Binder("lambda", z, App(App(G, b), b))
-    sig = typecheck.Signature()
+    sig = signature.Signature()
     sig.symbols.update(g=G.sort, a=A.sort)
     cert = Certificate((ProofStep("s1", "refl", (),
                                   EqJudgment(EMPTY.fix(y), lhs, rhs)),),

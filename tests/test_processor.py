@@ -15,7 +15,8 @@ from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, Var,
                         sort_of, sort_str, substitute)
 from hosmt.processor import process, signature_for_term
 from hosmt.surface import parse_script
-from hosmt.typecheck import Signature, check_script
+from hosmt.signature import Signature
+from hosmt.typecheck import check_script
 
 from conftest import best_times, recursion_limit
 

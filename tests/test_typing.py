@@ -5,78 +5,81 @@ import random
 
 import pytest
 
-from hosmt import surface
 from hosmt.certprinter import print_term
 from hosmt.core import BOOL, Fun, INT, alpha_eq, sort_of
 from hosmt.surface import parse_script, parse_term
-from hosmt.typecheck import (Signature, SortError, TypingEnv, check_script,
-                             infer_sort, normalize_decl, normalize_sort)
+from hosmt.elaborate import Elaborator
+from hosmt.signature import SortError
+from hosmt.typecheck import check_script, declare, logic_has_arith
 
-from conftest import DATA, best_times, parse_sort, recursion_limit
+from conftest import DATA, best_times, recursion_limit
 
 import gen
 from oracle_ref import beta_step
 
 
-def sorts(*texts):
-    return [parse_sort(t) for t in texts]
+def declared(el, name, args, res):
+    """The sort of `name` once (declare-fun name (args) res) is declared."""
+    declare(el, parse_script(f"(declare-fun {name} ({' '.join(args)}) {res})")[0])
+    return el.sig.symbols[name]
+
+
+def decl_sort(args, res):
+    return declared(Elaborator(), "f", args, res)
 
 
 def make_env(decls, logic=None):
-    sig = Signature()
+    el = Elaborator()
     for name, args, res in decls:
-        sig.declare_fun(name, normalize_decl(sorts(*args), parse_sort(res), sig))
-    from hosmt.typecheck import logic_has_arith
-    return TypingEnv(sig, logic_has_arith(logic))
+        declared(el, name, args, res)
+    el.arith = logic_has_arith(logic)
+    return el
 
 
 class TestNormalizeDecl:
     def test_flat(self):
-        assert normalize_decl(sorts("Int", "Int"), parse_sort("Int"),
-                              Signature()) == Fun(INT, Fun(INT, INT))
+        assert decl_sort(["Int", "Int"], "Int") == Fun(INT, Fun(INT, INT))
 
     def test_mixed(self):
-        assert normalize_decl(sorts("Int"), parse_sort("(-> Int Int)"),
-                              Signature()) == Fun(INT, Fun(INT, INT))
+        assert decl_sort(["Int"], "(-> Int Int)") == Fun(INT, Fun(INT, INT))
 
     def test_nullary(self):
-        assert normalize_decl([], parse_sort("Bool"), Signature()) == BOOL
+        assert decl_sort([], "Bool") == BOOL
 
     def test_three_declarations_coincide(self):
         forms = [([], "(-> Int (-> Int Int))"),
                  (["Int"], "(-> Int Int)"),
                  (["Int", "Int"], "Int"),
                  ([], "(-> Int Int Int)")]
-        results = {normalize_decl(sorts(*args), parse_sort(res), Signature())
-                   for args, res in forms}
+        results = {decl_sort(args, res) for args, res in forms}
         assert len(results) == 1
 
     def test_unknown_sort(self):
         with pytest.raises(SortError):
-            normalize_decl(sorts("Elephant"), parse_sort("Int"), Signature())
+            decl_sort(["Elephant"], "Int")
 
 
 class TestInferSort:
     def test_partial_application(self):
         env = make_env([("g", ("Int", "Int"), "Int")])
-        _, s = infer_sort(env, parse_term("(g 1)"))
+        _, s = env.term(parse_term("(g 1)"))
         assert s == Fun(INT, INT)
 
     def test_higher_order_argument(self):
         env = make_env([("f", ("(-> Int Int)",), "Int"),
                         ("h", ("Int", "Int"), "Int")])
-        _, s = infer_sort(env, parse_term("(f (h 1))"))
+        _, s = env.term(parse_term("(f (h 1))"))
         assert s == INT
 
     def test_identity_lambda(self):
         env = make_env([])
-        _, s = infer_sort(env, parse_term("(lambda ((x Int)) x)"))
+        _, s = env.term(parse_term("(lambda ((x Int)) x)"))
         assert s == Fun(INT, INT)
 
     def test_curry_equivalence(self):
         env = make_env([("g", ("Int", "Int"), "Int")])
-        t1, _ = infer_sort(env, parse_term("((g 1) 2)"))
-        t2, _ = infer_sort(env, parse_term("(g 1 2)"))
+        t1, _ = env.term(parse_term("((g 1) 2)"))
+        t2, _ = env.term(parse_term("(g 1 2)"))
         assert alpha_eq(t1, t2)
 
     def test_currying_coherence(self):
@@ -85,7 +88,7 @@ class TestInferSort:
         term = "h"
         expect = full
         for k in range(4):
-            _, s = infer_sort(env, parse_term(term))
+            _, s = env.term(parse_term(term))
             assert s == expect
             if isinstance(expect, Fun):
                 term = f"({term} 1)" if k == 0 else term[:-1] + " 1)"
@@ -94,47 +97,47 @@ class TestInferSort:
     def test_self_application_rejected(self):
         env = make_env([("f", ("Int",), "Int")])
         with pytest.raises(SortError) as e:
-            infer_sort(env, parse_term("(f f)"))
+            env.term(parse_term("(f f)"))
         assert "sort mismatch" in str(e.value) or "expected" in str(e.value)
 
     def test_unbound(self):
         with pytest.raises(SortError) as e:
-            infer_sort(make_env([]), parse_term("mystery"))
+            make_env([]).term(parse_term("mystery"))
         assert "unbound symbol mystery" in str(e.value)
 
     def test_equality_polymorphic_at_fun_sorts(self):
         env = make_env([("f", ("Int",), "Int")])
-        _, s = infer_sort(env, parse_term("(= f (lambda ((x Int)) (f x)))"))
+        _, s = env.term(parse_term("(= f (lambda ((x Int)) (f x)))"))
         assert s == BOOL
 
     def test_equality_sort_clash(self):
         env = make_env([("f", ("Int",), "Int")])
         with pytest.raises(SortError):
-            infer_sort(env, parse_term("(= f 1)"))
+            env.term(parse_term("(= f 1)"))
 
     def test_quantifier_body_must_be_bool(self):
         with pytest.raises(SortError):
-            infer_sort(make_env([]), parse_term("(forall ((x Int)) x)"))
+            make_env([]).term(parse_term("(forall ((x Int)) x)"))
 
     def test_eps_gives_witness_sort(self):
         env = make_env([("p", ("Int",), "Bool")])
-        _, s = infer_sort(env, parse_term("(eps ((x Int)) (p x))"))
+        _, s = env.term(parse_term("(eps ((x Int)) (p x))"))
         assert s == INT
 
     def test_match_rejected(self):
         with pytest.raises(SortError) as e:
-            infer_sort(make_env([]), parse_term("(match 1 ((x x)))"))
+            make_env([]).term(parse_term("(match 1 ((x x)))"))
         assert "unsupported construct: match" in str(e.value)
 
     def test_ascription_checked(self):
         env = make_env([("f", ("Int",), "Int")])
-        infer_sort(env, parse_term("(as f (-> Int Int))"))
+        env.term(parse_term("(as f (-> Int Int))"))
         with pytest.raises(SortError):
-            infer_sort(env, parse_term("(as f Int)"))
+            env.term(parse_term("(as f Int)"))
 
     def test_arith_partial_application(self):
         env = make_env([], logic="UFLIA")
-        _, s = infer_sort(env, parse_term("(+ 1)"))
+        _, s = env.term(parse_term("(+ 1)"))
         assert s == Fun(INT, INT)
 
 
@@ -177,6 +180,24 @@ class TestCheckScript:
             "(declare-sort U 0)(declare-fun u () U)(assert (= u u))"))
         assert "U" in checked.signature.sorts
 
+    def test_set_logic_without_arithmetic_unbinds_it(self):
+        # a symbol resolved under one logic is looked up again under the next
+        text = ("(set-logic QF_LIA)(declare-fun a () Int)(assert (< a 1))\n"
+                "(set-logic QF_UF)(assert (< a 1))")
+        with pytest.raises(SortError) as e:
+            check_script(parse_script(text))
+        assert (e.value.message, e.value.line, e.value.col) == (
+            "unbound symbol <", 2, 27)
+
+    def test_declared_symbol_hides_arithmetic_one(self):
+        checked = check_script(parse_script(
+            "(set-logic ALL)(assert (= (+ 1 2) 3))"
+            "(declare-fun + (Int Int) Bool)(assert (+ 1 2))"))
+        plus = Fun(INT, Fun(INT, BOOL))
+        assert checked.signature.symbols["+"] == plus
+        assert checked.asserts[1].fn.fn.sort == plus
+        assert checked.asserts[0].fn.arg.fn.fn.sort == Fun(INT, Fun(INT, INT))
+
     def test_nested_binders_elaborate_in_linear_time(self):
         # a name is looked up once, not in every enclosing binder's scope
         def forall(n):
@@ -211,14 +232,13 @@ class TestSubjectReduction:
 class TestErase:
     def test_faithful(self):
         rng = random.Random(43)
-        sig = Signature()
+        el = Elaborator()
         for c in gen.CONSTS:
-            sig.symbols[c.name] = c.sort
+            el.sig.symbols[c.name] = c.sort
         for _ in range(200):
             t = gen.gen_closed(rng, depth=4)
             text = print_term(t)
-            env = TypingEnv(sig)
-            t2, _ = infer_sort(env, parse_term(text))
+            t2, _ = el.term(parse_term(text))
             assert alpha_eq(t, t2)
 
     def test_binder_shadowing_renamed(self):
@@ -229,7 +249,7 @@ class TestErase:
         g = gen.CONSTS[4]  # g : Int -> Int -> Int
         t = Binder("lambda", x1, Binder("lambda", x2, App(App(g, x1), x2)))
         text = print_term(t)
-        sig = Signature()
-        sig.symbols["g"] = g.sort
-        t2, _ = infer_sort(TypingEnv(sig), parse_term(text))
+        el = Elaborator()
+        el.sig.symbols["g"] = g.sort
+        t2, _ = el.term(parse_term(text))
         assert alpha_eq(t, t2)
