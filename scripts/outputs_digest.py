@@ -38,11 +38,17 @@ step whose context substitution must rename a let variable.  Fixed
 scripts that assert lambda, exists and eps terms go through the calls
 above.
 
+The `chains` family covers terms whose let-free form is exponentially
+larger than their DAG: the let chains of `gen.let_chain` at the depths in
+CHAIN_DEPTHS, `x1 := a` and `xi := (g x(i-1) x(i-1))`, each asserted
+equal to `a`, go through the calls above, `verify --oracle` on their
+certificates included.
+
 Every call contributes its stdout, stderr and exit code.  The inputs are
 copied into a temporary directory and named relative to it, since file
 names appear in messages: the digest does not depend on where the checkout
 lives.  One digest is printed per family (forall, let, batch, data, edits,
-commands, rules) and one over everything:
+commands, rules, chains) and one over everything:
 
     python3 scripts/outputs_digest.py --seeds 1 2 3
 """
@@ -190,6 +196,7 @@ RULE_SCRIPTS = {
 """,
 }
 MUTANTS_PER_CERT = 4  # per seed
+CHAIN_DEPTHS = (4, 8, 12)
 
 
 def run(*argv):
@@ -295,7 +302,7 @@ def write_inputs(seeds, work):
     tests/data and the command scripts and their certificates, written to
     `work`."""
     inputs = {f: [] for f in (*FAMILIES, "data", "edits", "commands",
-                              "rules")}
+                              "rules", "chains")}
     for seed in seeds:
         for family in FAMILIES:
             name = f"{family}-{seed}.smt2"
@@ -335,6 +342,11 @@ def write_inputs(seeds, work):
     for name, script in RULE_SCRIPTS.items():
         (work / f"rules-{name}.smt2").write_text(script)
         inputs["rules"].append(f"rules-{name}.smt2")
+    for n in CHAIN_DEPTHS:
+        term = certprinter.print_term(gen.let_chain(n))
+        (work / f"chain-{n}.smt2").write_text(
+            f"{workloads.GF_DECLS}(assert {term})\n")
+        inputs["chains"].append(f"chain-{n}.smt2")
     return inputs
 
 

@@ -11,7 +11,10 @@ the one live node with those fields, so `==` on sorts and terms is
 identity and hashing is O(1).  Nodes are built only through their
 constructors.  A term node keeps its free variables and constant names
 once they are computed (`free_vars`, `const_names`), which lets
-`substitute` skip every subterm the substitution does not touch.
+`substitute` skip every subterm the substitution does not touch.  Walks
+that rebuild a term treat it as the DAG it is: `substitute` rebuilds a
+shared node once per call, and `expand_lets` and `beta_normal_form` take
+a memo of their results per node, which a caller may keep across calls.
 """
 
 import itertools
@@ -291,11 +294,12 @@ def substitute(t, sigma):
     """Simultaneous capture-avoiding substitution.
 
     sigma maps variable ids to terms; images are not re-substituted.  A
-    subterm with no free variable in sigma is returned as it is, and a
-    binder is renamed fresh when its variable occurs free in an image that
-    is substituted below it.
+    subterm with no free variable in sigma is returned as it is, a shared
+    subterm is substituted once per call, and a binder is renamed fresh
+    when its variable occurs free in an image that is substituted below
+    it.
     """
-    return _subst(t, sigma) if sigma else t
+    return _subst(t, sigma, {}) if sigma else t
 
 
 def _captures(var_id, fv, sigma):
@@ -309,7 +313,9 @@ def _without(sigma, ids):
     return {k: x for k, x in sigma.items() if k not in ids}
 
 
-def _subst(t, sigma):
+def _subst(t, sigma, memo):
+    # memo: node -> its image under sigma, for the nodes rebuilt so far;
+    # a binder or let that changes sigma goes on with a memo of its own
     if isinstance(t, Var):
         return sigma.get(t.id, t)
     if isinstance(t, Const):
@@ -317,17 +323,22 @@ def _subst(t, sigma):
     fv = free_vars(t)
     if sigma.keys().isdisjoint(fv):
         return t
+    out = memo.get(t)
+    if out is not None:
+        return out
     if isinstance(t, App):
-        return _app(t, _subst(t.fn, sigma), _subst(t.arg, sigma))
-    if isinstance(t, Binder):
+        out = _app(t, _subst(t.fn, sigma, memo), _subst(t.arg, sigma, memo))
+    elif isinstance(t, Binder):
         v = t.var
-        sigma = _without(sigma, (v.id,))
-        if _captures(v.id, fv, sigma):
+        inner = _without(sigma, (v.id,))
+        if _captures(v.id, fv, inner):
             v2 = fresh_var(v.name, v.sort)
-            return Binder(t.kind, v2, _subst(t.body, {**sigma, v.id: v2}))
-        return _rebind(t, _subst(t.body, sigma))
-    if isinstance(t, Let):
-        pairs = [(v, _subst(img, sigma)) for v, img in t.bindings]
+            out = Binder(t.kind, v2, _subst(t.body, {**inner, v.id: v2}, {}))
+        else:
+            out = _rebind(t, _subst(t.body, inner,
+                                    memo if inner is sigma else {}))
+    elif isinstance(t, Let):
+        pairs = [(v, _subst(img, sigma, memo)) for v, img in t.bindings]
         inner = _without(sigma, [v.id for v, _ in t.bindings])
         body_fv = free_vars(t.body)
         for i, (v, img) in enumerate(pairs):
@@ -335,8 +346,14 @@ def _subst(t, sigma):
                 v2 = fresh_var(v.name, v.sort)
                 inner = {**inner, v.id: v2}
                 pairs[i] = (v2, img)
-        return _relet(t, pairs, _subst(t.body, inner) if inner else t.body)
-    raise TypeError(f"not a core term: {t!r}")
+        body = t.body
+        if inner:
+            body = _subst(body, inner, memo if inner is sigma else {})
+        out = _relet(t, pairs, body)
+    else:
+        raise TypeError(f"not a core term: {t!r}")
+    memo[t] = out
+    return out
 
 
 # --------------------------------------------------------------- beta
@@ -344,13 +361,18 @@ def _subst(t, sigma):
 DEFAULT_STEP_CAP = 100000
 
 
-def beta_normal_form(t, max_steps=DEFAULT_STEP_CAP):
+def beta_normal_form(t, max_steps=DEFAULT_STEP_CAP, memo=None):
     """Normal-order beta-normal form; raises DivergenceError past the cap.
 
     Terminates for well-sorted (simply-sorted) inputs.  `let` bindings are
-    left in place; only beta-redexes are contracted.
+    left in place; only beta-redexes are contracted.  `memo` maps nodes to
+    their normal forms; a caller that keeps it across calls normalizes
+    each node once, and a normal form found in it spends no step of this
+    call's cap.  Without one, the call keeps its own.
     """
     budget = [max_steps]
+    if memo is None:
+        memo = {}
 
     def spend():
         budget[0] -= 1
@@ -368,33 +390,53 @@ def beta_normal_form(t, max_steps=DEFAULT_STEP_CAP):
         return u
 
     def nf(u):
-        u = whnf(u)
-        if isinstance(u, (Var, Const)):
-            return u
-        if isinstance(u, App):
-            return _app(u, nf(u.fn), nf(u.arg))
-        if isinstance(u, Binder):
-            return _rebind(u, nf(u.body))
-        if isinstance(u, Let):
-            return _relet(u, [(v, nf(img)) for v, img in u.bindings], nf(u.body))
-        raise TypeError(f"not a core term: {u!r}")
+        out = memo.get(u)
+        if out is not None:
+            return out
+        w = whnf(u)
+        if isinstance(w, (Var, Const)):
+            out = w
+        elif isinstance(w, App):
+            out = _app(w, nf(w.fn), nf(w.arg))
+        elif isinstance(w, Binder):
+            out = _rebind(w, nf(w.body))
+        elif isinstance(w, Let):
+            out = _relet(w, [(v, nf(img)) for v, img in w.bindings],
+                         nf(w.body))
+        else:
+            raise TypeError(f"not a core term: {w!r}")
+        memo[u] = out
+        return out
 
     return nf(t)
 
 
-def expand_lets(t):
-    """Unfold every let by its simultaneous substitution (non-recursive)."""
+def expand_lets(t, memo=None):
+    """Unfold every let by its simultaneous substitution (non-recursive).
+
+    `memo` maps nodes to their let-free forms; a caller that keeps it
+    across calls expands each node once.  Without one, the call keeps its
+    own.
+    """
+    if memo is None:
+        memo = {}
     if isinstance(t, (Var, Const)):
         return t
+    out = memo.get(t)
+    if out is not None:
+        return out
     if isinstance(t, App):
-        return _app(t, expand_lets(t.fn), expand_lets(t.arg))
-    if isinstance(t, Binder):
-        return _rebind(t, expand_lets(t.body))
-    if isinstance(t, Let):
-        body = expand_lets(t.body)
-        sigma = {v.id: expand_lets(img) for v, img in t.bindings}
-        return substitute(body, sigma)
-    raise TypeError(f"not a core term: {t!r}")
+        out = _app(t, expand_lets(t.fn, memo), expand_lets(t.arg, memo))
+    elif isinstance(t, Binder):
+        out = _rebind(t, expand_lets(t.body, memo))
+    elif isinstance(t, Let):
+        body = expand_lets(t.body, memo)
+        sigma = {v.id: expand_lets(img, memo) for v, img in t.bindings}
+        out = substitute(body, sigma)
+    else:
+        raise TypeError(f"not a core term: {t!r}")
+    memo[t] = out
+    return out
 
 
 # ------------------------------------------------- formula constructors

@@ -1,10 +1,11 @@
 """Seeded random generators for well-sorted core terms, substitutions, and
-contexts over a small fixed signature."""
+contexts over a small fixed signature, and one fixed-shape term over it,
+the shared let chain."""
 
 import random
 
 from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, Var,
-                        free_vars, fresh_var, subterms)
+                        eq_term, free_vars, fresh_var, subterms)
 from hosmt.context import EMPTY
 
 INTI = Fun(INT, INT)
@@ -136,3 +137,15 @@ def gen_judgment_term(rng, ctx, fixed, mapped, depth=4):
     """A term whose free variables live in the given context."""
     sort = rng.choice(BASE_SORTS)
     return gen_term(rng, sort, depth, env=list(fixed) + list(mapped))
+
+
+def let_chain(n):
+    """(= (let ((x1 a)) (let ((x2 (g x1 x1))) ... xn)) a): n nested lets,
+    each image using the variable before it twice, so the let-free form
+    has 2^(n-1) leaves in n interned nodes."""
+    a, g = CONSTS[0], CONSTS[4]
+    xs = [fresh_var(f"x{i}", INT) for i in range(1, n + 1)]
+    body = xs[-1]
+    for prev, x in reversed(list(zip(xs, xs[1:]))):
+        body = Let(((x, App(App(g, prev), prev)),), body)
+    return eq_term(Let(((xs[0], a),), body), a)

@@ -428,6 +428,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(cert))
         assert code == 0 and "valid (1 steps)" in out
 
+    def test_max_steps_caps_oracle_steps_spent_anew(self, capsys):
+        # the redex of example1's beta step is normalized by no earlier
+        # step, so the oracle spends a step on it anew; the checker spends
+        # none on a beta step
+        golden = str(DATA / "example1.hoproof")
+        code, _, err = run(capsys, "verify", "--oracle", "--max-steps", "0",
+                           golden)
+        assert code == 3 and "exceeded 0 steps" in err
+        code, out, _ = run(capsys, "verify", "--max-steps", "0", golden)
+        assert code == 0 and out == f"{golden}: valid (7 steps)\n"
+
     def test_deep_context_gets_its_verdict(self, capsys, tmp_path):
         # a context chain 1,000 entries deep, as in the certificate of 200
         # nested beta-redexes but without its 1.7 MB of restated contexts

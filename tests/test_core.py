@@ -169,6 +169,22 @@ class TestSubstitute:
         assert substitute(x, sigma) == y
         assert substitute(y, sigma) == x
 
+    @pytest.mark.parametrize("scope", ("binder", "let", "renamed binder"))
+    def test_shared_node_under_another_substitution(self, scope):
+        # s occurs outside a scope of x and inside it, where the
+        # substitution differs: the one node gets one image in each place
+        x, y = fresh_var("x", INT), fresh_var("y", INT)
+        s = App(App(p2, x), y)
+        if scope == "let":
+            t = App(App(p2, s), Let(((x, a),), s))
+        else:
+            t = App(App(p2, s), App(lam(x, s), a))
+        image = x if scope == "renamed binder" else App(f1, a)
+        sigma = {x.id: App(f1, a), y.id: image}
+        db = nameless.db_subst(nameless.to_db(t),
+                               {k: nameless.to_db(v) for k, v in sigma.items()})
+        assert nameless.to_db(substitute(t, sigma)) == db
+
     def test_agrees_with_nameless_oracle(self):
         rng = random.Random(23)
         for _ in range(500):

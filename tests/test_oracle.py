@@ -1,18 +1,25 @@
 """Lambda-encoding oracle: the one-pass fold, its agreement with the
-encoding-based reference in oracle_ref, and step validation."""
+encoding-based reference in oracle_ref, step validation, and the memos
+one certificate's steps share."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
-from hosmt.calculus import EqJudgment, check_certificate, parse_certificate
+from hosmt.calculus import (EqJudgment, check_certificate, parse_certificate,
+                            print_certificate)
 from hosmt.context import EMPTY, apply_context
 from hosmt.core import (App, Binder, Const, Fun, INT, alpha_eq, eq_term,
                         fresh_var, sort_of, substitute)
 from hosmt.oracle import check_certificate_oracle, fold, oracle_check
 from hosmt.processor import process
 
-from conftest import DATA
+from conftest import DATA, best_times
 
 import gen
 import mutate
@@ -270,3 +277,108 @@ class TestCertificates:
         b = Const("b", INT)
         j = EqJudgment(EMPTY.map([(x, a)]), x, b)
         assert oracle_check(j) == "needs-theory"
+
+
+def lambda_closure(prefix, t):
+    for x in reversed(prefix):
+        t = Binder("lambda", x, t)
+    return t
+
+
+class TestSharedMemos:
+    """check_certificate_oracle shares its memos among a certificate's
+    judgments; they carry no verdict from one judgment to another."""
+
+    @staticmethod
+    def assert_fresh_verdicts(cert):
+        """The certificate's verdicts, each equal to a fresh oracle_check's
+        and to the reference chain's."""
+        judgments = [(s.id, s.conclusion) for s in cert.steps
+                     if isinstance(s.conclusion, EqJudgment)]
+        verdicts = check_certificate_oracle(cert)
+        assert verdicts == [(sid, oracle_check(j)) for sid, j in judgments]
+        assert [v for _, v in verdicts] == [oracle_ref.verdict(j)
+                                            for _, j in judgments]
+        return [v for _, v in verdicts]
+
+    def test_mutated_certificates(self):
+        # TestVerdictParity's mutants, each checked as one certificate
+        rng = random.Random(97)
+        certs = [parse_certificate((DATA / f"example{k}.hoproof").read_text())
+                 for k in (1, 2, 3)]
+        certs += [process(gen.gen_closed(rng, depth=4)).certificate
+                  for _ in range(20)]
+        mixed = 0
+        for k in range(300):
+            _, bad = mutate.random_mutation(certs[k % len(certs)], rng)
+            mixed += len(set(self.assert_fresh_verdicts(bad))) == 2
+        assert mixed > 0
+
+    def test_shared_subterms_with_mixed_verdicts(self):
+        # one redex and one context are shared by judgments that hold
+        # and judgments that do not, in both orders
+        cert = parse_certificate("""(declare-fun g (Int Int) Int)
+(declare-fun a () Int)
+(declare-fun b () Int)
+(define @r ((lambda ((x Int)) (g x x)) a))
+(context c1 () (map (y a)))
+(context c2 c1 (fix z Int))
+(step s1 :rule taut :theory arith :conclusion (= @r (g b b)))
+(step s2 :rule taut :theory beta :conclusion (= @r (g a a)))
+(step s3 :rule refl :context c2 :conclusion (= (g y z) (g a z)))
+(step s4 :rule refl :context c2 :conclusion (= (g y z) (g b z)))
+(step s5 :rule refl :context c1 :conclusion (= (g @r y) (g (g a a) a)))
+(step s6 :rule refl :context c1 :conclusion (= (g @r y) (g (g a b) a)))
+""")
+        assert self.assert_fresh_verdicts(cert) == [
+            "needs-theory", "lambda-valid", "lambda-valid", "needs-theory",
+            "lambda-valid", "needs-theory"]
+
+    def test_fold_cache_changes_no_result(self):
+        # a context and its ancestors folded in a random order with one
+        # cache: each result is the uncached one up to the names of
+        # renamed abstractions
+        rng = random.Random(103)
+        cache = {}
+        for _ in range(200):
+            ctx, pool = shadowing_context(rng)
+            nodes = [ctx]
+            while nodes[-1].parent.entry is not None:
+                nodes.append(nodes[-1].parent)
+            rng.shuffle(nodes)
+            t = gen.gen_term(rng, rng.choice(gen.BASE_SORTS), 3, env=pool)
+            for node in nodes:
+                (xs, sigma), (ys, tau) = fold(node, cache), fold(node)
+                assert [x.sort for x in xs] == [y.sort for y in ys]
+                assert alpha_eq(lambda_closure(xs, substitute(t, sigma)),
+                                lambda_closure(ys, substitute(t, tau)))
+        assert len(cache) > 200
+
+
+def chain_certificate(n):
+    return print_certificate(process(gen.let_chain(n)).certificate)
+
+
+class TestLetChain:
+    """The let chain's let-free form has 2^(n-1) leaves; the oracle
+    normalizes it once per node."""
+
+    def test_depth_24_verifies_in_under_a_second(self, tmp_path):
+        cert = tmp_path / "chain.hoproof"
+        cert.write_text(chain_certificate(24))
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "hosmt.cli", "verify", "--oracle",
+             str(cert)],
+            capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(f"{cert}: oracle: all steps lambda-valid")
+        assert elapsed < 1.0
+
+    def test_oracle_time_grows_slowly(self):
+        certs = [parse_certificate(chain_certificate(n)) for n in (8, 16)]
+        t8, t16 = best_times(check_certificate_oracle, certs, repeat=7)
+        assert t16 <= 6 * t8
