@@ -7,10 +7,11 @@ The syntax and the meaning of term names are described in `hosmt.calculus`;
 `_CertParser` is the subclass for certificates.  Binder and `let`
 variables come from the certificate's (name, sort) registry, as context
 variables do, `@`-names are resolved at each use (`_CertParser.term_ref`),
-and the arithmetic symbols are always in scope.  The walk checks syntax
-alone where sorts are not wanted: a definition's body on its own line,
-since it is elaborated at its first use, and the commands that no
-certificate may hold.  This module loads neither `hosmt.surface` nor
+and the arithmetic symbols are always in scope.  A declaration is
+`Elaborator.command`, as in a script; the walk checks syntax alone where
+sorts are not wanted: a definition's body on its own line, since it is
+elaborated at its first use, and any other command, which no certificate
+may hold.  This module loads neither `hosmt.surface` nor
 `hosmt.typecheck`.
 """
 
@@ -18,9 +19,9 @@ from . import sexpr
 from .calculus import (LEMMA_RULES, RULES, Certificate, CertificateError,
                        EqJudgment, ProofStep)
 from .context import EMPTY, move
-from .core import BOOL, const_names, free_vars, fresh_var, fun_sort
+from .core import BOOL, const_names, free_vars, fresh_var
 from .elaborate import Elaborator, is_sym
-from .sexpr import KEYWORD, NUMERAL, SYMBOL, ParseError, SList, Token
+from .sexpr import KEYWORD, SYMBOL, SList, Token
 
 
 # the keywords a step of each rule reads, each at most once
@@ -30,6 +31,7 @@ _KEYWORDS = {
     | ({":theory"} if rule == "taut" else set())
     for rule in RULES}
 _ALL_KEYWORDS = set().union(*_KEYWORDS.values())
+_DECLARATIONS = ("declare-sort", "declare-fun", "declare-const")
 
 
 def _named(node):
@@ -125,65 +127,21 @@ class _CertParser(Elaborator):
         self.term(items[2], False)
         self.terms[name.text] = [items[2], None, None]
 
+    def declare_fun(self, name, sort, at):
+        # what a certificate adds to a declaration: no term has its name
+        if name in self.terms:
+            raise self.error(f"term {name} is a declared symbol", at.items[1])
+        super().declare_fun(name, sort, at)
+
     def declare(self, e):
         """Add a declare-sort, declare-fun or declare-const command to the
-        signature; any other command is an error."""
-        items = e.items
-        n = len(items)
-        if not is_sym(items[0]):
-            raise self.error("expected a command", e, ParseError)
-        word = items[0].text
-        if word == "declare-sort":
-            if n != 3 or not (items[2].__class__ is Token
-                              and items[2].kind == NUMERAL):
-                raise self.error("declare-sort takes a name and an arity", e,
-                                 ParseError)
-            name = self.symbol(items[1], "sort name")
-            try:
-                arity = int(items[2].text)
-            except ValueError:  # past the interpreter's limit on digits
-                raise self.error("declare-sort arity has too many digits",
-                                 items[2], ParseError) from None
-            return self.sig.declare_sort(name, arity, (e.line, e.col),
-                                         self.filename)
-        if word in ("declare-fun", "declare-const"):
-            const = word == "declare-const"
-            if const and n != 3:
-                raise self.error("declare-const takes a name and a sort", e,
-                                 ParseError)
-            if not const and (n != 4 or items[2].__class__ is not SList):
-                raise self.error("declare-fun takes a name, argument sorts, "
-                                 "and a result", e, ParseError)
-            name = self.symbol(items[1], "constant name" if const
-                               else "function name")
-            args = () if const else items[2].items
-            for s in (*args, items[-1]):
-                self.check_sort(s)
-            if name in self.terms:
-                raise self.error(f"term {name} is a declared symbol", items[1])
-            sort = fun_sort([self.sort(a) for a in args], self.sort(items[-1]))
-            return self.declare_fun(name, sort, e)
-        # the script front end's checks of the commands no certificate holds
-        if word == "set-logic":
-            if n != 2:
-                raise self.error("set-logic takes one symbol", e, ParseError)
-            self.symbol(items[1], "logic name")
-        elif word == "define-fun":
-            if n != 5 or items[2].__class__ is not SList:
-                raise self.error("define-fun takes a name, parameters, a "
-                                 "sort, and a body", e, ParseError)
-            self.symbol(items[1], "function name")
-            if items[2].items:
-                self.binders(items[2])
-            self.check_sort(items[3])
-            self.term(items[4], False)
-        elif word == "assert":
-            if n != 2:
-                raise self.error("assert takes one term", e, ParseError)
-            self.term(items[1], False)
-        elif word == "exit" and n != 1:
-            raise self.error("exit takes no arguments", e, ParseError)
-        raise self.error("only declarations and steps are allowed", e)
+        signature; any other command is an error once its syntax is
+        checked."""
+        if is_sym(e.items[0]) and e.items[0].text in _DECLARATIONS:
+            self.command(e)
+        else:
+            self.command(e, False)
+            raise self.error("only declarations and steps are allowed", e)
 
     def parse_context(self, e):
         """The context a :context value denotes; `scope` then holds its
@@ -225,8 +183,8 @@ class _CertParser(Elaborator):
         if is_sym(items[0], "fix"):
             if len(items) != 3 or not is_sym(items[1]):
                 raise self.error("expected (fix <name> <sort>)", entry)
-            self.check_sort(items[2])
-            v = self.var_for(items[1].text, self.sort(items[2]))
+            v = self.var_for(items[1].text,
+                             self.sort(self.check_sort(items[2])))
             return self.scope.at.fix(v)
         if not is_sym(items[0], "map"):
             raise self.error("unknown context entry", entry)

@@ -45,11 +45,10 @@ def _run_parse(path, args, out, err):
 
 
 def _run_check(path, args, out, err):
-    from . import surface, typecheck
+    from . import sexpr, typecheck
 
     text, name = _read(path)
-    cmds = surface.parse_script(text, name)
-    checked = typecheck.check_script(cmds, name)
+    checked = typecheck.check_script(sexpr.parse_text(text, name), name)
     if args.verbose:
         from . import certprinter
 
@@ -67,11 +66,13 @@ def _proof_path(base, index, count):
 
 
 def _run_process(path, args, out, err):
-    from . import calculus, certprinter, context, processor, surface, typecheck
+    from . import calculus, certprinter, context, processor, sexpr, typecheck
+    from .elaborate import Elaborator
 
     text, name = _read(path)
-    cmds = surface.parse_script(text, name)
+    cmds = sexpr.parse_text(text, name)
     checked = typecheck.check_script(cmds, name)
+    syntax = Elaborator(name)  # echoes the other commands in canonical form
     n = 0
     for c in cmds:
         if c.items[0].text == "assert":
@@ -93,7 +94,7 @@ def _run_process(path, args, out, err):
                 with open(dest, "w", encoding="utf-8") as fh:
                     fh.write(cert)
         else:
-            out.write(sexpr_to_str(c) + "\n")
+            out.write(sexpr_to_str(syntax.command(c, False)) + "\n")
     return EXIT_OK
 
 

@@ -1,22 +1,57 @@
-"""Elaboration of terms and sorts into core terms and sorts.
+"""The syntax of scripts and certificates, and elaboration of their terms
+and sorts into core terms and sorts.
 
 Scripts (`hosmt.typecheck`) and certificates (`hosmt.certreader`) write
-terms in one language over a `signature.Signature`, and both elaborate
-them through `Elaborator`.  Its `term` turns a term of the reader's tree
-into a core term and its sort in one walk, which checks syntax and sorts
-as it goes; a script's terms have passed `hosmt.surface` already.  With
-`elab` false the walk checks syntax alone.  Sorts are small: each is
-checked, then elaborated.
+commands, terms and sorts in one language over a `signature.Signature`,
+and `Elaborator` is the one code that knows its syntax.  Its `term` turns
+a term of the reader's tree into a core term and its sort in one walk,
+which checks syntax and sorts as it goes, and its `command` checks a
+command and applies it to the signature in the same walk.  Sorts are
+small: each is checked, then elaborated.
+
+With `elab` false, `command` and `term` check syntax alone, as
+`check_sort` and `binders` always do, and return the canonical tree: the
+argument itself when it is canonical, otherwise a tree in which only the
+lists on the path from a rewritten node to the root are new.  A
+parenthesized atomic sort `(S)` becomes the symbol `S`, and a multi-term
+lambda body `t1 ... tn` the term `(t1 ... tn)`, read like any other: a
+reserved word at its head begins that form.  `(declare-const c S)`
+becomes `(declare-fun c () S)`, and a declare-sort arity loses its
+leading zeros.  Each new node takes the position of the node it
+replaces, and the inserted `()` that of its command.  `hosmt.surface`
+parses and prints scripts in this form.
+
+The canonical shapes (xi, f and C are symbols, n >= 1, and the xi of one
+list are distinct):
+
+    commands  (set-logic C) | (declare-sort C k), k a numeral without
+              leading zeros | (declare-fun f (S1 ... Sn) R), n >= 0
+              | (define-fun f ((x1 S1) ... (xn Sn)) R t), n >= 0
+              | (assert t) | (exit)
+              | (w e1 ... en), n >= 0, any other symbol w and
+                s-expressions ei: kept as they are
+    sorts     S | (-> S1 ... Sn R) | (C S1 ... Sn), C not ->
+    terms     a numeral, decimal, string or symbol | (as f S)
+              | (B ((x1 S1) ... (xn Sn)) t), B in BINDER_WORDS
+              | (let ((x1 t1) ... (xn tn)) t)
+              | (match t ((p1 t1) ... (pn tn))), any s-expressions pi
+              | (! t k1 v1 ... kn vn), keywords ki, each vi a non-keyword
+                s-expression or left out
+              | (t0 t1 ... tn), t0 no reserved word: an application, or an
+                equality when t0 is the symbol =
 
 The two callers differ in three places:
 
-- `var_for(name, sort)` makes each binder and `let` variable: a fresh one,
-  or in a certificate its one variable of that (name, sort);
+- `var_for(name, sort)` makes each binder, `let` and define-fun variable:
+  a fresh one, or in a certificate its one variable of that (name, sort);
 - `arith` tells whether `signature.ARITH_SYMBOLS` are in scope: after a
-  script's latest `set-logic` with arithmetic, and always in a certificate;
+  script's latest `set-logic` with integer arithmetic, and always in a
+  certificate;
 - `term_ref(name, at)` is asked first about each identifier that starts
   with `@`: only certificates give such names a meaning of their own.
 """
+
+import operator
 
 from .core import (BINDER_WORDS, BOOL, INT, REAL, App, Applied, Binder, Const,
                    Fun, Let, fresh_var, fun_sort, sort_str)
@@ -32,6 +67,22 @@ _FORMS = frozenset((*BINDER_WORDS, "let", "match", "!", "as", "="))
 def is_sym(e, text=None):
     return (e.__class__ is Token and e.kind == SYMBOL
             and (text is None or e.text == text))
+
+
+def logic_has_arith(logic):
+    """Whether the logic named `logic`, or None, puts the arithmetic
+    symbols in scope: their sorts are over Int, so only a logic with
+    integer arithmetic does."""
+    return logic is not None and ("IA" in logic or "IRA" in logic
+                                  or logic == "ALL")
+
+
+def _keep(e, items):
+    """The list e when `items` are its own items, else a new list of them
+    at e's position."""
+    if len(items) == len(e.items) and all(map(operator.is_, items, e.items)):
+        return e
+    return SList(tuple(items), e.line, e.col)
 
 
 class Elaborator:
@@ -75,26 +126,32 @@ class Elaborator:
     # ------------------------------------------------------------ sorts
 
     def check_sort(self, e):
+        """The canonical tree of the sort e, once its syntax is checked."""
         if e.__class__ is Token:
             if e.kind != SYMBOL:
                 raise self.error("expected a sort", e, ParseError)
-            return
-        if not e.items:
+            return e
+        items = e.items
+        if not items:
             raise self.error("empty sort", e, ParseError)
-        arrow = is_sym(e.items[0], "->")
+        arrow = is_sym(items[0], "->")
         if not arrow:
-            self.symbol(e.items[0], "sort constructor")
-        for x in e.items[1:]:
-            self.check_sort(x)
-        if arrow and len(e.items) < 3:
+            name = self.symbol(items[0], "sort constructor")
+            if len(items) == 1:
+                # tolerated: a parenthesized atomic sort such as (Int)
+                return Token(SYMBOL, name, e.line, e.col)
+        out = [items[0]]
+        for x in items[1:]:
+            out.append(self.check_sort(x))
+        if arrow and len(items) < 3:
             raise self.error("arrow sort needs at least two sorts", e,
                              ParseError)
+        return _keep(e, out)
 
     def sort(self, e):
-        """The core sort of a checked sort, arrows curried; a parenthesized
-        atomic sort `(S)` is S."""
-        if e.__class__ is Token or len(e.items) == 1:
-            name, args = (e if e.__class__ is Token else e.items[0]).text, ()
+        """The core sort of a canonical sort, arrows curried."""
+        if e.__class__ is Token:
+            name, args = e.text, ()
         else:
             name, *args = e.items
             name = name.text
@@ -111,7 +168,8 @@ class Elaborator:
         return Applied(name, tuple([self.sort(a) for a in args]))
 
     def binders(self, e):
-        """The (name, checked sort) pairs of a binder list."""
+        """The canonical tree of the binder list e, once its syntax is
+        checked."""
         if e.__class__ is not SList or not e.items:
             raise self.error("expected a nonempty binder list", e, ParseError)
         out, seen = [], set()
@@ -123,20 +181,27 @@ class Elaborator:
                 raise self.error(f"duplicate binder {name}", b.items[0],
                                  ParseError)
             seen.add(name)
-            self.check_sort(b.items[1])
-            out.append((name, b.items[1]))
-        return out
+            out.append(_keep(b, (b.items[0], self.check_sort(b.items[1]))))
+        return _keep(e, out)
+
+    def bind(self, binders):
+        """Bind the names of the canonical binder list `binders` in `scope`
+        to new variables, which are returned."""
+        vs = [self.var_for(b.items[0].text, self.sort(b.items[1]))
+              for b in binders.items]
+        self.scope.bind((v.name, v) for v in vs)
+        return vs
 
     # ------------------------------------------------------------ terms
 
     def term(self, e, elab=True):
-        """(core term, sort) of the term e, or with `elab` false, None once
-        its syntax is checked."""
+        """(core term, sort) of the term e, or with `elab` false, its
+        canonical tree once its syntax is checked."""
         if e.__class__ is Token:
             if e.kind == KEYWORD:
                 raise self.error(f"unexpected {e.kind} in term", e, ParseError)
             if not elab:
-                return None
+                return e
             if e.kind == SYMBOL:
                 # most leaves: a variable in scope or a declared constant
                 name = e.text
@@ -164,9 +229,12 @@ class Elaborator:
             raise self.error("application needs at least one argument", e,
                              ParseError)
         if not elab:
+            # plain loops here and below: a comprehension costs a second
+            # call frame per nesting level
+            out = [found]
             for a in items[1:]:
-                self.term(a, False)
-            return None
+                out.append(self.term(a, False))
+            return _keep(e, out)
         fn, hs = found
         for a in items[1:]:
             arg, s = self.term(a)
@@ -183,7 +251,7 @@ class Elaborator:
     def form(self, word, e, elab):
         """`term` of a list headed by one of the words of _FORMS."""
         items = e.items
-        n = len(items)
+        head, n = items[0], len(items)
         if word in BINDER_WORDS:
             if n < 3:
                 raise self.error(f"{word} needs binders and a body", e,
@@ -197,12 +265,11 @@ class Elaborator:
             # a multi-term lambda body t1 ... tn is the term (t1 ... tn)
             body = items[2] if n == 3 else SList(items[2:], e.line, e.col)
             if not elab:
-                return self.term(body, False)
+                return _keep(e, (head, binders, self.term(body, False)))
             # nested choices would make an outer eps body of the witness sort
-            if word == "eps" and len(binders) != 1:
+            if word == "eps" and len(binders.items) != 1:
                 raise self.error("eps takes exactly one variable", e, SortError)
-            vs = [self.var_for(name, self.sort(s)) for name, s in binders]
-            self.scope.bind((v.name, v) for v in vs)
+            vs = self.bind(binders)
             body, s = self.term(body)
             self.scope.unbind()
             if word != "lambda":
@@ -230,10 +297,11 @@ class Elaborator:
                                      b.items[0], ParseError)
                 seen.add(name)
                 found = self.term(b.items[1], elab)
-                if elab:
-                    pairs.append((self.var_for(name, found[1]), found[0]))
+                pairs.append((self.var_for(name, found[1]), found[0]) if elab
+                             else _keep(b, (b.items[0], found)))
             if not elab:
-                return self.term(items[2], False)
+                return _keep(e, (head, _keep(items[1], pairs),
+                                 self.term(items[2], False)))
             self.scope.bind((v.name, v) for v, _ in pairs)
             body, s = self.term(items[2])
             self.scope.unbind()
@@ -242,18 +310,19 @@ class Elaborator:
             if n != 3 or items[2].__class__ is not SList:
                 raise self.error("match takes a scrutinee and a case list", e,
                                  ParseError)
-            self.term(items[1], False)
+            scrutinee = self.term(items[1], False)
+            cases = []
             for c in items[2].items:
                 if c.__class__ is not SList or len(c.items) != 2:
                     raise self.error("expected (pattern term)", c, ParseError)
-                self.term(c.items[1], False)
-            if not items[2].items:
+                cases.append(_keep(c, (c.items[0], self.term(c.items[1], False))))
+            if not cases:
                 raise self.error("match needs at least one case", e, ParseError)
             if elab:
                 raise self.error("unsupported construct: match", e, SortError)
-            return None
+            return _keep(e, (head, scrutinee, _keep(items[2], cases)))
         if word == "!":
-            # attributes are kept only in a script's surface terms
+            # attributes are kept only in a script's canonical trees
             if n < 3:
                 raise self.error("annotation needs a term and attributes", e,
                                  ParseError)
@@ -267,24 +336,26 @@ class Elaborator:
                                      ParseError)
                 else:
                     keyword_due = True
-            return found
+            return found if elab else _keep(e, (head, found, *items[2:]))
         if word == "as":
             if n != 3:
                 raise self.error("as takes an identifier and a sort", e,
                                  ParseError)
             name = self.symbol(items[1], "identifier")
-            self.check_sort(items[2])
-            return self.identifier(name, items[2], e) if elab else None
+            sort = self.check_sort(items[2])
+            return (self.identifier(name, sort, e) if elab
+                    else _keep(e, (head, items[1], sort)))
         # =, whose syntax is that of an application
         if n < 2:
             raise self.error("application needs at least one argument", e,
                              ParseError)
         if n != 3 or not elab:
+            out = [head]
             for x in items[1:]:
-                self.term(x, False)
+                out.append(self.term(x, False))
             if elab:
                 raise self.error("= takes exactly two arguments", e, SortError)
-            return None
+            return _keep(e, out)
         lhs, ls = self.term(items[1])
         rhs, rs = self.term(items[2])
         if ls is not rs:
@@ -293,7 +364,7 @@ class Elaborator:
         return App(App(Const("=", Fun(ls, Fun(ls, BOOL))), lhs), rhs), BOOL
 
     def identifier(self, name, ascribed, at):
-        """The symbol `name`, with the sort expression `ascribed` or None,
+        """The symbol `name`, with the canonical sort `ascribed` or None,
         at the token or list `at`: (core term, sort)."""
         if name == "=":
             # = is polymorphic: a bare or partially applied occurrence
@@ -333,3 +404,91 @@ class Elaborator:
         denotes at its use `at`, or None to look it up as any other
         symbol."""
         return None
+
+    # --------------------------------------------------------- commands
+
+    def command(self, e, elab=True):
+        """Check the command e.  With `elab` false, return its canonical
+        tree.  With `elab`, apply it in the same walk and return None, or
+        for an assert, the core term it asserts, which must have sort Bool:
+        a declaration or definition adds to `sig`, and set-logic sets
+        `arith`."""
+        if e.__class__ is not SList or not e.items or not is_sym(e.items[0]):
+            raise self.error("expected a command", e, ParseError)
+        items = e.items
+        head, n = items[0], len(items)
+        word = head.text
+        if word == "assert":
+            if n != 2:
+                raise self.error("assert takes one term", e, ParseError)
+            if not elab:
+                return _keep(e, (head, self.term(items[1], False)))
+            term, s = self.term(items[1])
+            self.expect("assert", s, BOOL, e)
+            return term
+        if word == "set-logic":
+            if n != 2:
+                raise self.error("set-logic takes one symbol", e, ParseError)
+            logic = self.symbol(items[1], "logic name")
+            if elab:
+                self.arith = logic_has_arith(logic)
+                self.consts.clear()  # the arithmetic symbols came or went
+        elif word == "declare-sort":
+            if n != 3 or not (items[2].__class__ is Token
+                              and items[2].kind == NUMERAL):
+                raise self.error("declare-sort takes a name and an arity", e,
+                                 ParseError)
+            name = self.symbol(items[1], "sort name")
+            arity = items[2]
+            try:
+                k = int(arity.text)
+            except ValueError:  # past the interpreter's limit on digits
+                raise self.error("declare-sort arity has too many digits",
+                                 arity, ParseError) from None
+            if elab:
+                self.sig.declare_sort(name, k, (e.line, e.col), self.filename)
+            elif str(k) != arity.text:  # leading zeros dropped
+                e = SList((head, items[1],
+                           Token(NUMERAL, str(k), arity.line, arity.col)),
+                          e.line, e.col)
+        elif word in ("declare-fun", "declare-const"):
+            const = word == "declare-const"
+            if const and n != 3:
+                raise self.error("declare-const takes a name and a sort", e,
+                                 ParseError)
+            if not const and (n != 4 or items[2].__class__ is not SList):
+                raise self.error("declare-fun takes a name, argument sorts, "
+                                 "and a result", e, ParseError)
+            name = self.symbol(items[1], "constant name" if const
+                               else "function name")
+            args = [self.check_sort(s) for s in
+                    (() if const else items[2].items)]
+            result = self.check_sort(items[-1])
+            if elab:
+                self.declare_fun(name, fun_sort([self.sort(a) for a in args],
+                                                self.sort(result)), e)
+            elif const:
+                e = SList((Token(SYMBOL, "declare-fun", head.line, head.col),
+                           items[1], SList((), e.line, e.col), result),
+                          e.line, e.col)
+            else:
+                e = _keep(e, (head, items[1], _keep(items[2], args), result))
+        elif word == "define-fun":
+            if n != 5 or items[2].__class__ is not SList:
+                raise self.error("define-fun takes a name, parameters, a "
+                                 "sort, and a body", e, ParseError)
+            name = self.symbol(items[1], "function name")
+            params = self.binders(items[2]) if items[2].items else items[2]
+            result = self.check_sort(items[3])
+            if not elab:
+                return _keep(e, (head, items[1], params, result,
+                                 self.term(items[4], False)))
+            vs = self.bind(params)
+            _, s = self.term(items[4])
+            self.scope.unbind()
+            declared = self.sort(result)
+            self.expect("define-fun", s, declared, e)
+            self.declare_fun(name, fun_sort([v.sort for v in vs], declared), e)
+        elif word == "exit" and n != 1:
+            raise self.error("exit takes no arguments", e, ParseError)
+        return None if elab else e

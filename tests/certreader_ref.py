@@ -3,9 +3,9 @@
 The reader `hosmt.certreader` used before it elaborated the reader's
 trees itself.  It is kept unchanged as the reference the one-walk reader
 is compared with, apart from imports, and together with the hooked
-elaborator it used: each term is checked by `surface.term_from_sexpr` and
-then elaborated by `infer_sort` below, whose `TypingEnv` takes two reader
-hooks.  Binder and `let` variables come from the certificate's (name,
+elaborator it used: each term is checked by the reference front end's
+`term_from_sexpr` (`surface_ref`) and then elaborated by `infer_sort`
+below, whose `TypingEnv` takes two reader hooks.  Binder and `let` variables come from the certificate's (name,
 sort) registry through `make_var`, and `@`-names are resolved by
 `_CertParser.term_ref` through `lookup_ref`.
 
@@ -16,23 +16,26 @@ are that front end's, unchanged apart from imports, and are the reference
 `typecheck.check_script` is compared with.
 """
 
-from hosmt import core, sexpr, surface
+from hosmt import core, sexpr
 from hosmt.calculus import (LEMMA_RULES, RULES, Certificate, CertificateError,
                             EqJudgment, ProofStep)
 from hosmt.context import EMPTY, move
 from hosmt.core import (BINDER_WORDS, BOOL, Applied, Binder, Const, Fun, INT,
                         Let, REAL, const_names, free_vars, fresh_var, fun_sort,
                         sort_str)
+from hosmt.elaborate import logic_has_arith
 from hosmt.nodes import Scope
 from hosmt.sexpr import DECIMAL, NUMERAL, SYMBOL, SList, Token
 from hosmt.signature import Signature, SortError
-from hosmt.typecheck import CheckedScript, logic_has_arith
+from hosmt.typecheck import CheckedScript
+
+import surface_ref as surface
 
 
 # ------------------------------------------- the hooked elaborator
 
 def normalize_sort(s, signature, filename="<input>"):
-    """Canonical surface sort (`hosmt.surface`) to core sort, arrows fully
+    """Canonical surface sort (`surface_ref`) to core sort, arrows fully
     curried right-associated."""
     if isinstance(s, Token):
         arity = signature.sorts.get(s.text)
@@ -124,7 +127,7 @@ def _identifier(env, name, ascribed, at):
 
 
 def infer_sort(env, t):
-    """Elaborate a canonical surface term (`hosmt.surface`) to core,
+    """Elaborate a canonical surface term (`surface_ref`) to core,
     returning (core term, sort)."""
     f = env.filename
     if isinstance(t, Token):
@@ -218,7 +221,7 @@ def declare(sig, cmd, filename="<input>"):
 
 
 def check_script(cmds, filename="<input>"):
-    """Process the canonical commands (`hosmt.surface`) in order, and
+    """Process the canonical commands (`surface_ref`) in order, and
     elaborate every assert to Bool."""
     sig = Signature()
     logic = None

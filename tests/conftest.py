@@ -8,7 +8,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from hosmt import sexpr  # noqa: E402
-from hosmt.surface import sort_from_sexpr  # noqa: E402
+from hosmt.elaborate import Elaborator  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -43,9 +43,18 @@ def best_times(f, terms, repeat):
     return best
 
 
-def parse_sort(text, filename="<input>"):
-    """The one sort that `text` spells, checked and in canonical form."""
+def _one(text, filename, what):
     exprs = sexpr.parse_text(text, filename)
     if len(exprs) != 1:
-        raise sexpr.ParseError("expected exactly one sort", 1, 1, filename)
-    return sort_from_sexpr(exprs[0], filename)
+        raise sexpr.ParseError(f"expected exactly one {what}", 1, 1, filename)
+    return exprs[0]
+
+
+def parse_sort(text, filename="<input>"):
+    """The one sort that `text` spells, checked and in canonical form."""
+    return Elaborator(filename).check_sort(_one(text, filename, "sort"))
+
+
+def parse_term(text, filename="<input>"):
+    """The one term that `text` spells, checked and in canonical form."""
+    return Elaborator(filename).term(_one(text, filename, "term"), False)

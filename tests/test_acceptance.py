@@ -14,10 +14,10 @@ from hosmt.core import (alpha_eq, beta_normal_form, expand_lets, sort_of,
                         substitute)
 from hosmt.oracle import check_certificate_oracle
 from hosmt.processor import process
-from hosmt.surface import parse_term, print_term
+from hosmt.surface import print_term
 from hosmt.typecheck import erase
 
-from conftest import DATA
+from conftest import DATA, parse_term
 
 import gen
 import mutate

@@ -115,6 +115,32 @@ class TestCheck:
         assert run(capsys, "check", "--verbose", str(src)) == (
             1, "", f"{src}:2:32: error: eps takes exactly one variable\n")
 
+    def test_first_error_in_source_order(self, capsys, tmp_path):
+        # line 2's sort error comes before line 3's syntax error: each
+        # command is checked and elaborated in one walk, in order
+        src = tmp_path / "order.smt2"
+        src.write_text("(declare-fun p (Int) Bool)\n(assert (p true))\n"
+                       "(assert (let () (p 1)))")
+        assert run(capsys, "check", str(src)) == (
+            1, "", f"{src}:2:12: error: argument sort mismatch: expected Int, "
+            "found Bool\n")
+
+    def test_syntax_error_first_within_a_command(self, capsys, tmp_path):
+        src = tmp_path / "order.smt2"
+        src.write_text("(declare-fun p (Int) Bool)\n"
+                       "(assert (and (p true) (let () (p 1))))")
+        assert run(capsys, "check", str(src)) == (
+            1, "", f"{src}:2:23: error: expected a nonempty binding list\n")
+
+    def test_real_arithmetic_is_unbound(self, capsys, tmp_path):
+        # the arithmetic symbols are over Int: a logic of real arithmetic
+        # alone leaves them out of scope
+        src = tmp_path / "lra.smt2"
+        src.write_text("(set-logic QF_LRA)(declare-fun x () Real)"
+                       "(assert (< x 1.5))")
+        assert run(capsys, "check", str(src)) == (
+            1, "", f"{src}:1:51: error: unbound symbol <\n")
+
     def test_curried_forms_elaborate_identically(self, capsys, tmp_path):
         a = tmp_path / "a.smt2"
         b = tmp_path / "b.smt2"
@@ -720,6 +746,16 @@ def test_verify_loads_no_script_front_end(argv):
     # the certificate reader elaborates its trees itself
     out, err = _modules_after(argv, ["hosmt.surface", "hosmt.typecheck"])
     assert out == ["0", "False", "False"], err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", str(DATA / "program1.smt2")],
+    ["process", str(DATA / "program2.smt2")],
+])
+def test_check_and_process_load_no_surface(argv):
+    # typecheck elaborates the reader's trees itself
+    out, err = _modules_after(argv, ["hosmt.surface"])
+    assert out == ["0", "False"], err
 
 
 def test_process_loads_no_typing_nor_dataclasses():

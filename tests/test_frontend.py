@@ -8,12 +8,13 @@ import sys
 import pytest
 
 from hosmt import calculus, certprinter, processor, sexpr, surface, typecheck
+from hosmt.elaborate import Elaborator
 from hosmt.sexpr import LexError, ParseError, SList, SourceError, tokenize
-from hosmt.surface import (command_from_sexpr, parse_script, parse_term,
-                           print_term, sort_from_sexpr, term_from_sexpr)
+from hosmt.surface import parse_script, print_term
 
-from conftest import DATA, best_times, parse_sort
+from conftest import DATA, best_times, parse_sort, parse_term
 import sexpr_ref
+import surface_ref
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -284,26 +285,49 @@ class TestPrint:
 def _printed_parts(text):
     """(reader, s-expression) for each command, sort and term of a script
     printed by `parse`, and each declaration, :conclusion and define body
-    of a certificate."""
+    of a certificate; each reader is the elaborator's syntax-only mode."""
+    syntax = Elaborator()
     for e in sexpr.parse_text(text):
         word, *rest = e.items
         if word.text not in ("context", "define", "step"):
-            yield command_from_sexpr, e
+            yield lambda e: syntax.command(e, False), e
         if word.text == "assert":
-            yield term_from_sexpr, rest[0]
+            yield lambda e: syntax.term(e, False), rest[0]
         elif word.text == "declare-fun":
             for s in (*rest[1].items, rest[2]):
-                yield sort_from_sexpr, s
+                yield syntax.check_sort, s
         elif word.text == "define-fun":
-            for p in rest[1].items:
-                yield sort_from_sexpr, p.items[1]
-            yield sort_from_sexpr, rest[2]
-            yield term_from_sexpr, rest[3]
+            if rest[1].items:
+                yield syntax.binders, rest[1]
+            yield syntax.check_sort, rest[2]
+            yield lambda e: syntax.term(e, False), rest[3]
         elif word.text == "define":
-            yield term_from_sexpr, rest[1]
+            yield lambda e: syntax.term(e, False), rest[1]
         elif word.text == "step":
             k = [x.text for x in rest[1::2]].index(":conclusion")
-            yield term_from_sexpr, rest[2 * k + 2]
+            yield lambda e: syntax.term(e, False), rest[2 * k + 2]
+
+
+# messages of syntax errors, which one module states: the one statement of
+# the syntax
+SYNTAX_MESSAGES = (
+    "expected a nonempty binder list",
+    "let takes a binding list and one body",
+    "application needs at least one argument",
+    "arrow sort needs at least two sorts",
+    "declare-fun takes a name",
+    "assert takes one term",
+    "set-logic takes one symbol",
+    "declare-sort arity has too many digits",
+)
+
+
+@pytest.mark.parametrize("message", SYNTAX_MESSAGES)
+def test_syntax_message_in_one_module(message):
+    src = pathlib.Path(sexpr.__file__).resolve().parent
+    holders = [p.name for p in sorted(src.glob("*.py"))
+               if message in p.read_text()]
+    assert len(holders) == 1, holders
 
 
 def test_printed_text_is_canonical():

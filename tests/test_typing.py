@@ -7,12 +7,12 @@ import pytest
 
 from hosmt.certprinter import print_term
 from hosmt.core import BOOL, Fun, INT, alpha_eq, sort_of
-from hosmt.surface import parse_script, parse_term
-from hosmt.elaborate import Elaborator
+from hosmt.surface import parse_script
+from hosmt.elaborate import Elaborator, logic_has_arith
 from hosmt.signature import SortError
-from hosmt.typecheck import check_script, declare, logic_has_arith
+from hosmt.typecheck import check_script
 
-from conftest import DATA, best_times, recursion_limit
+from conftest import DATA, best_times, parse_term, recursion_limit
 
 import gen
 from oracle_ref import beta_step
@@ -20,7 +20,7 @@ from oracle_ref import beta_step
 
 def declared(el, name, args, res):
     """The sort of `name` once (declare-fun name (args) res) is declared."""
-    declare(el, parse_script(f"(declare-fun {name} ({' '.join(args)}) {res})")[0])
+    el.command(parse_script(f"(declare-fun {name} ({' '.join(args)}) {res})")[0])
     return el.sig.symbols[name]
 
 
