@@ -44,11 +44,19 @@ CHAIN_DEPTHS, `x1 := a` and `xi := (g x(i-1) x(i-1))`, each asserted
 equal to `a`, go through the calls above, `verify --oracle` on their
 certificates included.
 
+The `oracle` family covers the oracle's `needs-theory` verdicts, which
+`verify --oracle` never prints for a certificate that the checker
+rejects, as every mutant is.  The certificates that `process --proof`
+writes for the forall, let and batch scripts are read, and
+ORACLE_MUTANTS seeded `mutate.random_mutation` mutants of each go through
+`oracle.check_certificate_oracle`, which contributes its list of step ids
+and verdicts.
+
 Every call contributes its stdout, stderr and exit code.  The inputs are
 copied into a temporary directory and named relative to it, since file
 names appear in messages: the digest does not depend on where the checkout
 lives.  One digest is printed per family (forall, let, batch, data, edits,
-commands, rules, chains) and one over everything:
+commands, rules, chains, oracle) and one over everything:
 
     python3 scripts/outputs_digest.py --seeds 1 2 3
 """
@@ -71,7 +79,7 @@ sys.path[:0] = [str(ROOT / d) for d in ("src", "tests", "bench")
 import gen  # noqa: E402
 import mutate  # noqa: E402
 import workloads  # noqa: E402
-from hosmt import certprinter, cli, core  # noqa: E402
+from hosmt import calculus, certprinter, cli, core, oracle  # noqa: E402
 
 FAMILIES = ("forall", "let", "batch")
 EDIT_CHARS = '()|";: x1.'
@@ -197,6 +205,7 @@ RULE_SCRIPTS = {
 }
 MUTANTS_PER_CERT = 4  # per seed
 CHAIN_DEPTHS = (4, 8, 12)
+ORACLE_MUTANTS = 8  # per certificate
 
 
 def run(*argv):
@@ -233,6 +242,24 @@ def outputs(name):
 
 def verify(name):
     yield f"verify {name}", run("verify", "--oracle", name)
+
+
+def oracle_outputs(name):
+    """The oracle's verdicts on mutants of the certificates that `process
+    --proof` writes for the script `name`, which lies in the working
+    directory."""
+    stem = f"oracle-{name.rsplit('.', 1)[0]}"
+    yield "process", run("process", "--proof", f"{stem}.hoproof", name)
+    here = pathlib.Path()
+    certs = sorted([*here.glob(f"{stem}.hoproof"),
+                    *here.glob(f"{stem}.*.hoproof")], key=_index)
+    for cert in certs:
+        parsed = calculus.parse_certificate(cert.read_text(), cert.name)
+        for k in range(ORACLE_MUTANTS):
+            rng = random.Random(f"oracle-{cert.name}-{k}")
+            mutation, mutant = mutate.random_mutation(parsed, rng)
+            verdicts = oracle.check_certificate_oracle(mutant)
+            yield f"oracle {cert.name} {k} {mutation}", repr(verdicts).encode()
 
 
 def edit_outputs(name):
@@ -302,7 +329,7 @@ def write_inputs(seeds, work):
     tests/data and the command scripts and their certificates, written to
     `work`."""
     inputs = {f: [] for f in (*FAMILIES, "data", "edits", "commands",
-                              "rules", "chains")}
+                              "rules", "chains", "oracle")}
     for seed in seeds:
         for family in FAMILIES:
             name = f"{family}-{seed}.smt2"
@@ -312,6 +339,7 @@ def write_inputs(seeds, work):
         shutil.copy(path, work / path.name)
         inputs["data"].append(path.name)
     inputs["edits"] = [n for f in (*FAMILIES, "data") for n in inputs[f]]
+    inputs["oracle"] = [n for f in FAMILIES for n in inputs[f]]
     for seed in seeds:
         for k in range(COMMAND_SCRIPTS):
             rng = random.Random(f"commands-{seed}-{k}")
@@ -368,7 +396,8 @@ def digests(seeds, work):
     try:
         for family, names in inputs.items():
             h = hashlib.sha256()
-            calls = edit_outputs if family == "edits" else outputs
+            calls = {"edits": edit_outputs,
+                     "oracle": oracle_outputs}.get(family, outputs)
             for name in names:
                 for label, value in calls(name):
                     data = _encode(value)

@@ -124,7 +124,7 @@ class _CertParser(Elaborator):
                   and x.text not in self.terms
                   and x.text not in self.sig.symbols):
                 raise self.error(f"unknown term {x.text}", x)
-        self.term(items[2], False)
+        self.term(items[2], None)
         self.terms[name.text] = [items[2], None, None]
 
     def declare_fun(self, name, sort, at):

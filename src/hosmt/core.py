@@ -12,9 +12,8 @@ identity and hashing is O(1).  Nodes are built only through their
 constructors.  A term node keeps its free variables and constant names
 once they are computed (`free_vars`, `const_names`), which lets
 `substitute` skip every subterm the substitution does not touch.  Walks
-that rebuild a term treat it as the DAG it is: `substitute` rebuilds a
-shared node once per call, and `expand_lets` and `beta_normal_form` take
-a memo of their results per node, which a caller may keep across calls.
+that rebuild a term treat it as the DAG it is: `substitute` and
+`beta_normal_form` rebuild a shared node once per call.
 """
 
 import itertools
@@ -361,18 +360,15 @@ def _subst(t, sigma, memo):
 DEFAULT_STEP_CAP = 100000
 
 
-def beta_normal_form(t, max_steps=DEFAULT_STEP_CAP, memo=None):
+def beta_normal_form(t, max_steps=DEFAULT_STEP_CAP):
     """Normal-order beta-normal form; raises DivergenceError past the cap.
 
     Terminates for well-sorted (simply-sorted) inputs.  `let` bindings are
-    left in place; only beta-redexes are contracted.  `memo` maps nodes to
-    their normal forms; a caller that keeps it across calls normalizes
-    each node once, and a normal form found in it spends no step of this
-    call's cap.  Without one, the call keeps its own.
+    left in place; only beta-redexes are contracted.  A node shared within
+    t is normalized once.
     """
     budget = [max_steps]
-    if memo is None:
-        memo = {}
+    memo = {}  # node -> its normal form
 
     def spend():
         budget[0] -= 1
@@ -411,42 +407,7 @@ def beta_normal_form(t, max_steps=DEFAULT_STEP_CAP, memo=None):
     return nf(t)
 
 
-def expand_lets(t, memo=None):
-    """Unfold every let by its simultaneous substitution (non-recursive).
-
-    `memo` maps nodes to their let-free forms; a caller that keeps it
-    across calls expands each node once.  Without one, the call keeps its
-    own.
-    """
-    if memo is None:
-        memo = {}
-    if isinstance(t, (Var, Const)):
-        return t
-    out = memo.get(t)
-    if out is not None:
-        return out
-    if isinstance(t, App):
-        out = _app(t, expand_lets(t.fn, memo), expand_lets(t.arg, memo))
-    elif isinstance(t, Binder):
-        out = _rebind(t, expand_lets(t.body, memo))
-    elif isinstance(t, Let):
-        body = expand_lets(t.body, memo)
-        sigma = {v.id: expand_lets(img, memo) for v, img in t.bindings}
-        out = substitute(body, sigma)
-    else:
-        raise TypeError(f"not a core term: {t!r}")
-    memo[t] = out
-    return out
-
-
 # ------------------------------------------------- formula constructors
-
-def eq_term(lhs, rhs):
-    s = sort_of(lhs)
-    if s != sort_of(rhs):
-        raise ValueError("equality between terms of different sorts")
-    return App(App(Const("=", Fun(s, Fun(s, BOOL))), lhs), rhs)
-
 
 NOT = Const("not", Fun(BOOL, BOOL))
 

@@ -10,12 +10,13 @@ command and applies it to the signature in the same walk.  Sorts are
 small: each is checked, then elaborated.
 
 With `elab` false, `command` and `term` check syntax alone, as
-`check_sort` and `binders` always do, and return the canonical tree: the
-argument itself when it is canonical, otherwise a tree in which only the
-lists on the path from a rewritten node to the root are new.  A
-parenthesized atomic sort `(S)` becomes the symbol `S`, and a multi-term
-lambda body `t1 ... tn` the term `(t1 ... tn)`, read like any other: a
-reserved word at its head begins that form.  `(declare-const c S)`
+`check_sort` always does, and return the canonical tree: the argument
+itself when it is canonical, otherwise a tree in which only the lists on
+the path from a rewritten node to the root are new.  With `elab` None,
+`term` checks syntax alone and builds no tree, for a caller that wants
+none.  A parenthesized atomic sort `(S)` becomes the symbol `S`, and a
+multi-term lambda body `t1 ... tn` the term `(t1 ... tn)`, read like any
+other: a reserved word at its head begins that form.  `(declare-const c S)`
 becomes `(declare-fun c () S)`, and a declare-sort arity loses its
 leading zeros.  Each new node takes the position of the node it
 replaces, and the inserted `()` that of its command.  `hosmt.surface`
@@ -167,9 +168,10 @@ class Elaborator:
                              SortError)
         return Applied(name, tuple([self.sort(a) for a in args]))
 
-    def binders(self, e):
-        """The canonical tree of the binder list e, once its syntax is
-        checked."""
+    def binders(self, e, elab=True):
+        """The binder list e, once its syntax is checked: its canonical
+        tree when `elab` is False, otherwise, for `bind`, its (name,
+        canonical sort) pairs."""
         if e.__class__ is not SList or not e.items:
             raise self.error("expected a nonempty binder list", e, ParseError)
         out, seen = [], set()
@@ -181,14 +183,15 @@ class Elaborator:
                 raise self.error(f"duplicate binder {name}", b.items[0],
                                  ParseError)
             seen.add(name)
-            out.append(_keep(b, (b.items[0], self.check_sort(b.items[1]))))
-        return _keep(e, out)
+            sort = self.check_sort(b.items[1])
+            out.append(_keep(b, (b.items[0], sort)) if elab is False
+                       else (name, sort))
+        return _keep(e, out) if elab is False else out
 
     def bind(self, binders):
-        """Bind the names of the canonical binder list `binders` in `scope`
-        to new variables, which are returned."""
-        vs = [self.var_for(b.items[0].text, self.sort(b.items[1]))
-              for b in binders.items]
+        """Bind the names of `binders`' (name, canonical sort) pairs in
+        `scope` to new variables, which are returned."""
+        vs = [self.var_for(name, self.sort(s)) for name, s in binders]
         self.scope.bind((v.name, v) for v in vs)
         return vs
 
@@ -196,7 +199,8 @@ class Elaborator:
 
     def term(self, e, elab=True):
         """(core term, sort) of the term e, or with `elab` false, its
-        canonical tree once its syntax is checked."""
+        canonical tree once its syntax is checked, and with `elab` None,
+        the syntax check alone."""
         if e.__class__ is Token:
             if e.kind == KEYWORD:
                 raise self.error(f"unexpected {e.kind} in term", e, ParseError)
@@ -233,8 +237,8 @@ class Elaborator:
             # call frame per nesting level
             out = [found]
             for a in items[1:]:
-                out.append(self.term(a, False))
-            return _keep(e, out)
+                out.append(self.term(a, elab))
+            return None if elab is None else _keep(e, out)
         fn, hs = found
         for a in items[1:]:
             arg, s = self.term(a)
@@ -256,18 +260,19 @@ class Elaborator:
             if n < 3:
                 raise self.error(f"{word} needs binders and a body", e,
                                  ParseError)
-            binders = self.binders(items[1])
+            binders = self.binders(items[1], elab)
             if n > 3 and word != "lambda":
                 for x in items[2:]:
-                    self.term(x, False)
+                    self.term(x, None)
                 raise self.error(f"{word} takes exactly one body term", e,
                                  ParseError)
             # a multi-term lambda body t1 ... tn is the term (t1 ... tn)
             body = items[2] if n == 3 else SList(items[2:], e.line, e.col)
             if not elab:
-                return _keep(e, (head, binders, self.term(body, False)))
+                body = self.term(body, elab)
+                return None if elab is None else _keep(e, (head, binders, body))
             # nested choices would make an outer eps body of the witness sort
-            if word == "eps" and len(binders.items) != 1:
+            if word == "eps" and len(binders) != 1:
                 raise self.error("eps takes exactly one variable", e, SortError)
             vs = self.bind(binders)
             body, s = self.term(body)
@@ -297,11 +302,14 @@ class Elaborator:
                                      b.items[0], ParseError)
                 seen.add(name)
                 found = self.term(b.items[1], elab)
-                pairs.append((self.var_for(name, found[1]), found[0]) if elab
-                             else _keep(b, (b.items[0], found)))
+                if elab:
+                    pairs.append((self.var_for(name, found[1]), found[0]))
+                elif elab is not None:
+                    pairs.append(_keep(b, (b.items[0], found)))
             if not elab:
-                return _keep(e, (head, _keep(items[1], pairs),
-                                 self.term(items[2], False)))
+                body = self.term(items[2], elab)
+                return None if elab is None else _keep(
+                    e, (head, _keep(items[1], pairs), body))
             self.scope.bind((v.name, v) for v, _ in pairs)
             body, s = self.term(items[2])
             self.scope.unbind()
@@ -310,17 +318,21 @@ class Elaborator:
             if n != 3 or items[2].__class__ is not SList:
                 raise self.error("match takes a scrutinee and a case list", e,
                                  ParseError)
-            scrutinee = self.term(items[1], False)
+            check = False if elab is False else None
+            scrutinee = self.term(items[1], check)
             cases = []
             for c in items[2].items:
                 if c.__class__ is not SList or len(c.items) != 2:
                     raise self.error("expected (pattern term)", c, ParseError)
-                cases.append(_keep(c, (c.items[0], self.term(c.items[1], False))))
-            if not cases:
+                found = self.term(c.items[1], check)
+                if check is not None:
+                    cases.append(_keep(c, (c.items[0], found)))
+            if not items[2].items:
                 raise self.error("match needs at least one case", e, ParseError)
             if elab:
                 raise self.error("unsupported construct: match", e, SortError)
-            return _keep(e, (head, scrutinee, _keep(items[2], cases)))
+            return None if elab is None else _keep(
+                e, (head, scrutinee, _keep(items[2], cases)))
         if word == "!":
             # attributes are kept only in a script's canonical trees
             if n < 3:
@@ -336,6 +348,8 @@ class Elaborator:
                                      ParseError)
                 else:
                     keyword_due = True
+            if elab is None:
+                return None
             return found if elab else _keep(e, (head, found, *items[2:]))
         if word == "as":
             if n != 3:
@@ -343,6 +357,8 @@ class Elaborator:
                                  ParseError)
             name = self.symbol(items[1], "identifier")
             sort = self.check_sort(items[2])
+            if elab is None:
+                return None
             return (self.identifier(name, sort, e) if elab
                     else _keep(e, (head, items[1], sort)))
         # =, whose syntax is that of an application
@@ -350,12 +366,13 @@ class Elaborator:
             raise self.error("application needs at least one argument", e,
                              ParseError)
         if n != 3 or not elab:
+            check = False if elab is False else None
             out = [head]
             for x in items[1:]:
-                out.append(self.term(x, False))
+                out.append(self.term(x, check))
             if elab:
                 raise self.error("= takes exactly two arguments", e, SortError)
-            return _keep(e, out)
+            return None if elab is None else _keep(e, out)
         lhs, ls = self.term(items[1])
         rhs, rs = self.term(items[2])
         if ls is not rs:
@@ -478,7 +495,10 @@ class Elaborator:
                 raise self.error("define-fun takes a name, parameters, a "
                                  "sort, and a body", e, ParseError)
             name = self.symbol(items[1], "function name")
-            params = self.binders(items[2]) if items[2].items else items[2]
+            if items[2].items:
+                params = self.binders(items[2], elab)
+            else:
+                params = () if elab else items[2]
             result = self.check_sort(items[3])
             if not elab:
                 return _keep(e, (head, items[1], params, result,

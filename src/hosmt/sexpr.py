@@ -230,7 +230,3 @@ def sexpr_to_str(e):
         else:
             parts.append(quote(e.text) if e.kind == SYMBOL else e.text)
     return "".join(parts)
-
-
-def sexpr_pos(e):
-    return (e.line, e.col)

@@ -30,6 +30,8 @@ from hosmt.signature import Signature, SortError
 from hosmt.typecheck import CheckedScript
 
 import surface_ref as surface
+from gen import eq_term
+from sexpr_ref import sexpr_pos
 
 
 # ------------------------------------------- the hooked elaborator
@@ -190,7 +192,7 @@ def infer_sort(env, t):
             raise SortError(
                 f"equality between different sorts: {sort_str(ls)} "
                 f"and {sort_str(rs)}", t.line, t.col, f)
-        return core.eq_term(lhs, rhs), BOOL
+        return eq_term(lhs, rhs), BOOL
     fn, hs = infer_sort(env, head)
     for a in items[1:]:
         arg, as_ = infer_sort(env, a)
@@ -304,7 +306,7 @@ class _CertParser:
         return self.registry[key]
 
     def error(self, msg, e):
-        return CertificateError(msg, *sexpr.sexpr_pos(e), self.filename)
+        return CertificateError(msg, *sexpr_pos(e), self.filename)
 
     def elab(self, e):
         return infer_sort(self.env, surface.term_from_sexpr(e, self.filename))
@@ -493,7 +495,7 @@ class _CertParser:
                 raise self.error("conclusion sides have different sorts", ce)
             conclusion = EqJudgment(ctx, lhs, rhs)
         return ProofStep(step_id, rule, premises, conclusion, binding, theory,
-                         *sexpr.sexpr_pos(e))
+                         *sexpr_pos(e))
 
 
 def read_certificate(text, filename="<certificate>"):

@@ -5,10 +5,11 @@ the shared let chain."""
 import random
 
 from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, Var,
-                        eq_term, free_vars, fresh_var, subterms)
+                        free_vars, fresh_var, sort_of, subterms)
 from hosmt.context import EMPTY
 
 INTI = Fun(INT, INT)
+
 
 CONSTS = (
     Const("a", INT),
@@ -137,6 +138,14 @@ def gen_judgment_term(rng, ctx, fixed, mapped, depth=4):
     """A term whose free variables live in the given context."""
     sort = rng.choice(BASE_SORTS)
     return gen_term(rng, sort, depth, env=list(fixed) + list(mapped))
+
+
+def eq_term(lhs, rhs):
+    """The core formula (= lhs rhs)."""
+    s = sort_of(lhs)
+    if s != sort_of(rhs):
+        raise ValueError("equality between terms of different sorts")
+    return App(App(Const("=", Fun(s, Fun(s, BOOL))), lhs), rhs)
 
 
 def let_chain(n):

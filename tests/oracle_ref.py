@@ -10,14 +10,18 @@ once per context entry, so it serves only as the reference the one-pass
 fold is compared with.
 
 It also holds `beta_step`, the one-redex reduction the tests use to check
-normal forms and subject reduction.
+normal forms and subject reduction, and `expand_lets`, the let-free form
+by named substitution that `hosmt.core` kept before the oracle became
+nameless.
 """
 
 from hosmt.context import Fix
-from hosmt.core import (DEFAULT_STEP_CAP, App, Binder, Let, alpha_eq,
-                        beta_normal_form, eq_term, expand_lets, free_vars,
-                        fresh_var, substitute)
+from hosmt.core import (DEFAULT_STEP_CAP, App, Binder, Const, Let, Var,
+                        alpha_eq, beta_normal_form, free_vars, fresh_var,
+                        substitute)
 from hosmt.nodes import Record
+
+from gen import eq_term
 
 
 class EncodingError(Exception):
@@ -135,6 +139,34 @@ def verdict(judgment, max_steps=DEFAULT_STEP_CAP):
     tn = beta_normal_form(expand_lets(t), max_steps)
     un = beta_normal_form(expand_lets(u), max_steps)
     return "lambda-valid" if alpha_eq(tn, un) else "needs-theory"
+
+
+def expand_lets(t, memo=None):
+    """Unfold every let by its simultaneous substitution (non-recursive).
+
+    `memo` maps nodes to their let-free forms; a caller that keeps it
+    across calls expands each node once.  Without one, the call keeps its
+    own.
+    """
+    if memo is None:
+        memo = {}
+    if isinstance(t, (Var, Const)):
+        return t
+    out = memo.get(t)
+    if out is not None:
+        return out
+    if isinstance(t, App):
+        out = App(expand_lets(t.fn, memo), expand_lets(t.arg, memo))
+    elif isinstance(t, Binder):
+        out = Binder(t.kind, t.var, expand_lets(t.body, memo))
+    elif isinstance(t, Let):
+        body = expand_lets(t.body, memo)
+        sigma = {v.id: expand_lets(img, memo) for v, img in t.bindings}
+        out = substitute(body, sigma)
+    else:
+        raise TypeError(f"not a core term: {t!r}")
+    memo[t] = out
+    return out
 
 
 def beta_step(t):

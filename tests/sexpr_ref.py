@@ -12,6 +12,10 @@ from hosmt.sexpr import (DECIMAL, KEYWORD, LPAR, NUMERAL, RPAR, STRING,
                          SYMBOL, LexError, ParseError, SList, Token)
 
 
+def sexpr_pos(e):
+    return (e.line, e.col)
+
+
 # characters that terminate a simple symbol
 _DELIMS = set(" \t\r\n();|\"")
 

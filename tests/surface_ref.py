@@ -17,6 +17,8 @@ from hosmt import sexpr
 from hosmt.core import BINDER_WORDS
 from hosmt.sexpr import KEYWORD, NUMERAL, SYMBOL, ParseError, SList, Token
 
+from sexpr_ref import sexpr_pos
+
 
 def _sym(e):
     return isinstance(e, Token) and e.kind == SYMBOL
@@ -24,7 +26,7 @@ def _sym(e):
 
 def _expect_symbol(e, what, filename):
     if not _sym(e):
-        line, col = sexpr.sexpr_pos(e)
+        line, col = sexpr_pos(e)
         raise ParseError(f"expected {what}", line, col, filename)
     return e.text
 
@@ -66,13 +68,13 @@ def sort_from_sexpr(e, filename="<input>"):
 
 def _parse_sorted_vars(e, filename):
     if not isinstance(e, SList) or not e.items:
-        line, col = sexpr.sexpr_pos(e)
+        line, col = sexpr_pos(e)
         raise ParseError("expected a nonempty binder list", line, col, filename)
     binders = []
     seen = set()
     for b in e.items:
         if not isinstance(b, SList) or len(b.items) != 2:
-            line, col = sexpr.sexpr_pos(b)
+            line, col = sexpr_pos(b)
             raise ParseError("expected (name sort)", line, col, filename)
         name = _expect_symbol(b.items[0], "binder name", filename)
         if name in seen:
@@ -128,7 +130,7 @@ def term_from_sexpr(e, filename="<input>"):
             seen = set()
             for b in blist.items:
                 if not isinstance(b, SList) or len(b.items) != 2:
-                    line, col = sexpr.sexpr_pos(b)
+                    line, col = sexpr_pos(b)
                     raise ParseError("expected (name term)", line, col, filename)
                 name = _expect_symbol(b.items[0], "bound name", filename)
                 if name in seen:
@@ -147,7 +149,7 @@ def term_from_sexpr(e, filename="<input>"):
             cases = []
             for c in items[2].items:
                 if not isinstance(c, SList) or len(c.items) != 2:
-                    line, col = sexpr.sexpr_pos(c)
+                    line, col = sexpr_pos(c)
                     raise ParseError("expected (pattern term)", line, col, filename)
                 cases.append(_keep(c, (c.items[0],
                                        term_from_sexpr(c.items[1], filename))))
@@ -165,7 +167,7 @@ def term_from_sexpr(e, filename="<input>"):
                 if isinstance(x, Token) and x.kind == KEYWORD:
                     keyword_due = False
                 elif keyword_due:
-                    line, col = sexpr.sexpr_pos(x)
+                    line, col = sexpr_pos(x)
                     raise ParseError("expected a keyword attribute",
                                      line, col, filename)
                 else:
@@ -199,7 +201,7 @@ def parse_term(text, filename="<input>"):
 
 def command_from_sexpr(e, filename="<input>"):
     if not isinstance(e, SList) or not e.items or not _sym(e.items[0]):
-        line, col = sexpr.sexpr_pos(e)
+        line, col = sexpr_pos(e)
         raise ParseError("expected a command", line, col, filename)
     items = e.items
     head = items[0]

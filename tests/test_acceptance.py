@@ -10,8 +10,7 @@ import time
 from hosmt import cli
 from hosmt.calculus import (check_certificate, check_step, parse_certificate,
                             print_certificate)
-from hosmt.core import (alpha_eq, beta_normal_form, expand_lets, sort_of,
-                        substitute)
+from hosmt.core import alpha_eq, beta_normal_form, sort_of, substitute
 from hosmt.oracle import check_certificate_oracle
 from hosmt.processor import process
 from hosmt.surface import print_term

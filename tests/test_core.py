@@ -13,13 +13,13 @@ from hosmt import nodes
 from hosmt.context import EMPTY, Context
 from hosmt.core import (BINDER_WORDS, App, Applied, BOOL, Binder, Const,
                         DivergenceError, Fun, INT, Let, Var, alpha_eq,
-                        beta_normal_form, expand_lets, free_vars, fresh_var,
-                        fun_sort, sort_of, sort_str, substitute, subterms)
+                        beta_normal_form, free_vars, fresh_var, fun_sort,
+                        sort_of, sort_str, substitute, subterms)
 
 import gen
 import mutate
 import nameless
-from oracle_ref import beta_step
+from oracle_ref import beta_step, expand_lets
 
 INTI = Fun(INT, INT)
 p2 = Const("p", Fun(INT, INTI))

@@ -1,5 +1,6 @@
-"""Lambda-encoding oracle: the one-pass fold, its agreement with the
-encoding-based reference in oracle_ref, step validation, and the memos
+"""Lambda-encoding oracle: its nameless translation and normal forms
+against the references in nameless and oracle_ref, its verdicts against
+the reference chain's and the checker's, step validation, and the memos
 one certificate's steps share."""
 
 import os
@@ -14,17 +15,18 @@ import pytest
 from hosmt.calculus import (EqJudgment, check_certificate, parse_certificate,
                             print_certificate)
 from hosmt.context import EMPTY, apply_context
-from hosmt.core import (App, Binder, Const, Fun, INT, alpha_eq, eq_term,
-                        fresh_var, sort_of, substitute)
-from hosmt.oracle import check_certificate_oracle, fold, oracle_check
+from hosmt.core import (BOOL, DEFAULT_STEP_CAP, App, Binder, Const, Fun, INT,
+                        Let, Var, fresh_var, sort_of, sort_str)
+from hosmt.oracle import Memos, check_certificate_oracle, oracle_check
 from hosmt.processor import process
 
 from conftest import DATA, best_times
 
 import gen
 import mutate
+import nameless
 from oracle_ref import (BAbs, Box, BRedex, EncodingError, encode_left,
-                        reify)
+                        expand_lets, reify)
 import oracle_ref
 
 INTI = Fun(INT, INT)
@@ -104,22 +106,56 @@ class TestReify:
             assert oracle_check(EqJudgment(ctx, t, u)) == "lambda-valid"
 
 
-def fold_reify(ctx, lhs, rhs):
-    """forall xs. lhs ~ rhs under the substitution, from oracle.fold."""
-    prefix, sigma = fold(ctx)
-    formula = eq_term(substitute(lhs, sigma), substitute(rhs, sigma))
+def lambda_closure(prefix, t):
     for x in reversed(prefix):
-        formula = Binder("forall", x, formula)
-    return formula
+        t = Binder("lambda", x, t)
+    return t
 
 
-def assert_matches_reference(ctx, lhs, rhs):
-    """The one-pass fold reifies as tests/oracle_ref.py does."""
-    m, n = encode_left(ctx, lhs), encode_left(ctx, rhs)
-    xs, _ = fold(ctx)
-    ys, _ = oracle_ref.normalize(m)
-    assert [x.sort for x in xs] == [y.sort for y in ys]
-    assert alpha_eq(fold_reify(ctx, lhs, rhs), oracle_ref.reify(m, n))
+def node_db(node, depth):
+    """The `nameless.to_db` form of an oracle node that lives at `depth`:
+    level k is bound index depth - 1 - k."""
+    if hasattr(node, "term"):
+        t = node.term
+        return ("f", t.id) if isinstance(t, Var) else ("c", t.name)
+    if hasattr(node, "fn"):
+        return ("a", node_db(node.fn, depth), node_db(node.arg, depth))
+    if hasattr(node, "body"):
+        assert node.level == depth
+        body = node_db(node.body, depth + 1)
+        if node.kind == "lambda":
+            return ("l", sort_str(node.sort), body)
+        return ("q", node.kind, sort_str(node.sort), body)
+    assert node.level < depth
+    return ("b", depth - 1 - node.level)
+
+
+def reference_db(ctx, t):
+    """t under ctx as tests/oracle_ref.py's encoding contracts it, lets
+    expanded, closed by lambdas over the fixed variables, in
+    `nameless.to_db` form; and the number of fixed variables."""
+    xs, body = oracle_ref.normalize(encode_left(ctx, t))
+    return nameless.to_db(lambda_closure(xs, expand_lets(body))), xs
+
+
+def assert_matches_reference(ctx, *sides, memos=None):
+    """The oracle translates each side as the reference does, and its
+    normal form is `nameless.db_nf`'s."""
+    memos = memos or Memos()
+    for t in sides:
+        want, xs = reference_db(ctx, t)
+        node = memos.translate(ctx, t)
+        wrap = [("l", sort_str(x.sort)) for x in xs]
+
+        def closed(n):
+            out = node_db(n, len(xs))
+            for tag, sort in reversed(wrap):
+                out = (tag, sort, out)
+            return out
+
+        assert closed(node) == want
+        memos.budget = memos.cap = DEFAULT_STEP_CAP
+        assert closed(memos.nf(node)) == nameless.db_nf(want)
 
 
 def shadowing_context(rng, entries=6):
@@ -138,6 +174,10 @@ def shadowing_context(rng, entries=6):
 
 
 class TestOnePass:
+    """The nameless translation, one pass over each side's DAG, against
+    tests/nameless.py's conversion of tests/oracle_ref.py's contracted
+    encoding."""
+
     def test_reference_on_generated_contexts(self):
         rng = random.Random(79)
         for _ in range(200):
@@ -158,19 +198,20 @@ class TestOnePass:
         rng = random.Random(89)
         for _ in range(40):
             cert = process(gen.gen_closed(rng, depth=4)).certificate
+            memos = Memos()
             for step in cert.steps:
                 j = step.conclusion
-                assert_matches_reference(j.ctx, j.lhs, j.rhs)
+                assert_matches_reference(j.ctx, j.lhs, j.rhs, memos=memos)
 
     def test_abstraction_renamed_past_image(self):
-        # y is mapped to the outer x, then x is fixed: the abstraction must
-        # be renamed, or the image of y would be captured by it
+        # y is mapped to the outer x, then x is fixed: the image stays the
+        # outer x, and the abstraction of the fixed x is level 0
         x, y = fresh_var("x", INT), fresh_var("y", INT)
         ctx = EMPTY.map([(y, x)]).fix(x)
-        prefix, sigma = fold(ctx)
-        assert len(prefix) == 1 and prefix[0].id != x.id
-        assert prefix[0].sort == INT and substitute(y, sigma) == x
-        assert substitute(x, sigma) == prefix[0]
+        memos = Memos()
+        assert memos.translate(ctx, y).term is x
+        assert memos.translate(ctx, x).level == 0
+        assert_matches_reference(ctx, x, y)
         assert oracle_check(EqJudgment(ctx, y, x)) == "needs-theory"
 
     def test_deep_context(self):
@@ -179,9 +220,39 @@ class TestOnePass:
         for _ in range(1000):
             w, x = fresh_var("w", INT), fresh_var("x", INT)
             ctx = ctx.fix(w).map([(x, App(f, w))])
-        prefix, sigma = fold(ctx)
-        assert len(prefix) == 1000 and substitute(x, sigma) == App(f, w)
+        memos = Memos()
+        node = memos.translate(ctx, x)
+        assert node is memos.translate(ctx, App(f, w))
+        assert node.arg.level == 999
         assert oracle_check(EqJudgment(ctx, x, App(f, w))) == "lambda-valid"
+
+    def test_image_with_binder_used_under_deeper_binder(self):
+        # the image of y holds a binder; used under lambda x it must bind
+        # level 1, or its body would point at x
+        x, y, z = fresh_var("x", INT), fresh_var("y", INTI), fresh_var("z", INT)
+        ident = Binder("lambda", z, z)
+        const_x = Binder("lambda", x, Binder("lambda", z, x))
+        const_z = Binder("lambda", x, ident)
+        lhs = Binder("lambda", x, y)
+        for ctx, t in ((EMPTY.map([(y, ident)]), lhs),
+                       (EMPTY, Let(((y, ident),), lhs))):
+            assert_matches_reference(ctx, t, const_x, const_z)
+            assert oracle_check(EqJudgment(ctx, t, const_z)) == "lambda-valid"
+            assert oracle_check(EqJudgment(ctx, t, const_x)) == "needs-theory"
+
+    def test_argument_lands_at_two_depths(self):
+        # (lambda h. k h (lambda x. h)) (lambda z. z): the argument goes in
+        # at depth 0 and under lambda x, where its binder is level 1
+        h, x, z = fresh_var("h", INTI), fresh_var("x", INT), fresh_var("z", INT)
+        k = Const("k", Fun(INTI, Fun(Fun(INT, INTI), BOOL)))
+        ident = Binder("lambda", z, z)
+        redex = App(Binder("lambda", h,
+                           App(App(k, h), Binder("lambda", x, h))), ident)
+        good = App(App(k, ident), Binder("lambda", x, ident))
+        bad = App(App(k, ident), Binder("lambda", x, Binder("lambda", z, x)))
+        assert_matches_reference(EMPTY, redex, good, bad)
+        assert oracle_check(EqJudgment(EMPTY, redex, good)) == "lambda-valid"
+        assert oracle_check(EqJudgment(EMPTY, redex, bad)) == "needs-theory"
 
 
 class TestVerdictParity:
@@ -279,12 +350,6 @@ class TestCertificates:
         assert oracle_check(j) == "needs-theory"
 
 
-def lambda_closure(prefix, t):
-    for x in reversed(prefix):
-        t = Binder("lambda", x, t)
-    return t
-
-
 class TestSharedMemos:
     """check_certificate_oracle shares its memos among a certificate's
     judgments; they carry no verdict from one judgment to another."""
@@ -334,12 +399,11 @@ class TestSharedMemos:
             "needs-theory", "lambda-valid", "lambda-valid", "needs-theory",
             "lambda-valid", "needs-theory"]
 
-    def test_fold_cache_changes_no_result(self):
-        # a context and its ancestors folded in a random order with one
-        # cache: each result is the uncached one up to the names of
-        # renamed abstractions
+    def test_shared_memos_in_random_order(self):
+        # a context and its ancestors translated in a random order with
+        # one Memos: each translation is the reference's
         rng = random.Random(103)
-        cache = {}
+        memos = Memos()
         for _ in range(200):
             ctx, pool = shadowing_context(rng)
             nodes = [ctx]
@@ -348,11 +412,26 @@ class TestSharedMemos:
             rng.shuffle(nodes)
             t = gen.gen_term(rng, rng.choice(gen.BASE_SORTS), 3, env=pool)
             for node in nodes:
-                (xs, sigma), (ys, tau) = fold(node, cache), fold(node)
-                assert [x.sort for x in xs] == [y.sort for y in ys]
-                assert alpha_eq(lambda_closure(xs, substitute(t, sigma)),
-                                lambda_closure(ys, substitute(t, tau)))
-        assert len(cache) > 200
+                assert_matches_reference(node, t, memos=memos)
+        assert len(memos.terms) > 200
+
+    def test_binder_of_a_rebound_variable(self):
+        # x is first bound by a binder, then by the context to a; a binder
+        # of x inside the side must leave x's binding to a in force for
+        # the rest of the side, memo key included
+        x, y = fresh_var("x", INT), fresh_var("y", INT)
+        h = Const("h", Fun(INTI, Fun(INTI, INT)))
+        fx = Binder("lambda", x, App(f, x))
+        memos = Memos()
+        assert oracle_check(EqJudgment(EMPTY, fx, fx), memos=memos) == (
+            "lambda-valid")
+        ctx = EMPTY.map([(x, a)])
+        ffx = Binder("lambda", x, App(f, App(f, x)))
+        lhs = App(App(h, ffx), Binder("lambda", y, App(f, x)))
+        rhs = App(App(h, ffx), Binder("lambda", y, App(f, a)))
+        assert oracle_check(EqJudgment(ctx, lhs, rhs), memos=memos) == (
+            "lambda-valid")
+        assert_matches_reference(ctx, lhs, rhs, memos=memos)
 
 
 def chain_certificate(n):
@@ -382,3 +461,56 @@ class TestLetChain:
         certs = [parse_certificate(chain_certificate(n)) for n in (8, 16)]
         t8, t16 = best_times(check_certificate_oracle, certs, repeat=7)
         assert t16 <= 6 * t8
+
+
+def forall_certificate(n):
+    """The certificate of n nested foralls over (= (g xn (... (g x1 a))) a),
+    g's arguments swapped at every second level, as bench/workloads.py's
+    forall family."""
+    g = Const("g", Fun(INT, INTI))
+    xs = [fresh_var(f"x{i}", INT) for i in range(1, n + 1)]
+    body = a
+    for i, x in enumerate(xs):
+        body = App(App(g, body), x) if i % 2 else App(App(g, x), body)
+    t = gen.eq_term(body, a)
+    for x in reversed(xs):
+        t = Binder("forall", x, t)
+    return process(t).certificate
+
+
+class TestForallGrowth:
+    def test_oracle_time_grows_slowly(self):
+        # the judgments of forall-n restate contexts of up to 2n entries;
+        # with one node per body for all of them the oracle stays near
+        # linear, where substituting named terms grew as n^2.1
+        certs = [forall_certificate(n) for n in (32, 128)]
+        t32, t128 = best_times(check_certificate_oracle, certs, repeat=5)
+        assert t128 <= 10 * t32
+
+
+PURE_LAMBDA = ("refl", "cong", "trans", "bind", "beta", "let")
+
+
+class TestCheckerAgreement:
+    def test_mutated_certificates(self):
+        # a pure-lambda step that the checker accepts, from premises that
+        # are all lambda-valid, is lambda-valid
+        rng = random.Random(97)
+        certs = [parse_certificate((DATA / f"example{k}.hoproof").read_text())
+                 for k in (1, 2, 3)]
+        certs += [process(gen.gen_closed(rng, depth=4)).certificate
+                  for _ in range(20)]
+        checked = 0
+        for k in range(600):
+            _, bad = mutate.random_mutation(certs[k % len(certs)], rng)
+            results = check_certificate(bad).results
+            verdicts = {}
+            for sid, v in check_certificate_oracle(bad):
+                verdicts.setdefault(sid, v)  # the checker's premise
+            for step, r in zip(bad.steps, results):
+                if (step.rule in PURE_LAMBDA and r.status == "ok"
+                        and all(verdicts.get(p) == "lambda-valid"
+                                for p in step.premises)):
+                    checked += 1
+                    assert verdicts[step.id] == "lambda-valid", step
+        assert checked > 1000

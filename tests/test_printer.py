@@ -17,12 +17,13 @@ from hosmt.calculus import (Certificate, EqJudgment, ProofStep,
 from hosmt.certprinter import print_term
 from hosmt.context import EMPTY
 from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, alpha_eq,
-                        eq_term, fresh_var)
+                        fresh_var)
 from hosmt.sexpr import SList, sexpr_to_str
 
 from conftest import DATA, best_times, recursion_limit
 
 import gen
+from gen import eq_term
 import print_ref
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"

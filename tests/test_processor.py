@@ -11,8 +11,8 @@ from hosmt import context
 from hosmt.calculus import (Certificate, ProofStep, check_certificate,
                             check_step, parse_certificate, print_certificate)
 from hosmt.core import (App, BOOL, Binder, Const, Fun, INT, Let, Var,
-                        alpha_eq, beta_normal_form, expand_lets, fresh_var,
-                        sort_of, sort_str, substitute)
+                        alpha_eq, beta_normal_form, fresh_var, sort_of,
+                        sort_str, substitute)
 from hosmt.processor import process, signature_for_term
 from hosmt.surface import parse_script
 from hosmt.signature import Signature
@@ -21,7 +21,7 @@ from hosmt.typecheck import check_script
 from conftest import best_times, recursion_limit
 
 import gen
-from oracle_ref import beta_step
+from oracle_ref import beta_step, expand_lets
 
 INTI = Fun(INT, INT)
 

@@ -85,5 +85,6 @@ def test_outputs_digest_is_stable():
     lines = runs[0].stdout.splitlines()
     assert [l.split(":")[0] for l in lines] == ["forall", "let", "batch",
                                                 "data", "edits", "commands",
-                                                "rules", "chains", "all"]
+                                                "rules", "chains", "oracle",
+                                                "all"]
     assert runs[1].stdout.splitlines() == lines
