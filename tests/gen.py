@@ -10,7 +10,6 @@ from hosmt.context import EMPTY
 
 INTI = Fun(INT, INT)
 
-
 CONSTS = (
     Const("a", INT),
     Const("b", INT),

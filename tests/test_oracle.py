@@ -133,7 +133,7 @@ def node_db(node, depth):
 def reference_db(ctx, t):
     """t under ctx as tests/oracle_ref.py's encoding contracts it, lets
     expanded, closed by lambdas over the fixed variables, in
-    `nameless.to_db` form; and the number of fixed variables."""
+    `nameless.to_db` form; and the fixed variables."""
     xs, body = oracle_ref.normalize(encode_left(ctx, t))
     return nameless.to_db(lambda_closure(xs, expand_lets(body))), xs
 
@@ -145,12 +145,11 @@ def assert_matches_reference(ctx, *sides, memos=None):
     for t in sides:
         want, xs = reference_db(ctx, t)
         node = memos.translate(ctx, t)
-        wrap = [("l", sort_str(x.sort)) for x in xs]
 
         def closed(n):
             out = node_db(n, len(xs))
-            for tag, sort in reversed(wrap):
-                out = (tag, sort, out)
+            for x in reversed(xs):
+                out = ("l", sort_str(x.sort), out)
             return out
 
         assert closed(node) == want
