@@ -52,11 +52,18 @@ ORACLE_MUTANTS seeded `mutate.random_mutation` mutants of each go through
 `oracle.check_certificate_oracle`, which contributes its list of step ids
 and verdicts.
 
+The `multi` family covers calls with many items, which `hosmt.cli`
+spreads over the CPUs it may use: `process --proof` on each workload
+script and one `verify --oracle` call over all the certificates it
+writes.  Each call runs as is and again with the CPU count forced to 1,
+and the script stops with an error unless the two runs give the same
+output and the same certificates.
+
 Every call contributes its stdout, stderr and exit code.  The inputs are
 copied into a temporary directory and named relative to it, since file
 names appear in messages: the digest does not depend on where the checkout
 lives.  One digest is printed per family (forall, let, batch, data, edits,
-commands, rules, chains, oracle) and one over everything:
+commands, rules, chains, oracle, multi) and one over everything:
 
     python3 scripts/outputs_digest.py --seeds 1 2 3
 """
@@ -262,6 +269,41 @@ def oracle_outputs(name):
             yield f"oracle {cert.name} {k} {mutation}", repr(verdicts).encode()
 
 
+def _as_serial(call, what):
+    """call(), which must return the same when cli runs on one CPU."""
+    spread = call()
+    cpus, cli._cpus = cli._cpus, lambda: 1
+    try:
+        serial = call()
+    finally:
+        cli._cpus = cpus
+    if serial != spread:
+        raise SystemExit(f"{what}: the output depends on the CPU count")
+    return spread
+
+
+def multi_outputs(name):
+    """The outputs of `process --proof` on the script `name`, which lies
+    in the working directory, and of one `verify --oracle` call over all
+    the certificates it writes, each the same on one CPU."""
+    stem = f"multi-{name.rsplit('.', 1)[0]}"
+    here = pathlib.Path()
+
+    def process():
+        out = run("process", "--proof", f"{stem}.hoproof", name)
+        certs = sorted([*here.glob(f"{stem}.hoproof"),
+                        *here.glob(f"{stem}.*.hoproof")], key=_index)
+        return out, [(c.name, c.read_bytes()) for c in certs]
+
+    out, certs = _as_serial(process, f"process {name}")
+    yield "process", out
+    for cert, data in certs:
+        yield f"cert {cert}", data
+    names = [cert for cert, _ in certs]
+    yield "verify", _as_serial(lambda: run("verify", "--oracle", *names),
+                               f"verify {stem}.*")
+
+
 def edit_outputs(name):
     """The labelled outputs of every call on each edit of the input file
     `name`, which lies in the working directory."""
@@ -329,7 +371,7 @@ def write_inputs(seeds, work):
     tests/data and the command scripts and their certificates, written to
     `work`."""
     inputs = {f: [] for f in (*FAMILIES, "data", "edits", "commands",
-                              "rules", "chains", "oracle")}
+                              "rules", "chains", "oracle", "multi")}
     for seed in seeds:
         for family in FAMILIES:
             name = f"{family}-{seed}.smt2"
@@ -340,6 +382,7 @@ def write_inputs(seeds, work):
         inputs["data"].append(path.name)
     inputs["edits"] = [n for f in (*FAMILIES, "data") for n in inputs[f]]
     inputs["oracle"] = [n for f in FAMILIES for n in inputs[f]]
+    inputs["multi"] = inputs["oracle"]
     for seed in seeds:
         for k in range(COMMAND_SCRIPTS):
             rng = random.Random(f"commands-{seed}-{k}")
@@ -396,8 +439,8 @@ def digests(seeds, work):
     try:
         for family, names in inputs.items():
             h = hashlib.sha256()
-            calls = {"edits": edit_outputs,
-                     "oracle": oracle_outputs}.get(family, outputs)
+            calls = {"edits": edit_outputs, "oracle": oracle_outputs,
+                     "multi": multi_outputs}.get(family, outputs)
             for name in names:
                 for label, value in calls(name):
                     data = _encode(value)

@@ -604,6 +604,196 @@ class TestBatch:
         assert "example1.hoproof: valid" in out
 
 
+_CPUS = cli._cpus
+
+
+def _spread(monkeypatch, cpus, min_share=1):
+    """Let cli.main use `cpus` CPUs, and fork for `min_share` microseconds
+    of work, by default however little work a call has; the list that
+    gets an entry for each worker forked."""
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "MIN_SHARE_US", min_share)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+# a script whose assertions each yield a certificate of several steps,
+# with other commands between them; BAD asserts a term under a choice
+# binder, which process rejects
+FAN_DECLS = ("(declare-fun p (Int) Bool)\n(declare-fun f (Int) Int)\n"
+             "(declare-fun a () Int)\n")
+BAD = "(assert (p (eps ((x Int)) (p x))))"
+
+
+def _fan_assert(i):
+    arg = "(f " * i + "x" + ")" * i
+    return (f"(assert (forall ((x Int)) (p ((lambda ((y Int)) (f y)) "
+            f"{arg}))))")
+
+
+class TestFanOut:
+    """A call's output does not depend on how its items are spread."""
+
+    def _verify_inputs(self, tmp_path):
+        text = (DATA / "example1.hoproof").read_text()
+        invalid = tmp_path / "invalid.hoproof"
+        invalid.write_text(text.replace("(= x a))", "(= x (p a a)))"))
+        trusted = tmp_path / "trusted.hoproof"
+        trusted.write_text("(step s1 :rule taut :theory arith "
+                           ":conclusion (= (+ 1 1) 2))\n")
+        malformed = tmp_path / "malformed.hoproof"
+        malformed.write_text("(step s1 :rule refl :conclusion (= a a)\n")
+        return text, [str(DATA / "example2.hoproof"), str(invalid), "-",
+                      str(trusted), str(tmp_path / "missing.hoproof"),
+                      str(DATA / "example3.hoproof"), str(malformed),
+                      str(DATA / "example1.hoproof")]
+
+    @pytest.mark.parametrize("flags", [[], ["--oracle"]],
+                             ids=["verify", "oracle"])
+    def test_verify_mix(self, capsys, monkeypatch, tmp_path, flags):
+        stdin, files = self._verify_inputs(tmp_path)
+        here = os.getpid()
+
+        class Stdin(io.StringIO):  # empty to a worker
+            def read(self):
+                return super().read() if os.getpid() == here else ""
+        runs = []
+        for cpus in (1, 2, 3):
+            forks = _spread(monkeypatch, cpus)
+            monkeypatch.setattr(sys, "stdin", Stdin(stdin))
+            runs.append(run(capsys, "verify", *flags, *files))
+            assert bool(forks) == (cpus > 1)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        code, out, err = runs[0]
+        assert code == 4  # the invalid certificate comes first
+        assert "<stdin>: valid (7 steps)\n" in out
+        assert f"{files[3]}: valid with 1 trusted step(s)\n" in out
+        assert [l.split(":")[0] for l in err.splitlines()] == [
+            files[1], files[4], files[6]]
+
+    @pytest.mark.parametrize("bad", [2, 6])
+    def test_process_stops_at_failing_assertion(self, capsys, monkeypatch,
+                                                tmp_path, bad):
+        cmds = [_fan_assert(i) for i in range(1, 8)]
+        cmds[bad - 1] = BAD
+        src = tmp_path / "many.smt2"
+        src.write_text(FAN_DECLS + "\n(check-sat)\n".join(cmds) + "\n")
+        calls, process = tmp_path / "calls", processor.process
+
+        def counted(*args, **kwargs):  # one byte per call, from any process
+            with open(calls, "a") as fh:
+                fh.write(".")
+            return process(*args, **kwargs)
+        runs = []
+        for cpus in (1, 2, 3):
+            forks = _spread(monkeypatch, cpus)
+            monkeypatch.setattr(processor, "process", counted)
+            calls.write_text("")
+            proof = tmp_path / str(cpus) / "out.hoproof"
+            proof.parent.mkdir()
+            code, out, err = run(capsys, "process", "--proof", str(proof),
+                                 str(src))
+            certs = {p.name: p.read_bytes()
+                     for p in sorted(proof.parent.iterdir())}
+            runs.append((code, out, err, certs))
+            assert bool(forks) == (cpus > 1)
+            if bad == 6:  # in the last share: its worker stops there too
+                assert calls.read_text() == "." * bad
+            with pytest.raises(ChildProcessError):  # every worker is reaped
+                os.waitpid(-1, os.WNOHANG)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        code, out, err, certs = runs[0]
+        assert code == 1 and err.endswith("error: cannot process a term "
+                                          "under a choice binder\n")
+        assert out.count("(assert ") == bad - 1
+        assert out.endswith("(check-sat)\n") and "(check-sat)" * 2 not in out
+        assert sorted(certs) == sorted(f"out.{i}.hoproof"
+                                       for i in range(1, bad))
+
+    def test_process_certificates_as_serial(self, capsys, monkeypatch,
+                                            tmp_path):
+        src = tmp_path / "many.smt2"
+        src.write_text(FAN_DECLS + "".join(_fan_assert(i) + "\n"
+                                           for i in range(1, 9)))
+        runs = []
+        for cpus in (1, 2):
+            _spread(monkeypatch, cpus)
+            proof = tmp_path / str(cpus) / "out.hoproof"
+            proof.parent.mkdir()
+            code, out, err = run(capsys, "process", "--proof", str(proof),
+                                 str(src))
+            runs.append((code, out, err, [
+                p.read_bytes() for p in sorted(proof.parent.iterdir())]))
+        assert runs[1] == runs[0]
+        assert runs[0][0] == 0 and len(runs[0][3]) == 8
+
+    def test_workers_are_reaped(self, capsys, monkeypatch):
+        forks = _spread(monkeypatch, 3)
+        files = [str(DATA / f"example{i}.hoproof") for i in (1, 2, 3, 1)]
+        code, out, _ = run(capsys, "verify", "--oracle", *files)
+        assert code == 0 and out.count("lambda-valid") == 4
+        assert forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_tiny_calls_stay_in_process(self, capsys, monkeypatch):
+        forks = _spread(monkeypatch, 2, cli.MIN_SHARE_US)
+        files = [str(DATA / f"example{i}.hoproof") for i in (1, 2, 3)]
+        code, _, _ = run(capsys, "verify", "--oracle", *files)
+        assert code == 0 and forks == []
+
+    def test_no_fork_beside_another_thread(self, capsys, monkeypatch):
+        import threading
+
+        forks = _spread(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_cpus", _CPUS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        files = [str(DATA / f"example{i}.hoproof") for i in (1, 2, 3)]
+        assert run(capsys, "verify", *files)[0] == 0 and len(forks) == 1
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert run(capsys, "verify", *files)[0] == 0 and len(forks) == 1
+        finally:
+            stop.set()
+            other.join(10)
+        assert not other.is_alive()
+
+    @pytest.mark.parametrize("death", [
+        "os.kill(os.getpid(), 9)", "os._exit(0)", "raise KeyboardInterrupt",
+        "raise MemoryError"])
+    def test_lost_worker_exit_2(self, tmp_path, death):
+        # the worker's items report a lost worker; the parent's own share
+        # is as ever, and no worker returns into the caller's code
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import marshal, os, sys, types\n"
+            "from hosmt import cli, forked\n"
+            "cli._cpus = lambda: 2\n"
+            "cli.MIN_SHARE_US = 1\n"
+            "def dumps(results):\n"
+            f"    {death}\n"
+            "forked.marshal = types.SimpleNamespace(dumps=dumps, "
+            "loads=marshal.loads)\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print('returned', code)\n")
+        files = [str(DATA / f"example{i}.hoproof") for i in (1, 2, 3)]
+        done = subprocess.run([sys.executable, "-c", code, "verify", *files],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert done.stdout == (f"{files[0]}: valid (7 steps)\n"
+                               f"{files[1]}: valid (8 steps)\n"
+                               "returned 2\n")
+        assert done.stderr == (f"{files[2]}: error: worker ended without "
+                               "its results\n")
+
+
 class TestUsage:
     GOLDEN = str(DATA / "example1.hoproof")
 
@@ -697,13 +887,22 @@ def test_cli_import_loads_no_proof_modules():
         assert f"'hosmt.{name}'" not in loaded
 
 
-def _modules_after(argv, modules):
+# makes cli.main spread its items over two CPUs; a fork puts the name
+# "forked" in sys.modules, so that _modules_after reports it
+SPREAD = ("import os\n"
+          "cli._cpus = lambda: 2\n"
+          "cli.MIN_SHARE_US = 1\n"
+          "fork = os.fork\n"
+          "os.fork = lambda: sys.modules.setdefault('forked', None) or fork()\n")
+
+
+def _modules_after(argv, modules, setup=""):
     """[exit code, whether each of modules is loaded] after cli.main(argv)
-    in a fresh interpreter without site packages."""
+    in a fresh interpreter without site packages; `setup` runs first."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import contextlib, io, sys; from hosmt import cli\n"
+         "import contextlib, io, sys; from hosmt import cli\n" + setup +
          "with contextlib.redirect_stdout(io.StringIO()):\n"
          f"    code = cli.main({argv!r})\n"
          f"print(code, *(m in sys.modules for m in {list(modules)!r}))"],
@@ -755,6 +954,23 @@ def test_verify_loads_no_script_front_end(argv):
 def test_check_and_process_load_no_surface(argv):
     # typecheck elaborates the reader's trees itself
     out, err = _modules_after(argv, ["hosmt.surface"])
+    assert out == ["0", "False"], err
+
+
+def test_fan_out_loads_no_pool_nor_threads(tmp_path):
+    # workers are forked and send their results over a pipe: no pool,
+    # thread or queue module is loaded
+    script = tmp_path / "two.smt2"
+    script.write_text(FAN_DECLS + _fan_assert(1) + _fan_assert(2))
+    modules = ["multiprocessing", "concurrent.futures", "threading"]
+    for argv in (["verify", "--oracle",
+                  *(str(DATA / f"example{i}.hoproof") for i in (1, 2, 3))],
+                 ["process", str(script)]):
+        out, err = _modules_after(argv, [*modules, "forked"], SPREAD)
+        assert out == ["0", "False", "False", "False", "True"], err
+    # a call that forks no worker does not compile the module that forks
+    out, err = _modules_after(["verify", str(DATA / "example1.hoproof")],
+                              ["hosmt.forked"])
     assert out == ["0", "False"], err
 
 

@@ -3,6 +3,7 @@
 import math
 import pathlib
 import random
+import statistics
 import sys
 
 import pytest
@@ -71,6 +72,24 @@ class TestTokenize:
             ("symbol", "²"), ("symbol", "٣"), ("symbol", "1.٣")]
 
 
+def reading_exponent(unit, n, repeat=15):
+    """The growth exponent of `sexpr.parse_text` on `unit` repeated: the
+    least-squares slope of log time on log size over four sizes m, 2m, 4m
+    and 8m, where m = n // 5, so that they add up to 3n units.  A ratio of
+    two neighbouring sizes alone reads anywhere from 0.7 to 1.3 on a
+    linear reader."""
+    sizes = [n // 5 * 2 ** j for j in range(4)]
+    times = best_times(sexpr.parse_text, [unit * m for m in sizes], repeat)
+    return statistics.linear_regression(
+        [math.log(m) for m in sizes], [math.log(t) for t in times]).slope
+
+
+def _next_line_from_start(text, line, eol, start):
+    # counts the newlines from the start of the text each time: quadratic
+    return (1 + text.count("\n", 0, start), text.rfind("\n", 0, start) + 1,
+            sexpr._eol(text, start))
+
+
 class TestReader:
     @pytest.mark.parametrize("unit, n", [
         ("(f x) ", 5_000),
@@ -80,8 +99,12 @@ class TestReader:
     def test_reading_is_linear(self, unit, n):
         # newlines are counted between a line's end and the next match
         # only: counting them from the start of the text is quadratic
-        t1, t2 = best_times(sexpr.parse_text, [unit * n, unit * 2 * n], 15)
-        assert math.log2(t2 / t1) <= 1.3
+        assert reading_exponent(unit, n) <= 1.3
+
+    def test_quadratic_reading_fails_the_check(self, monkeypatch):
+        # one timing of each size: the quadratic reader takes 0.9 s at 8m
+        monkeypatch.setattr(sexpr, "_next_line", _next_line_from_start)
+        assert reading_exponent("(f x)\n", 10_000, repeat=1) > 1.3
 
     def test_unbalanced(self):
         with pytest.raises(ParseError):

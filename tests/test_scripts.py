@@ -86,5 +86,5 @@ def test_outputs_digest_is_stable():
     assert [l.split(":")[0] for l in lines] == ["forall", "let", "batch",
                                                 "data", "edits", "commands",
                                                 "rules", "chains", "oracle",
-                                                "all"]
+                                                "multi", "all"]
     assert runs[1].stdout.splitlines() == lines
