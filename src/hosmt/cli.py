@@ -7,21 +7,19 @@ process (rewrite asserts, optionally emitting certificates), verify
 Exit codes: 0 success; 1 parse, sort or usage error; 2 I/O error, or a
 worker that ended without its results; 3 divergence or input nested too
 deeply; 4 invalid certificate; 5 valid but containing trusted steps (unless
---allow-trust).
+--allow-trust).  Multiple files are handled in input order; the first
+non-zero code is the exit code.
 
-The files of a parse, check or verify call, and the assertions of each
-script that process reads, are independent items.  `_fan_out` spreads
-them over the CPUs this process may use when there is enough work to pay
-for a fork: this process keeps the first share and forks one worker for
-each other share.  Output, certificate files and the exit code are as if
-the items ran one after another in input order: this process alone writes
-them, in that order, and the first non-zero code is the exit code;
+The files of a verify call, and the assertions of a script that process
+reads, are independent items.  When there is enough work to pay for a
+fork, `hosmt.forked` spreads them over the CPUs this process may use.
+Output, certificate files and the exit code are as if the items ran one
+after another: this process alone writes them, in input order, and
 process stops at its first failing assertion.  Stdin (`-`) is read by
-this process, before any fork.
+this process alone.
 """
 
 import argparse
-import io
 import os
 import sys
 
@@ -39,10 +37,11 @@ EXIT_INVALID = 4
 EXIT_TRUSTED = 5
 
 # The work of an item is estimated in microseconds from the size of its
-# input: the bytes of a file, or for process (with --proof) a script's
-# characters over its assertions.  The rates were measured on the batch
+# input: a certificate's bytes for verify, a script's characters spread
+# over its assertions for process.  The rates were measured on the batch
 # workload on a 2-vCPU x86 virtual machine with Python 3.11.
-US_PER_BYTE = {"parse": 1.0, "check": 1.5, "process": 5.0, "verify": 1.0}
+VERIFY_US_PER_BYTE = 1.0
+PROCESS_US_PER_CHAR = 5.0
 # On that machine, forking a 17 MB interpreter, its exit and its reaping
 # take about 3 ms of wall time, and the copy-on-write faults of the pages
 # that both processes go on writing about 3 ms more.  Spreading a verify
@@ -64,107 +63,43 @@ def _cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _fan_out(items, weights, run, stop_at_failure=False):
-    """Yield run(item) for each item, in order.
-
-    Each item is a tuple whose first element is the input it reports on;
-    run(item) returns (exit code, stdout text, stderr text, certificate
-    text or None) and handles the errors it reports.  `weights` are the
-    items' estimated work in microseconds.  The items are cut into at most
-    k contiguous shares of about equal weight, k at most the CPUs this
-    process may use and such that each share holds MIN_SHARE_US of work.
-    This process runs the first share as the caller consumes it, and a
-    worker forked by `hosmt.forked` each other share, whose results are
-    read when the caller reaches them.  With `stop_at_failure`, a worker
-    stops after its first result with a non-zero code, as the caller does.
-    An item whose worker ended without its results yields exit code 2.
-    Closing the generator kills and reaps every worker.
-    """
+def _shares(weights):
+    """Into how many shares to cut items of these weights: 1 unless two
+    CPUs or more may each get MIN_SHARE_US of work."""
     total = sum(weights)
-    k = min(len(items), _cpus(), int(total // MIN_SHARE_US))
-    shares, start, acc = [], 0, 0
-    for i, w in enumerate(weights):
-        # a share ends before the item whose middle lies past its part
-        if start < i and len(shares) < k - 1 and (
-                (acc + w / 2) * k >= total * (len(shares) + 1)):
-            shares.append(items[start:i])
-            start = i
-        acc += w
-    shares.append(items[start:])
-    workers = [None] * len(shares)
-    if len(shares) > 1:
-        from . import forked
-
-        workers[1:] = forked.start(shares[1:], run, stop_at_failure)
-    try:
-        for share, worker in zip(shares, workers):
-            if worker is None:
-                yield from map(run, share)
-                continue
-            results = forked.results(worker)
-            for i, item in enumerate(share):
-                yield results[i] if i < len(results) else (
-                    EXIT_IO_ERROR, "", f"{item[0]}: error: worker ended "
-                                       f"without its results\n", None)
-    finally:
-        if len(shares) > 1:
-            forked.stop(workers)
+    if len(weights) < 2 or total < 2 * MIN_SHARE_US:
+        return 1
+    return min(len(weights), _cpus(), int(total // MIN_SHARE_US))
 
 
-def _stdin():
-    """Standard input's text, or the error reading it raised."""
-    try:
-        return sys.stdin.read()
-    except (OSError, ValueError) as e:
-        return e
+def _read(path):
+    if path == "-":
+        return sys.stdin.read(), "<stdin>"
+    with open(path, encoding="utf-8") as fh:
+        return fh.read(), path
 
 
-def _read(item):
-    """(text, name) of an input item (path, stdin's text or None)."""
-    path, text = item
-    if path != "-":
-        with open(path, encoding="utf-8") as fh:
-            return fh.read(), path
-    if isinstance(text, Exception):
-        raise text
-    return text, "<stdin>"
-
-
-def _size(item):
-    try:
-        return len(item[1]) if item[0] == "-" else os.stat(item[0]).st_size
-    except (OSError, TypeError):  # a missing file; stdin that failed
-        return 0
-
-
-# Each command's runner(args) imports the modules the command uses, before
-# any worker is forked, and returns run(item, out, err) -> (exit code,
-# certificate text or None).
-
-def _parser(args):
+def _run_parse(path, args, out, err):
     from . import surface
 
-    def run(item, out, err):
-        text, name = _read(item)
-        out.write(surface.print_script(surface.parse_script(text, name)))
-        return EXIT_OK, None
-    return run
+    text, name = _read(path)
+    cmds = surface.parse_script(text, name)
+    out.write(surface.print_script(cmds))
+    return EXIT_OK
 
 
-def _checker(args):
+def _run_check(path, args, out, err):
     from . import sexpr, typecheck
+
+    text, name = _read(path)
+    checked = typecheck.check_script(sexpr.parse_text(text, name), name)
     if args.verbose:
         from . import certprinter
 
-    def run(item, out, err):
-        text, name = _read(item)
-        checked = typecheck.check_script(sexpr.parse_text(text, name), name)
-        if args.verbose:
-            for i, t in enumerate(checked.asserts, 1):
-                out.write(f"; assert {i}: {certprinter.print_term(t)}\n")
-        out.write(f"{name}: ok ({len(checked.asserts)} assertion(s))\n")
-        return EXIT_OK, None
-    return run
+        for i, t in enumerate(checked.asserts, 1):
+            out.write(f"; assert {i}: {certprinter.print_term(t)}\n")
+    out.write(f"{name}: ok ({len(checked.asserts)} assertion(s))\n")
+    return EXIT_OK
 
 
 def _proof_path(base, index, count):
@@ -174,127 +109,114 @@ def _proof_path(base, index, count):
     return f"{root}.{index}{ext or '.hoproof'}"
 
 
-def _processor(args):
+def _run_process(path, args, out, err):
     from . import calculus, certprinter, context, processor, sexpr, typecheck
     from .elaborate import Elaborator
 
-    def run(item, out, err):
-        text, name = _read(item)
-        cmds = sexpr.parse_text(text, name)
-        checked = typecheck.check_script(cmds, name)
-        syntax = Elaborator(name)  # echoes the other commands canonically
-        at = [c for c in cmds if c.items[0].text == "assert"]
+    text, name = _read(path)
+    cmds = sexpr.parse_text(text, name)
+    checked = typecheck.check_script(cmds, name)
+    syntax = Elaborator(name)  # echoes the other commands in canonical form
+    at = [c for c in cmds if c.items[0].text == "assert"]
 
-        def assertion(job, out, err):
-            c, term = at[job[1]], checked.asserts[job[1]]
-            # no assertion uses another's contexts: drop the cached ones
-            context.context_subst.cache_clear()
-            try:
-                result = processor.process(term, checked.signature,
-                                           max_steps=args.max_steps)
-            except ValueError as e:  # a term under a choice binder
-                raise SourceError(str(e), c.line, c.col, name) from None
-            out.write(f"(assert {certprinter.print_term(result.term)})\n")
-            # printed before the file is opened, so that a failure leaves
-            # no empty certificate behind
-            return EXIT_OK, (calculus.print_certificate(result.certificate)
-                             if args.proof else None)
-
-        # the script's size is spread evenly over its assertions
-        weight = len(text) * US_PER_BYTE["process"] / max(len(at), 1)
-        results = _fan_out([(item[0], n) for n in range(len(at))],
-                           [weight] * len(at), _one(assertion),
-                           stop_at_failure=True)
+    def assertion(n, out, err):
+        # no assertion uses another's contexts: drop the cached ones
+        context.context_subst.cache_clear()
         try:
-            n = 0
-            for c in cmds:
-                if c.items[0].text != "assert":
-                    out.write(sexpr_to_str(syntax.command(c, False)) + "\n")
-                    continue
-                code, line, message, cert = next(results)
+            result = processor.process(checked.asserts[n], checked.signature,
+                                       max_steps=args.max_steps)
+        except ValueError as e:  # a term under a choice binder
+            raise SourceError(str(e), at[n].line, at[n].col, name) from None
+        out.write(f"(assert {certprinter.print_term(result.term)})\n")
+        # printed before the file is opened, so that a failure leaves no
+        # empty certificate behind
+        return (calculus.print_certificate(result.certificate)
+                if args.proof else None)
+
+    certs = (assertion(n, out, err) for n in range(len(at)))
+    weights = [len(text) * PROCESS_US_PER_CHAR / max(len(at), 1)] * len(at)
+    k = _shares(weights)
+    if k > 1:
+        from . import forked
+
+        certs = forked.fan_out(range(len(at)), weights, k, assertion,
+                               _lost_assertion, out, err)
+    try:
+        n = 0
+        for c in cmds:
+            if c.items[0].text == "assert":
                 n += 1
-                out.write(line)
-                err.write(message)
-                if code:
-                    return code, None
+                cert = next(certs)
                 if cert is not None:
                     dest = _proof_path(args.proof, n, len(at))
                     with open(dest, "w", encoding="utf-8") as fh:
                         fh.write(cert)
-        finally:
-            results.close()
-        return EXIT_OK, None
-    return run
+            else:
+                out.write(sexpr_to_str(syntax.command(c, False)) + "\n")
+    finally:
+        certs.close()
+    return EXIT_OK
 
 
-def _verifier(args):
-    # certreader is what calculus.parse_certificate imports on first use
-    from . import calculus, certreader, context  # noqa: F401
+def _lost_assertion(n, err):
+    raise OSError("worker ended without its results")
+
+
+def _run_verify(path, args, out, err):
+    from . import calculus, context
+
+    context.context_subst.cache_clear()  # another file's contexts
+    text, name = _read(path)
+    cert = calculus.parse_certificate(text, filename=name)
+    report = calculus.check_certificate(cert, max_steps=args.max_steps)
+    if report.verdict == "invalid":
+        fail = report.first_failure
+        err.write(f"{name}:{fail.line}:{fail.col}: invalid: {fail.message}\n")
+        return EXIT_INVALID
     if args.oracle:
         from . import oracle
 
-    def run(item, out, err):
-        context.context_subst.cache_clear()  # another file's contexts
-        text, name = _read(item)
-        cert = calculus.parse_certificate(text, filename=name)
-        report = calculus.check_certificate(cert, max_steps=args.max_steps)
-        if report.verdict == "invalid":
-            fail = report.first_failure
-            err.write(f"{name}:{fail.line}:{fail.col}: invalid: "
-                      f"{fail.message}\n")
-            return EXIT_INVALID, None
-        if args.oracle:
-            for step_id, verdict in oracle.check_certificate_oracle(
-                    cert, max_steps=args.max_steps):
-                if verdict != "lambda-valid":
-                    out.write(f"{name}: oracle: step {step_id} is "
-                              f"{verdict}\n")
-                    break
-            else:
-                out.write(f"{name}: oracle: all steps lambda-valid\n")
-        if report.verdict == "valid-with-trust":
-            out.write(f"{name}: valid with {report.trusted_count} trusted "
-                      f"step(s)\n")
-            return (EXIT_OK if args.allow_trust else EXIT_TRUSTED), None
-        out.write(f"{name}: valid ({len(cert.steps)} steps)\n")
-        return EXIT_OK, None
-    return run
+        for step_id, verdict in oracle.check_certificate_oracle(
+                cert, max_steps=args.max_steps):
+            if verdict != "lambda-valid":
+                out.write(f"{name}: oracle: step {step_id} is {verdict}\n")
+                break
+        else:
+            out.write(f"{name}: oracle: all steps lambda-valid\n")
+    if report.verdict == "valid-with-trust":
+        out.write(f"{name}: valid with {report.trusted_count} trusted step(s)\n")
+        return EXIT_OK if args.allow_trust else EXIT_TRUSTED
+    out.write(f"{name}: valid ({len(cert.steps)} steps)\n")
+    return EXIT_OK
 
 
-_RUNNERS = {
-    "parse": _parser,
-    "check": _checker,
-    "process": _processor,
-    "verify": _verifier,
+_COMMANDS = {
+    "parse": _run_parse,
+    "check": _run_check,
+    "process": _run_process,
+    "verify": _run_verify,
 }
 
 
-def _one(run):
-    """run(item, out, err) as a function of the item alone that returns
-    (exit code, stdout text, stderr text, certificate text or None); an
-    error is reported on the input item[0]."""
-    def one(item):
-        out, err = io.StringIO(), io.StringIO()
-        path, cert = item[0], None
-        try:
-            code, cert = run(item, out, err)
-        except SourceError as e:
-            err.write(str(e) + "\n")
-            code = EXIT_INPUT_ERROR
-        except core.DivergenceError as e:
-            err.write(f"{path}: error: {e}\n")
-            code = EXIT_DIVERGENCE
-        except RecursionError:
-            err.write(f"{path}: error: input nested too deeply\n")
-            code = EXIT_DIVERGENCE
-        except OSError as e:
-            err.write(f"{path}: error: {e}\n")
-            code = EXIT_IO_ERROR
-        except ValueError as e:
-            err.write(f"{path}: error: {e}\n")
-            code = EXIT_INPUT_ERROR
-        return code, out.getvalue(), err.getvalue(), cert
-    return one
+def _run_one(command, path, args, out, err):
+    try:
+        code = _COMMANDS[command](path, args, out, err)
+    except SourceError as e:
+        err.write(str(e) + "\n")
+        code = EXIT_INPUT_ERROR
+    except core.DivergenceError as e:
+        err.write(f"{path}: error: {e}\n")
+        code = EXIT_DIVERGENCE
+    except RecursionError:
+        err.write(f"{path}: error: input nested too deeply\n")
+        code = EXIT_DIVERGENCE
+    except OSError as e:
+        err.write(f"{path}: error: {e}\n")
+        code = EXIT_IO_ERROR
+    except ValueError as e:
+        err.write(f"{path}: error: {e}\n")
+        code = EXIT_INPUT_ERROR
+    return code
 
 
 def make_parser():
@@ -340,21 +262,38 @@ def main(argv=None):
         sys.stderr.write(f"hosmt: error: --proof takes one input file, "
                          f"got {len(args.files)}\n")
         return EXIT_INPUT_ERROR
-    items = [(path, _stdin() if path == "-" else None) for path in args.files]
-    # process's items are each script's assertions, so its files weigh
-    # nothing and run in this process
-    rate = 0 if args.command == "process" else US_PER_BYTE[args.command]
-    results = _fan_out(items, [_size(item) * rate for item in items],
-                       _one(_RUNNERS[args.command](args)))
+    def run(path, out, err):
+        return _run_one(args.command, path, args, out, err)
+
+    out, err = sys.stdout, sys.stderr
+    codes = (run(path, out, err) for path in args.files)
+    if args.command == "verify" and len(args.files) > 1:
+        weights = [_size(path) * VERIFY_US_PER_BYTE for path in args.files]
+        k = _shares(weights)
+        if k > 1:
+            from . import forked
+
+            codes = forked.fan_out(args.files, weights, k, run, _lost_file,
+                                   out, err)
     code = EXIT_OK
     try:
-        for c, out, err, _ in results:
-            sys.stdout.write(out)
-            sys.stderr.write(err)
+        for c in codes:
             code = code or c
     finally:
-        results.close()
+        codes.close()
     return code
+
+
+def _size(path):
+    try:
+        return os.stat(path).st_size
+    except OSError:  # a missing file; stdin
+        return 0
+
+
+def _lost_file(path, err):
+    err.write(f"{path}: error: worker ended without its results\n")
+    return EXIT_IO_ERROR
 
 
 if __name__ == "__main__":

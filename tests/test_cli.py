@@ -702,8 +702,9 @@ class TestFanOut:
                      for p in sorted(proof.parent.iterdir())}
             runs.append((code, out, err, certs))
             assert bool(forks) == (cpus > 1)
-            if bad == 6:  # in the last share: its worker stops there too
-                assert calls.read_text() == "." * bad
+            if bad == 6:  # in the last share: its worker stops there too,
+                # and this process runs the failing assertion again
+                assert calls.read_text() == "." * (bad + (cpus > 1))
             with pytest.raises(ChildProcessError):  # every worker is reaped
                 os.waitpid(-1, os.WNOHANG)
         assert runs[1] == runs[0] and runs[2] == runs[0]
@@ -731,6 +732,63 @@ class TestFanOut:
                 p.read_bytes() for p in sorted(proof.parent.iterdir())]))
         assert runs[1] == runs[0]
         assert runs[0][0] == 0 and len(runs[0][3]) == 8
+
+    def test_process_streams_its_output(self, monkeypatch, tmp_path):
+        # each assertion's line is written before the next is processed,
+        # in this process's share as in a serial run
+        src = tmp_path / "many.smt2"
+        src.write_text(FAN_DECLS + "".join(_fan_assert(i) + "\n"
+                                           for i in range(1, 7)))
+        process = processor.process
+        for cpus in (1, 2):
+            _spread(monkeypatch, cpus)
+            out, seen = io.StringIO(), []
+
+            def counted(*args, **kwargs):
+                seen.append(out.getvalue().count("(assert "))
+                return process(*args, **kwargs)
+            monkeypatch.setattr(processor, "process", counted)
+            monkeypatch.setattr(sys, "stdout", out)
+            assert cli.main(["process", str(src)]) == 0
+            monkeypatch.undo()
+            assert seen[:3] == [0, 1, 2] and out.getvalue().count(
+                "(assert ") == 6
+
+    @pytest.mark.parametrize("at", [1, 4])
+    def test_unexpected_error_as_serial(self, capsys, monkeypatch, tmp_path,
+                                        at):
+        # an error that no command reports (a fault in the program)
+        # propagates out of cli.main after the output of the files before
+        # it, whichever process met it first
+        faulty = tmp_path / "faulty.hoproof"
+        faulty.write_text((DATA / "example2.hoproof").read_text())
+        files = [str(DATA / f"example{i}.hoproof") for i in (1, 2, 1, 2, 3)]
+        files.insert(at, str(faulty))
+        parse = calculus.parse_certificate
+
+        def parse_faulty(text, filename):
+            if filename == str(faulty):
+                raise TypeError("a fault")
+            return parse(text, filename=filename)
+        runs = []
+        for cpus in (1, 2, 3):
+            forks = _spread(monkeypatch, cpus)
+            monkeypatch.setattr(calculus, "parse_certificate", parse_faulty)
+            with pytest.raises(TypeError, match="a fault"):
+                cli.main(["verify", *files])
+            runs.append(capsys.readouterr())
+            assert bool(forks) == (cpus > 1)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert runs[0].err == "" and runs[0].out.count("valid (") == at
+
+    def test_parse_and_check_stay_in_process(self, capsys, monkeypatch):
+        forks = _spread(monkeypatch, 2)
+        files = [str(DATA / f"program{i}.smt2") for i in (1, 2, 1)]
+        assert run(capsys, "parse", *files)[0] == 0
+        assert run(capsys, "check", *files)[0] == 0
+        assert forks == []
 
     def test_workers_are_reaped(self, capsys, monkeypatch):
         forks = _spread(monkeypatch, 3)
