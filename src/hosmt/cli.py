@@ -63,13 +63,20 @@ def _cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _shares(weights):
-    """Into how many shares to cut items of these weights: 1 unless two
-    CPUs or more may each get MIN_SHARE_US of work."""
-    total = sum(weights)
-    if len(weights) < 2 or total < 2 * MIN_SHARE_US:
-        return 1
-    return min(len(weights), _cpus(), int(total // MIN_SHARE_US))
+def _each(items, weights, run, lost, out, err):
+    """run(item, out, err) for each item, in order, as the caller consumes
+    them; spread by `hosmt.forked` over the CPUs, in one share per CPU,
+    where two or more may each get MIN_SHARE_US of the items' estimated
+    work `weights`.  lost(item, err) stands for the result of an item
+    whose worker ended without it."""
+    k = min(len(items), int(sum(weights) // MIN_SHARE_US))
+    if k > 1:
+        k = min(k, _cpus())
+    if k < 2:
+        return (run(item, out, err) for item in items)
+    from . import forked
+
+    return forked.fan_out(items, weights, k, run, lost, out, err)
 
 
 def _read(path):
@@ -133,14 +140,9 @@ def _run_process(path, args, out, err):
         return (calculus.print_certificate(result.certificate)
                 if args.proof else None)
 
-    certs = (assertion(n, out, err) for n in range(len(at)))
-    weights = [len(text) * PROCESS_US_PER_CHAR / max(len(at), 1)] * len(at)
-    k = _shares(weights)
-    if k > 1:
-        from . import forked
-
-        certs = forked.fan_out(range(len(at)), weights, k, assertion,
-                               _lost_assertion, out, err)
+    weight = len(text) * PROCESS_US_PER_CHAR / max(len(at), 1)
+    certs = _each(range(len(at)), [weight] * len(at), assertion,
+                  _lost_assertion, out, err)
     try:
         n = 0
         for c in cmds:
@@ -262,19 +264,16 @@ def main(argv=None):
         sys.stderr.write(f"hosmt: error: --proof takes one input file, "
                          f"got {len(args.files)}\n")
         return EXIT_INPUT_ERROR
+
     def run(path, out, err):
         return _run_one(args.command, path, args, out, err)
 
-    out, err = sys.stdout, sys.stderr
-    codes = (run(path, out, err) for path in args.files)
-    if args.command == "verify" and len(args.files) > 1:
-        weights = [_size(path) * VERIFY_US_PER_BYTE for path in args.files]
-        k = _shares(weights)
-        if k > 1:
-            from . import forked
-
-            codes = forked.fan_out(args.files, weights, k, run, _lost_file,
-                                   out, err)
+    # verify spreads its files and process each script's assertions; the
+    # files of parse and check weigh nothing, as no workload has shown
+    # that spreading them pays
+    rate = VERIFY_US_PER_BYTE if args.command == "verify" else 0
+    codes = _each(args.files, [_size(path) * rate for path in args.files],
+                  run, _lost_file, sys.stdout, sys.stderr)
     code = EXIT_OK
     try:
         for c in codes:
