@@ -55,9 +55,10 @@ and verdicts.
 The `multi` family covers calls with many items, which `hosmt.cli`
 spreads over the CPUs it may use: `process --proof` on each workload
 script and one `verify --oracle` call over all the certificates it
-writes.  Each call runs as is and again with the CPU count forced to 1,
-and the script stops with an error unless the two runs give the same
-output and the same certificates.
+writes.  Each call runs as is, again with the CPU count forced to 1, and
+a third time with every worker's results dropped, so that the main
+process runs every item; the script stops with an error unless the three
+runs give the same output and the same certificates.
 
 Every call contributes its stdout, stderr and exit code.  The inputs are
 copied into a temporary directory and named relative to it, since file
@@ -86,7 +87,8 @@ sys.path[:0] = [str(ROOT / d) for d in ("src", "tests", "bench")
 import gen  # noqa: E402
 import mutate  # noqa: E402
 import workloads  # noqa: E402
-from hosmt import calculus, certprinter, cli, core, oracle  # noqa: E402
+from hosmt import (  # noqa: E402
+    calculus, certprinter, cli, core, forked, oracle)
 
 FAMILIES = ("forall", "let", "batch")
 EDIT_CHARS = '()|";: x1.'
@@ -270,15 +272,22 @@ def oracle_outputs(name):
 
 
 def _as_serial(call, what):
-    """call(), which must return the same when cli runs on one CPU."""
+    """call(), which must return the same when cli runs on one CPU, and
+    when the main process drops every worker's results and runs their
+    items itself."""
     spread = call()
-    cpus, cli._cpus = cli._cpus, lambda: 1
-    try:
-        serial = call()
-    finally:
-        cli._cpus = cpus
-    if serial != spread:
-        raise SystemExit(f"{what}: the output depends on the CPU count")
+    for module, name, stub, how in (
+            (cli, "_cpus", lambda: 1, "on one CPU"),
+            (forked, "_results", lambda worker: [],
+             "without the workers' results")):
+        real = getattr(module, name)
+        setattr(module, name, stub)
+        try:
+            other = call()
+        finally:
+            setattr(module, name, real)
+        if other != spread:
+            raise SystemExit(f"{what}: the output differs {how}")
     return spread
 
 

@@ -4,11 +4,10 @@ Subcommands: parse (echo canonical form), check (parse + typecheck),
 process (rewrite asserts, optionally emitting certificates), verify
 (check a certificate, optionally cross-checked by the oracle).
 
-Exit codes: 0 success; 1 parse, sort or usage error; 2 I/O error, or a
-worker that ended without its results; 3 divergence or input nested too
-deeply; 4 invalid certificate; 5 valid but containing trusted steps (unless
---allow-trust).  Multiple files are handled in input order; the first
-non-zero code is the exit code.
+Exit codes: 0 success; 1 parse, sort or usage error; 2 I/O error; 3
+divergence or input nested too deeply; 4 invalid certificate; 5 valid but
+containing trusted steps (unless --allow-trust).  Multiple files are
+handled in input order; the first non-zero code is the exit code.
 
 The files of a verify call, and the assertions of a script that process
 reads, are independent items.  When there is enough work to pay for a
@@ -16,7 +15,8 @@ fork, `hosmt.forked` spreads them over the CPUs this process may use.
 Output, certificate files and the exit code are as if the items ran one
 after another: this process alone writes them, in input order, and
 process stops at its first failing assertion.  Stdin (`-`) is read by
-this process alone.
+this process alone, and it runs every item that a worker did not
+return, because the worker could not be forked, died or met a fault.
 """
 
 import argparse
@@ -63,12 +63,11 @@ def _cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _each(items, weights, run, lost, out, err):
+def _each(items, weights, run, out, err):
     """run(item, out, err) for each item, in order, as the caller consumes
     them; spread by `hosmt.forked` over the CPUs, in one share per CPU,
     where two or more may each get MIN_SHARE_US of the items' estimated
-    work `weights`.  lost(item, err) stands for the result of an item
-    whose worker ended without it."""
+    work `weights`."""
     k = min(len(items), int(sum(weights) // MIN_SHARE_US))
     if k > 1:
         k = min(k, _cpus())
@@ -76,7 +75,7 @@ def _each(items, weights, run, lost, out, err):
         return (run(item, out, err) for item in items)
     from . import forked
 
-    return forked.fan_out(items, weights, k, run, lost, out, err)
+    return forked.fan_out(items, weights, k, run, out, err)
 
 
 def _read(path):
@@ -141,8 +140,7 @@ def _run_process(path, args, out, err):
                 if args.proof else None)
 
     weight = len(text) * PROCESS_US_PER_CHAR / max(len(at), 1)
-    certs = _each(range(len(at)), [weight] * len(at), assertion,
-                  _lost_assertion, out, err)
+    certs = _each(range(len(at)), [weight] * len(at), assertion, out, err)
     try:
         n = 0
         for c in cmds:
@@ -158,10 +156,6 @@ def _run_process(path, args, out, err):
     finally:
         certs.close()
     return EXIT_OK
-
-
-def _lost_assertion(n, err):
-    raise OSError("worker ended without its results")
 
 
 def _run_verify(path, args, out, err):
@@ -273,7 +267,7 @@ def main(argv=None):
     # that spreading them pays
     rate = VERIFY_US_PER_BYTE if args.command == "verify" else 0
     codes = _each(args.files, [_size(path) * rate for path in args.files],
-                  run, _lost_file, sys.stdout, sys.stderr)
+                  run, sys.stdout, sys.stderr)
     code = EXIT_OK
     try:
         for c in codes:
@@ -288,11 +282,6 @@ def _size(path):
         return os.stat(path).st_size
     except OSError:  # a missing file; stdin
         return 0
-
-
-def _lost_file(path, err):
-    err.write(f"{path}: error: worker ended without its results\n")
-    return EXIT_IO_ERROR
 
 
 if __name__ == "__main__":

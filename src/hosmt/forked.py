@@ -3,7 +3,9 @@
 `fan_out` cuts a call's independent items into shares, runs the first in
 this process and forks a worker for each other one.  A worker runs each
 item of its share, sends the list of results over a pipe, marshalled,
-and exits without returning into its caller's code.  Only the calls that
+and exits without returning into its caller's code.  Every item whose
+result a worker did not send, whatever the reason, is run by this
+process, so the output is that of a serial run.  Only the calls that
 fork import this module, so that the others do not compile it.
 """
 
@@ -14,19 +16,21 @@ import os
 import sys
 
 
-def fan_out(items, weights, k, run, lost, out, err):
+def fan_out(items, weights, k, run, out, err):
     """Yield run(item, out, err) for each item, in order, as if each ran
     in this process when the caller reaches it.
 
     `weights` are the items' estimated work.  The items are cut into k
     contiguous shares of about equal weight.  This process runs the first
     share as the caller consumes it, and a worker the others, whose text
-    is written to out and err when the caller reaches its item.  A worker
-    leaves to this process the stdin item (`-`), which it alone reads, and
-    the item on which run raised, after which it stops: run again here,
-    the item raises as it would have in a serial run.  An item whose
-    worker ended without its result gives lost(item, err).  Closing the
-    generator kills and reaps every worker.
+    is written to out and err when the caller reaches its item.  Each
+    item of a worker's share is either the result that worker sent or,
+    when there is none, run here when the caller reaches it: the stdin
+    item (`-`), which this process alone reads; the item on which run
+    raised, which raises here too if the fault is not the worker's own,
+    and every item after it, as the worker stops there; and every item of
+    a worker that could not be forked or ended without sending.  Closing
+    the generator kills and reaps every worker.
     """
     total, shares, start, acc = sum(weights), [], 0, 0
     for i, w in enumerate(weights):
@@ -42,14 +46,12 @@ def fan_out(items, weights, k, run, lost, out, err):
         for item in shares[0]:
             yield run(item, out, err)
         for share, worker in zip(shares[1:], workers):
-            results = _results(worker) if worker else [None] * len(share)
-            for i, item in enumerate(share):
-                if i >= len(results):
-                    yield lost(item, err)
-                elif results[i] is None:
+            results = _results(worker) if worker else []
+            for item, result in zip(share, results + [None] * len(share)):
+                if result is None:
                     yield run(item, out, err)
                 else:
-                    value, text, message = results[i]
+                    value, text, message = result
                     out.write(text)
                     err.write(message)
                     yield value
@@ -86,7 +88,6 @@ def _fork(share, run):
     if pid:
         os.close(w)
         return pid, r
-    status = 1
     try:  # the worker never returns into its caller's code
         results = []
         for item in share:
@@ -96,15 +97,13 @@ def _fork(share, run):
             out, err = io.StringIO(), io.StringIO()
             try:
                 value = run(item, out, err)
-            except Exception:
-                results.append(None)
+            except Exception:  # the main process runs this item and the rest
                 break
             results.append((value, out.getvalue(), err.getvalue()))
         with open(w, "wb") as fh:
             fh.write(marshal.dumps(results))
-        status = 0
     finally:
-        os._exit(status)
+        os._exit(0)
 
 
 def _results(worker):

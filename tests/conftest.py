@@ -2,6 +2,7 @@ import contextlib
 import gc
 import math
 import pathlib
+import statistics
 import sys
 import time
 
@@ -41,6 +42,18 @@ def best_times(f, terms, repeat):
     finally:
         gc.enable()
     return best
+
+
+def growth_exponent(f, make, m, repeat):
+    """The growth exponent of f(make(size)): the least-squares slope of
+    log time on log size over the four sizes m, 2m, 4m and 8m, each timed
+    by best_times.  A ratio of two neighbouring sizes alone reads anywhere
+    from 0.7 to 1.3 on a linear function."""
+    sizes = [m * 2 ** j for j in range(4)]
+    times = best_times(f, [make(size) for size in sizes], repeat)
+    return statistics.linear_regression(
+        [math.log(size) for size in sizes],
+        [math.log(t) for t in times]).slope
 
 
 def _one(text, filename, what):

@@ -630,6 +630,12 @@ FAN_DECLS = ("(declare-fun p (Int) Bool)\n(declare-fun f (Int) Int)\n"
 BAD = "(assert (p (eps ((x Int)) (p x))))"
 
 
+# the ways a worker can end without sending its results, each raised
+# where it would send them
+LOST_WORKERS = ["os.kill(os.getpid(), 9)", "os._exit(0)",
+                "raise KeyboardInterrupt", "raise MemoryError"]
+
+
 def _fan_assert(i):
     arg = "(f " * i + "x" + ")" * i
     return (f"(assert (forall ((x Int)) (p ((lambda ((y Int)) (f y)) "
@@ -823,33 +829,104 @@ class TestFanOut:
             other.join(10)
         assert not other.is_alive()
 
-    @pytest.mark.parametrize("death", [
-        "os.kill(os.getpid(), 9)", "os._exit(0)", "raise KeyboardInterrupt",
-        "raise MemoryError"])
-    def test_lost_worker_exit_2(self, tmp_path, death):
-        # the worker's items report a lost worker; the parent's own share
-        # is as ever, and no worker returns into the caller's code
+    @pytest.mark.parametrize("command", ["verify", "process"])
+    def test_worker_fault_as_serial(self, capsys, monkeypatch, tmp_path,
+                                    command):
+        # a fault that only a worker meets (here at the first item of its
+        # share of three) leaves that item and every one after it to this
+        # process
+        here, faults = os.getpid(), tmp_path / "faults"
+        text = (DATA / "example2.hoproof").read_text()
+        files = [tmp_path / f"f{i}.hoproof" for i in range(9)]
+        for f in files:
+            f.write_text(text)
+        src = tmp_path / "many.smt2"
+        src.write_text(FAN_DECLS + "".join(_fan_assert(i) + "\n"
+                                           for i in range(1, 10)))
+        module, name = ((calculus, "parse_certificate") if command == "verify"
+                        else (processor, "process"))
+        real = getattr(module, name)
+
+        def faulty(*args, **kwargs):
+            if os.getpid() != here:
+                with open(faults, "a") as fh:
+                    fh.write(".")
+                raise MemoryError
+            return real(*args, **kwargs)
+        runs = []
+        for cpus in (1, 2, 3):
+            forks = _spread(monkeypatch, cpus)
+            monkeypatch.setattr(module, name, faulty)
+            faults.write_text("")
+            proof = tmp_path / str(cpus) / "out.hoproof"
+            proof.parent.mkdir()
+            argv = (["verify", *map(str, files)] if command == "verify"
+                    else ["process", "--proof", str(proof), str(src)])
+            code, out, err = run(capsys, *argv)
+            runs.append((code, out, err, {p.name: p.read_bytes()
+                                          for p in proof.parent.iterdir()}))
+            assert len(forks) == cpus - 1
+            assert faults.read_text() == "." * (cpus - 1)  # one per worker
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        code, out, err, certs = runs[0]
+        assert code == 0 and err == "" and out.count("(") == out.count(")")
+        assert len(certs) == (9 if command == "process" else 0)
+
+    @pytest.mark.parametrize("patch", [
+        *(f"def dumps(results):\n    {death}\n"
+          "forked.marshal = types.SimpleNamespace(dumps=dumps, "
+          "loads=marshal.loads)\n" for death in LOST_WORKERS),
+        "def fork():\n    raise OSError('no process')\nos.fork = fork\n"],
+        ids=[*LOST_WORKERS, "os.fork raises OSError"])
+    def test_lost_worker_as_serial(self, tmp_path, patch):
+        # every item of a worker that ended without its results, or could
+        # not be forked, is run by this process; no worker returns into
+        # the caller's code, and every one is reaped
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         code = (
             "import marshal, os, sys, types\n"
             "from hosmt import cli, forked\n"
-            "cli._cpus = lambda: 2\n"
+            "cpus, proof, script, *files = sys.argv[1:]\n"
+            "cli._cpus = lambda: int(cpus)\n"
             "cli.MIN_SHARE_US = 1\n"
-            "def dumps(results):\n"
-            f"    {death}\n"
-            "forked.marshal = types.SimpleNamespace(dumps=dumps, "
-            "loads=marshal.loads)\n"
-            "code = cli.main(sys.argv[1:])\n"
-            "print('returned', code)\n")
-        files = [str(DATA / f"example{i}.hoproof") for i in (1, 2, 3)]
-        done = subprocess.run([sys.executable, "-c", code, "verify", *files],
-                              capture_output=True, text=True, timeout=60,
-                              env=dict(os.environ, PYTHONPATH=str(src)))
-        assert done.stdout == (f"{files[0]}: valid (7 steps)\n"
-                               f"{files[1]}: valid (8 steps)\n"
-                               "returned 2\n")
-        assert done.stderr == (f"{files[2]}: error: worker ended without "
-                               "its results\n")
+            f"{patch}"
+            "forks, fork = [], os.fork\n"
+            "def counted():\n"
+            "    forks.append(None)\n"
+            "    return fork()\n"
+            "os.fork = counted\n"
+            "print('returned', cli.main(['verify', *files]))\n"
+            "print('returned', cli.main(['process', '--proof', proof, "
+            "script]))\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('every worker reaped')\n"
+            "sys.stderr.write(f'forks {len(forks)}')\n")
+        script = tmp_path / "many.smt2"
+        script.write_text(FAN_DECLS + "".join(_fan_assert(i) + "\n"
+                                              for i in range(1, 7)))
+        files = [str(DATA / f"example{i}.hoproof") for i in (1, 2, 3) * 2]
+        runs = []
+        for cpus in (1, 2, 3):
+            proof = tmp_path / str(cpus) / "out.hoproof"
+            proof.parent.mkdir()
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(cpus), str(proof),
+                 str(script), *files], capture_output=True, text=True,
+                timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+            err, forks = done.stderr.rsplit("forks ", 1)
+            assert int(forks) == 2 * (cpus - 1)  # one per call and worker
+            runs.append((done.stdout, err, done.returncode, [
+                p.read_bytes() for p in sorted(proof.parent.iterdir())]))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        out, err, code, certs = runs[0]
+        assert out.count("returned 0\n") == 2
+        assert out.endswith("every worker reaped\n")
+        assert out.count("valid (") == 6 and out.count("(assert ") == 6
+        assert err == "" and code == 0 and len(certs) == 6
 
 
 class TestUsage:

@@ -1,9 +1,7 @@
 """Lexer, reader, surface parser, and printer."""
 
-import math
 import pathlib
 import random
-import statistics
 import sys
 
 import pytest
@@ -13,7 +11,7 @@ from hosmt.elaborate import Elaborator
 from hosmt.sexpr import LexError, ParseError, SList, SourceError, tokenize
 from hosmt.surface import parse_script, print_term
 
-from conftest import DATA, best_times, parse_sort, parse_term
+from conftest import DATA, growth_exponent, parse_sort, parse_term
 import sexpr_ref
 import surface_ref
 
@@ -73,15 +71,10 @@ class TestTokenize:
 
 
 def reading_exponent(unit, n, repeat=15):
-    """The growth exponent of `sexpr.parse_text` on `unit` repeated: the
-    least-squares slope of log time on log size over four sizes m, 2m, 4m
-    and 8m, where m = n // 5, so that they add up to 3n units.  A ratio of
-    two neighbouring sizes alone reads anywhere from 0.7 to 1.3 on a
-    linear reader."""
-    sizes = [n // 5 * 2 ** j for j in range(4)]
-    times = best_times(sexpr.parse_text, [unit * m for m in sizes], repeat)
-    return statistics.linear_regression(
-        [math.log(m) for m in sizes], [math.log(t) for t in times]).slope
+    """The growth exponent of `sexpr.parse_text` on `unit` repeated, over
+    sizes that add up to 3n units."""
+    return growth_exponent(sexpr.parse_text, lambda m: unit * m, n // 5,
+                           repeat)
 
 
 def _next_line_from_start(text, line, eol, start):

@@ -1,6 +1,5 @@
 """Signatures, sort inference, elaboration, and printing back to text."""
 
-import math
 import random
 
 import pytest
@@ -12,7 +11,7 @@ from hosmt.elaborate import Elaborator, logic_has_arith
 from hosmt.signature import SortError
 from hosmt.typecheck import check_script
 
-from conftest import DATA, best_times, parse_term, recursion_limit
+from conftest import DATA, growth_exponent, parse_term, recursion_limit
 
 import gen
 from oracle_ref import beta_step
@@ -210,10 +209,9 @@ class TestCheckScript:
             return parse_script("(declare-fun g (Int Int) Int)"
                                 f"(declare-fun a () Int)(assert {term})")
 
+        # sizes 200 to 1,600: 3,000 binders in all
         with recursion_limit(10_000):
-            t1000, t2000 = best_times(check_script,
-                                      [forall(1_000), forall(2_000)], 9)
-        assert math.log2(t2000 / t1000) <= 1.4
+            assert growth_exponent(check_script, forall, 200, 9) <= 1.4
 
 
 class TestSubjectReduction:
