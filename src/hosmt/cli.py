@@ -4,10 +4,14 @@ Subcommands: parse (echo canonical form), check (parse + typecheck),
 process (rewrite asserts, optionally emitting certificates), verify
 (check a certificate, optionally cross-checked by the oracle).
 
-Exit codes: 0 success; 1 parse, sort or usage error; 2 I/O error; 3
-divergence or input nested too deeply; 4 invalid certificate; 5 valid but
-containing trusted steps (unless --allow-trust).  Multiple files are
-handled in input order; the first non-zero code is the exit code.
+Exit codes: 0 success; 1 parse, sort or usage error; 2 I/O error, a
+stdout that cannot be written included; 3 divergence or input nested too
+deeply; 4 invalid certificate; 5 valid but containing trusted steps
+(unless --allow-trust).  Multiple files are handled in input order; the
+first non-zero code is the exit code.
+
+A command line enters through `run()`; `main(argv)` changes nothing that
+lasts, so that one process may call it many times.
 
 The files of a verify call, and the assertions of a script that process
 reads, are independent items.  When there is enough work to pay for a
@@ -19,9 +23,10 @@ this process alone, and it runs every item that a worker did not
 return, because the worker could not be forked, died or met a fault.
 """
 
-import argparse
+import gc
 import os
 import sys
+import types
 
 from . import core
 from .sexpr import SourceError, sexpr_to_str
@@ -50,6 +55,33 @@ PROCESS_US_PER_CHAR = 5.0
 # much work; the three certificates under tests/data (4 KB) stay in one
 # process.
 MIN_SHARE_US = 12_000
+
+USAGE = f"""\
+usage: hosmt parse   FILE...                              # echo scripts in canonical form
+       hosmt check   FILE... [--verbose]                  # parse + typecheck
+       hosmt process FILE... [--proof P] [--max-steps N]  # rewrite assertions, emit certificates
+       hosmt verify  FILE... [--oracle] [--allow-trust] [--max-steps N]
+
+Options may come before, between or after the files, and -- ends them.
+A FILE of - reads stdin.  --opt=VALUE is the same as --opt VALUE, and
+the last of a repeated option wins.
+
+  --verbose        print each elaborated assertion
+  --proof P        write one certificate per assertion of a single input
+                   file; with several assertions an index is inserted
+                   before the extension
+  --max-steps N    beta-reduction step cap (default {core.DEFAULT_STEP_CAP})
+  --oracle         cross-check every step with the encoding oracle
+  --allow-trust    exit 0 even when trusted steps are present
+  -h, --help       print this text and exit
+"""
+
+# each subcommand's options and their defaults: a flag's is False, and
+# another option's value is read with the type of its default
+OPTIONS = {"parse": {}, "check": {"--verbose": False},
+           "process": {"--proof": "", "--max-steps": core.DEFAULT_STEP_CAP},
+           "verify": {"--oracle": False, "--allow-trust": False,
+                      "--max-steps": core.DEFAULT_STEP_CAP}}
 
 
 def _cpus():
@@ -215,51 +247,64 @@ def _run_one(command, path, args, out, err):
     return code
 
 
-def make_parser():
-    ap = argparse.ArgumentParser(prog="hosmt",
-                                 description="Higher-order SMT-LIB frontend "
-                                             "and proof certificate tools")
-    sub = ap.add_subparsers(dest="command", required=True)
-    specs = {
-        "parse": "parse scripts and echo their canonical form",
-        "check": "parse and typecheck scripts",
-        "process": "process assertions, optionally emitting certificates",
-        "verify": "check proof certificates",
-    }
-    for name, help_ in specs.items():
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("files", nargs="+", help="input files, or - for stdin")
-        if name == "check":
-            p.add_argument("--verbose", action="store_true",
-                           help="print each elaborated assertion")
-        if name in ("process", "verify"):
-            p.add_argument("--max-steps", type=int,
-                           default=core.DEFAULT_STEP_CAP,
-                           help="beta-reduction step cap")
-        if name == "process":
-            p.add_argument("--proof", metavar="PATH",
-                           help="write one certificate per assertion of a "
-                                "single input file; with several assertions "
-                                "an index is inserted before the extension")
-        if name == "verify":
-            p.add_argument("--oracle", action="store_true",
-                           help="cross-check every step with the encoding oracle")
-            p.add_argument("--allow-trust", action="store_true",
-                           help="exit 0 even when trusted steps are present")
-    return ap
+def parse_args(argv):
+    """The subcommand, files and options of argv as attributes (`max_steps`
+    for --max-steps); None if argv asks for help.  Raises ValueError."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    if "-h" in argv[:end] or "--help" in argv[:end]:
+        return None
+    if not argv or argv[0] not in OPTIONS:
+        raise ValueError(f"unknown subcommand {argv[0]!r}" if argv
+                         else "missing subcommand")
+    command, files, values = argv[0], [], dict(OPTIONS[argv[0]])
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, value = word.partition("=")
+        if word == "--":
+            files.extend(words)
+        elif word == "-" or not word.startswith("-"):
+            files.append(word)
+        elif name not in values:
+            raise ValueError(f"{command} takes no option {name}")
+        elif isinstance(values[name], bool):
+            if eq:
+                raise ValueError(f"{name} takes no value")
+            values[name] = True
+        else:
+            if not eq:
+                value = next(words, None)
+                # a path is not spelt like an option; int() judges a number
+                if value is None or isinstance(values[name], str) and (
+                        value.startswith("-") and value != "-"):
+                    raise ValueError(f"{name} needs a value")
+            try:
+                values[name] = type(values[name])(value)
+            except ValueError:
+                raise ValueError(f"{name} takes an integer, not {value!r}")
+    if not files:
+        raise ValueError(f"{command} needs at least one file")
+    return types.SimpleNamespace(command=command, files=files, **{
+        name[2:].replace("-", "_"): v for name, v in values.items()})
 
 
 def main(argv=None):
+    """The exit code of one command line, sys.argv[1:] by default, whose
+    output goes to sys.stdout and sys.stderr."""
     try:
-        args = make_parser().parse_args(argv)
-    except SystemExit as e:  # argparse exits 2 on a usage error, 0 on --help
-        return EXIT_INPUT_ERROR if e.code else EXIT_OK
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as e:  # a usage error
+        synopsis = USAGE[:USAGE.index("\n\n")]
+        sys.stderr.write(f"{synopsis}\nhosmt: error: {e}\n")
+        return EXIT_INPUT_ERROR
+    if args is None:
+        sys.stdout.write(USAGE)
+        return EXIT_OK
     if args.command == "process" and args.proof and len(args.files) > 1:
         sys.stderr.write(f"hosmt: error: --proof takes one input file, "
                          f"got {len(args.files)}\n")
         return EXIT_INPUT_ERROR
 
-    def run(path, out, err):
+    def run_file(path, out, err):
         return _run_one(args.command, path, args, out, err)
 
     # verify spreads its files and process each script's assertions; the
@@ -267,7 +312,7 @@ def main(argv=None):
     # that spreading them pays
     rate = VERIFY_US_PER_BYTE if args.command == "verify" else 0
     codes = _each(args.files, [_size(path) * rate for path in args.files],
-                  run, sys.stdout, sys.stderr)
+                  run_file, sys.stdout, sys.stderr)
     code = EXIT_OK
     try:
         for c in codes:
@@ -284,5 +329,18 @@ def _size(path):
         return 0
 
 
+def run():
+    """main() as a command-line call; a stdout it cannot flush is exit 2."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as e:  # and the shutdown's flush goes to the null device
+        sys.stderr.write(f"hosmt: error: stdout: {e}\n")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = code or EXIT_IO_ERROR
+    gc.freeze()  # the shutdown's collections skip what the call built
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

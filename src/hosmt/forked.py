@@ -29,8 +29,10 @@ def fan_out(items, weights, k, run, out, err):
     item (`-`), which this process alone reads; the item on which run
     raised, which raises here too if the fault is not the worker's own,
     and every item after it, as the worker stops there; and every item of
-    a worker that could not be forked or ended without sending.  Closing
-    the generator kills and reaps every worker.
+    a worker that could not be forked or ended without sending.  An item
+    whose text out cannot take is run here too, so that it reports that
+    error as in a serial run.  Closing the generator kills and reaps every
+    worker.
     """
     total, shares, start, acc = sum(weights), [], 0, 0
     for i, w in enumerate(weights):
@@ -52,7 +54,11 @@ def fan_out(items, weights, k, run, out, err):
                     yield run(item, out, err)
                 else:
                     value, text, message = result
-                    out.write(text)
+                    try:
+                        out.write(text)
+                    except OSError:  # run here, it meets the error itself
+                        yield run(item, out, err)
+                        continue
                     err.write(message)
                     yield value
     finally:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -789,6 +790,24 @@ class TestFanOut:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert runs[0].err == "" and runs[0].out.count("valid (") == at
 
+    def test_unwritable_stdout_as_serial(self, capsys, monkeypatch):
+        # a worker's text that stdout cannot take: its file reports the
+        # error, as in a serial run, and the call ends in exit 2
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+        files = [str(DATA / f"example{i}.hoproof") for i in (1, 2, 3)]
+        runs = []
+        for cpus in (1, 2):
+            forks = _spread(monkeypatch, cpus)
+            monkeypatch.setattr(sys, "stdout", Closed())
+            runs.append((cli.main(["verify", *files]),
+                         capsys.readouterr().err))
+            assert bool(forks) == (cpus > 1)
+        assert runs[1] == runs[0]
+        assert runs[0] == (2, "".join(f"{f}: error: [Errno 32] Broken pipe\n"
+                                      for f in files))
+
     def test_parse_and_check_stay_in_process(self, capsys, monkeypatch):
         forks = _spread(monkeypatch, 2)
         files = [str(DATA / f"program{i}.smt2") for i in (1, 2, 1)]
@@ -945,16 +964,73 @@ class TestUsage:
         ["verify", "--verbose", GOLDEN],
         ["parse", "--max-steps", "3", GOLDEN],
         ["check", "--max-steps", "3", GOLDEN],
+        ["verify", "--orac", GOLDEN],
+        ["verify", GOLDEN, "--max-steps"],
     ))
     def test_usage_error_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "usage:" in err
 
-    @pytest.mark.parametrize("argv", (["--help"], ["verify", "--help"]))
+    @pytest.mark.parametrize("argv", (["--help"], ["verify", "--help"],
+                                      ["verify", GOLDEN, "-h"]))
     def test_help_exit_0(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "usage:" in out
+
+    @pytest.mark.parametrize("argv,error", [
+        ([], "missing subcommand"),
+        (["bogus", GOLDEN], "unknown subcommand 'bogus'"),
+        (["verify"], "verify needs at least one file"),
+        (["verify", "--orac", GOLDEN], "verify takes no option --orac"),
+        (["parse", "--verbose", GOLDEN], "parse takes no option --verbose"),
+        (["verify", GOLDEN, "--max-steps"], "--max-steps needs a value"),
+        (["process", GOLDEN, "--proof"], "--proof needs a value"),
+        (["process", "--proof", "--max-steps", "3", GOLDEN],
+         "--proof needs a value"),
+        (["verify", "--max-steps=x", GOLDEN],
+         "--max-steps takes an integer, not 'x'"),
+        (["verify", "--oracle=yes", GOLDEN], "--oracle takes no value"),
+    ])
+    def test_usage_error_names_its_cause(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        synopsis = cli.USAGE[:cli.USAGE.index("\n\n")]
+        assert err == f"{synopsis}\nhosmt: error: {error}\n"
+
+    @pytest.mark.parametrize("argv,files,options", [
+        (["verify", "--max-steps=3", "a"], ["a"], {"max_steps": 3}),
+        (["verify", "a", "--oracle", "b", "--max-steps", "-3", "c"],
+         ["a", "b", "c"], {"oracle": True, "max_steps": -3}),
+        (["verify", "--max-steps", "3", "a", "--max-steps=5"], ["a"],
+         {"max_steps": 5}),
+        (["process", "--proof=P", "a"], ["a"], {"proof": "P"}),
+        (["process", "--proof", "P", "a", "--proof", "Q"], ["a"],
+         {"proof": "Q"}),
+        (["verify", "-", "--", "-x", "--oracle", "--"],
+         ["-", "-x", "--oracle", "--"], {"oracle": False}),
+        (["check", "a", "--verbose", "--verbose"], ["a"], {"verbose": True}),
+    ])
+    def test_argv_forms(self, argv, files, options):
+        args = cli.parse_args(argv)
+        assert (args.command, args.files) == (argv[0], files)
+        assert {name: getattr(args, name) for name in options} == options
+
+    def test_argv_forms_reach_the_commands(self, capsys, monkeypatch,
+                                           tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-x").write_text(pathlib.Path(self.GOLDEN).read_text())
+        assert run(capsys, "verify", "--", "-x") == (
+            0, "-x: valid (7 steps)\n", "")
+        code, _, err = run(capsys, "verify", "--oracle", "--max-steps=0",
+                           "--", "-x")
+        assert code == 3 and "exceeded 0 steps" in err
+        # the last of a repeated option wins
+        assert run(capsys, "verify", "--max-steps=0", "--oracle",
+                   "--max-steps", "9", "--", "-x")[0] == 0
+        code, out, _ = run(capsys, "process", "--proof=P.hoproof",
+                           str(DATA / "program2.smt2"))
+        assert code == 0 and (tmp_path / "P.hoproof").exists()
 
 
 SCRIPT = ("(declare-fun g (Int Int) Int)(declare-fun a () Int)"
@@ -1023,6 +1099,91 @@ def test_cli_import_loads_no_proof_modules():
     for name in ("calculus", "context", "processor", "oracle",
                  "certreader", "certprinter"):
         assert f"'hosmt.{name}'" not in loaded
+    # argv is read without argparse, whose import alone took milliseconds
+    assert "'argparse'" not in loaded and "'gettext'" not in loaded
+
+
+def test_fresh_interpreter_writes_what_main_writes(capsys, tmp_path):
+    # a command-line call ends through cli.run, which the in-process calls
+    # of the tests and of scripts/outputs_digest.py never enter
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    golden = [str(DATA / f"example{i}.hoproof") for i in (1, 2, 3)]
+    calls = [["parse", str(DATA / "program1.smt2")],
+             ["check", "--verbose", str(DATA / "program2.smt2")],
+             ["process", "--proof", "{dir}/out.hoproof",
+              str(DATA / "program2.smt2")],
+             ["verify", "--oracle", golden[0]],
+             ["verify", *golden, str(tmp_path / "missing.hoproof")]]
+    for argv in calls:
+        runs = []
+        for side in ("main", "fresh"):
+            where = tmp_path / side
+            where.mkdir(exist_ok=True)
+            for old in where.iterdir():
+                old.unlink()
+            args = [a.format(dir=where) for a in argv]
+            if side == "main":
+                code, out, err = run(capsys, *args)
+            else:
+                with open(tmp_path / "stdout", "w+") as fh:
+                    done = subprocess.run(
+                        [sys.executable, "-m", "hosmt.cli", *args],
+                        stdout=fh, stderr=subprocess.PIPE, text=True,
+                        timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+                    fh.seek(0)
+                    code, out, err = done.returncode, fh.read(), done.stderr
+            runs.append((code, out, err, {p.name: p.read_bytes()
+                                          for p in where.iterdir()}))
+        assert runs[1] == runs[0], argv
+    assert runs[0][0] == 2 and runs[0][1].count("valid (") == 3
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_exit_2(tmp_path, unbuffered):
+    # a stdout whose reader has gone is an I/O error, whether the text
+    # waits in a buffer until the call ends or each write meets the error
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    golden = [str(DATA / f"example{i}.hoproof") for i in (1, 2, 3)]
+    spread = ("import sys\nfrom hosmt import cli\n"
+              "cli._cpus = lambda: 2\ncli.MIN_SHARE_US = 1\n"
+              "sys.exit(cli.run())\n")
+    for command in (["-m", "hosmt.cli", "check", str(DATA / "program1.smt2")],
+                    ["-m", "hosmt.cli", "verify", *golden],
+                    ["-c", spread, "verify", *golden]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, *command], stdout=write,
+                                  stderr=subprocess.PIPE, text=True,
+                                  timeout=60, env=env)
+        finally:
+            os.close(write)
+        assert done.returncode == 2, (command, done.stderr)
+        assert "Broken pipe" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
+
+
+def test_readme_shows_the_help_text():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    assert f"```\n{cli.USAGE}```\n" in readme.read_text()
+
+
+def test_script_enters_where_python_m_does():
+    # the installed command and `python -m hosmt.cli` end a call alike
+    root = pathlib.Path(__file__).resolve().parent.parent
+    target = [line.split("=", 1)[1].strip().strip('"')
+              for line in (root / "pyproject.toml").read_text().splitlines()
+              if line.startswith("hosmt =")]
+    called = re.findall(
+        r'^if __name__ == "__main__":\n +sys\.exit\((\w+)\(\)\)',
+        (root / "src" / "hosmt" / "cli.py").read_text(), re.MULTILINE)
+    assert len(called) == 1 and target == [f"hosmt.cli:{called[0]}"]
 
 
 # makes cli.main spread its items over two CPUs; a fork puts the name
