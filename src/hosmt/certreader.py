@@ -54,7 +54,8 @@ class _CertParser(Elaborator):
         self.registry = {}
         self.by_id = {}
         self.contexts = {}  # context name -> Context
-        self.terms = {}  # term name -> [its tree, node, sort]
+        # term name -> [its tree, node, sort, the scope of its first use]
+        self.terms = {}
         self.scope.at = EMPTY
 
     def var_for(self, name, sort):
@@ -74,26 +75,32 @@ class _CertParser(Elaborator):
         The first use elaborates the definition in its own scope; a later
         use gets the same node when each of its free variables is what its
         name means here and no local variable hides one of its constants.
+        Its free variables need no look where the first use's scope bound
+        no name, so that the node is closed, or where the scope has not
+        changed since: the bind then on top of `scope.undo` still is.
         """
         d = self.terms.get(name)
         if d is None:
             if name in self.sig.symbols:
                 return None
             raise self.error(f"unknown term {name}", at)
+        undo = self.scope.undo
         if d[1] is None:
+            d[3] = undo[-1] if self.scope else None
             d[1], d[2] = self.term(d[0])
             return d[1], d[2]
-        free = free_vars(d[1])
-        for i in free:
-            v = self.by_id[i]
-            if self.scope.get(v.name) is not v:
-                # of the variables wrong here, the first one registered: the
-                # order of the set depends on the ids, which depend on the
-                # process
-                v = next(v for v in map(self.by_id.get, sorted(free))
-                         if self.scope.get(v.name) is not v)
-                raise self.error(f"term {name} uses {v.name}, which means "
-                                 "another variable here", at)
+        if d[3] is not None and not (undo and undo[-1] is d[3]):
+            free = free_vars(d[1])
+            for i in free:
+                v = self.by_id[i]
+                if self.scope.get(v.name) is not v:
+                    # of the variables wrong here, the first one registered:
+                    # the order of the set depends on the ids, which depend
+                    # on the process
+                    v = next(v for v in map(self.by_id.get, sorted(free))
+                             if self.scope.get(v.name) is not v)
+                    raise self.error(f"term {name} uses {v.name}, which "
+                                     "means another variable here", at)
         if self.scope.keys().isdisjoint(self.const_names):
             return d[1], d[2]  # no variable hides any constant
         for c in const_names(d[1]):
@@ -125,7 +132,7 @@ class _CertParser(Elaborator):
                   and x.text not in self.sig.symbols):
                 raise self.error(f"unknown term {x.text}", x)
         self.term(items[2], None)
-        self.terms[name.text] = [items[2], None, None]
+        self.terms[name.text] = [items[2], None, None, None]
 
     def declare_fun(self, name, sort, at):
         # what a certificate adds to a declaration: no term has its name
@@ -149,43 +156,47 @@ class _CertParser(Elaborator):
         if e is None:
             move(self.scope, EMPTY, _named)
             return EMPTY
-        if is_sym(e):
-            if e.text not in self.contexts:
+        if e.__class__ is Token and e.kind == SYMBOL:
+            ctx = self.contexts.get(e.text)
+            if ctx is None:
                 raise self.error(f"unknown context {e.text}", e)
-            move(self.scope, self.contexts[e.text], _named)
-            return self.scope.at
+            move(self.scope, ctx, _named)
+            return ctx
         if e.__class__ is not SList:
             raise self.error("expected a context name or entry list", e)
         move(self.scope, EMPTY, _named)
         for entry in e.items:
-            move(self.scope, self.extend(entry), _named)
+            self.extend(entry)
         return self.scope.at
 
     def define_context(self, e):
-        """(context <name> <ctx> <entry>): name <ctx> extended by <entry>."""
+        """(context <name> <ctx> <entry>): name <ctx> extended by <entry>,
+        which `scope` then holds: the next line mostly uses or extends it."""
         items = e.items
         if len(items) != 4 or not is_sym(items[1]):
             raise self.error("expected (context <name> <context> <entry>)", e)
-        name = items[1]
-        if name.text in self.contexts:
-            raise self.error(f"context {name.text} defined twice", name)
+        name = items[1].text
+        if name in self.contexts:
+            raise self.error(f"context {name} defined twice", items[1])
         self.parse_context(items[2])
-        # entered at once: the next line mostly uses or extends it
-        ctx = self.contexts[name.text] = self.extend(items[3])
-        move(self.scope, ctx, _named)
+        self.contexts[name] = self.extend(items[3])
 
     def extend(self, entry):
         """The context at `scope.at` extended by one (fix ...) or (map ...)
-        entry, whose images are elaborated in `scope`."""
+        entry, whose images are elaborated in `scope`; `scope` then holds
+        it."""
         if entry.__class__ is not SList or not entry.items:
             raise self.error("expected (fix ...) or (map ...)", entry)
         items = entry.items
+        scope = self.scope
         if is_sym(items[0], "fix"):
             if len(items) != 3 or not is_sym(items[1]):
                 raise self.error("expected (fix <name> <sort>)", entry)
             v = self.var_for(items[1].text,
                              self.sort(self.check_sort(items[2])))
-            return self.scope.at.fix(v)
+            scope.at = scope.at.fix(v)
+            scope.bind(((v.name, v),))
+            return scope.at
         if not is_sym(items[0], "map"):
             raise self.error("unknown context entry", entry)
         if len(items) < 2:
@@ -198,57 +209,61 @@ class _CertParser(Elaborator):
             img, sort = self.term(item.items[1])
             pairs.append((self.var_for(item.items[0].text, sort), img))
         try:
-            return self.scope.at.map(pairs)
+            scope.at = scope.at.map(pairs)
         except ValueError as err:
             raise self.error(str(err), entry)
+        scope.bind([(v.name, v) for v, _ in pairs])
+        return scope.at
 
     def parse_step(self, e):
         items = e.items
         n = len(items)
         if n < 2 or not is_sym(items[1]):
             raise self.error("expected (step <id> ...)", e)
-        kw = {}  # keyword -> (its token, its value)
+        at = {}  # keyword -> the index of its value
         for i in range(2, n, 2):
             k = items[i]
             if k.__class__ is not Token or k.kind != KEYWORD:
                 raise self.error("expected a keyword", k)
+            word = k.text
             if i + 1 == n:
-                raise self.error(f"missing value for {k.text}", k)
-            if k.text not in _ALL_KEYWORDS:
-                raise self.error(f"unknown keyword {k.text}", k)
-            if k.text in kw:
-                raise self.error(f"repeated keyword {k.text}", k)
-            kw[k.text] = k, items[i + 1]
-        _, r = kw.get(":rule", (None, None))
+                raise self.error(f"missing value for {word}", k)
+            if word not in _ALL_KEYWORDS:
+                raise self.error(f"unknown keyword {word}", k)
+            if word in at:
+                raise self.error(f"repeated keyword {word}", k)
+            at[word] = i + 1
+        r = items[at[":rule"]] if ":rule" in at else None
         if not is_sym(r):
             raise self.error("step lacks a :rule", e)
         rule = r.text
         if rule not in RULES:
             raise self.error(f"unknown rule {rule}", r)
-        if not kw.keys() <= _KEYWORDS[rule]:
-            k = next(k for k, _ in kw.values() if k.text not in _KEYWORDS[rule])
+        if not at.keys() <= _KEYWORDS[rule]:
+            k = next(items[i - 1] for i in at.values()
+                     if items[i - 1].text not in _KEYWORDS[rule])
             raise self.error(f"rule {rule} takes no {k.text}", k)
         premises = ()
-        if ":premises" in kw:
-            _, pe = kw[":premises"]
+        if ":premises" in at:
+            pe = items[at[":premises"]]
             if pe.__class__ is not SList or not all(
                     x.__class__ is Token and x.kind == SYMBOL for x in pe.items):
                 raise self.error("expected a list of step ids", pe)
             premises = tuple([x.text for x in pe.items])
         theory = None
-        if ":theory" in kw:
-            _, te = kw[":theory"]
+        if ":theory" in at:
+            te = items[at[":theory"]]
             if not is_sym(te):
                 raise self.error("expected a theory tag", te)
             theory = te.text
-        if ":conclusion" not in kw:
+        if ":conclusion" not in at:
             raise self.error("step lacks a :conclusion", e)
-        _, ce = kw[":conclusion"]
+        ce = items[at[":conclusion"]]
         binding = ()
         if rule in LEMMA_RULES:
             move(self.scope, EMPTY, _named)  # closed terms
-            if ":binding" in kw:
-                _, be = kw[":binding"]
+            if ":binding" in at:
+                be = items[at[":binding"]]
                 if be.__class__ is not SList:
                     raise self.error("expected a binding list", be)
                 bs = []
@@ -262,7 +277,8 @@ class _CertParser(Elaborator):
             if s is not BOOL:
                 raise self.error("lemma formula must have sort Bool", ce)
         else:
-            ctx = self.parse_context(kw.get(":context", (None, None))[1])
+            ctx = self.parse_context(items[at[":context"]] if ":context" in at
+                                     else None)
             if (ce.__class__ is not SList or len(ce.items) != 3
                     or not is_sym(ce.items[0], "=")):
                 raise self.error("expected (= <term> <term>)", ce)

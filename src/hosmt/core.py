@@ -161,23 +161,21 @@ def _union(a, b):
 
 
 def _cached(t, slot, combine):
-    """The value of `slot` on t, computing it bottom-up, iteratively, for
-    every node below t that lacks it; `combine(u, kids)` derives a node's
-    value from its children's."""
+    """The value of `slot` on t, which lacks it, computing it bottom-up,
+    iteratively, for every node below t that lacks it; `combine(u, kids)`
+    derives a node's value from its children's.  A node pushed twice, by
+    two parents, is derived twice: O(1) more per edge of the DAG."""
     todo = [t]
     while todo:
         u = todo[-1]
-        if hasattr(u, slot):
-            todo.pop()
-            continue
         kids = _children(u)
-        missing = [k for k in kids if not hasattr(k, slot)]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        object.__setattr__(u, slot,
-                           combine(u, [getattr(k, slot) for k in kids]))
+        n = len(todo)
+        for k in kids:
+            if not hasattr(k, slot):
+                todo.append(k)
+        if len(todo) == n:
+            todo.pop()
+            object.__setattr__(u, slot, combine(u, kids))
     return getattr(t, slot)
 
 
@@ -189,16 +187,16 @@ def _fv(u, kids):
         return frozenset((u.id,))
     out = _NONE
     for k in kids:
-        out = _union(out, k)
+        out = _union(out, k._fv)
     if isinstance(u, Binder):
         return out - {u.var.id} if u.var.id in out else out
     if isinstance(u, Let):
         bound = {v.id for v, _ in u.bindings}
-        body = kids[-1]
+        body = kids[-1]._fv
         if not bound.isdisjoint(body):
             out = body - bound
             for k in kids[:-1]:
-                out = _union(out, k)
+                out = _union(out, k._fv)
     return out
 
 
@@ -207,7 +205,7 @@ def _cn(u, kids):
         return frozenset((u.name,))
     out = _NONE
     for k in kids:
-        out = _union(out, k)
+        out = _union(out, k._cn)
     return out
 
 

@@ -91,6 +91,7 @@ class Elaborator:
     the variables they mean: the binders of the term being elaborated and,
     below them, whatever the caller binds.  `consts` caches the (Const,
     sort) the signature gave a name: a caller that sets `arith` clears it.
+    `atoms` caches the core sort of each sort name of arity 0.
     """
 
     arith = False
@@ -101,6 +102,7 @@ class Elaborator:
         self.filename = filename
         self.scope = Scope()
         self.consts = {}
+        self.atoms = {}
         self.const_names = {"="}  # of every constant built so far
 
     def error(self, msg, e, kind):
@@ -152,6 +154,9 @@ class Elaborator:
     def sort(self, e):
         """The core sort of a canonical sort, arrows curried."""
         if e.__class__ is Token:
+            found = self.atoms.get(e.text)
+            if found is not None:
+                return found
             name, args = e.text, ()
         else:
             name, *args = e.items
@@ -166,6 +171,9 @@ class Elaborator:
             raise self.error(f"sort {name} expects {arity} arguments" if args
                              else f"sort {name} expects arguments", e,
                              SortError)
+        if not args:
+            found = self.atoms[name] = Applied(name, ())
+            return found
         return Applied(name, tuple([self.sort(a) for a in args]))
 
     def binders(self, e, elab=True):
@@ -207,15 +215,21 @@ class Elaborator:
             if not elab:
                 return e
             if e.kind == SYMBOL:
-                # most leaves: a variable in scope or a declared constant
+                # most leaves: a term name, a variable in scope or a
+                # declared constant
                 name = e.text
-                v = self.scope.get(name)
-                if v is None:
-                    found = self.consts.get(name)
+                if name[:1] == "@":
+                    found = self.term_ref(name, e)
                     if found is not None:
                         return found
-                elif name[:1] != "@" and name != "=":
-                    return v, v.sort
+                else:
+                    v = self.scope.get(name)
+                    if v is None:
+                        found = self.consts.get(name)
+                        if found is not None:
+                            return found
+                    elif name != "=":
+                        return v, v.sort
                 return self.identifier(name, None, e)
             if e.kind == NUMERAL or e.kind == DECIMAL:
                 s = INT if e.kind == NUMERAL else REAL

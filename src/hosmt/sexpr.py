@@ -1,12 +1,14 @@
 """SMT-LIB flavoured s-expression lexer and reader.
 
 One compiled regex reads the input in a single left-to-right scan, one
-match per token.  Whitespace matches nothing, so the regex's own search
-skips it; a `;` comment is one match that yields nothing.  A token's kind
-comes from its first character: `(`, `)`, `;`, `"` (a string), `|` (a
-quoted symbol) and `:` (a keyword) each start one kind, and any other word
-is a symbol unless it is all ASCII digits, with at most one inner `.`: a
-numeral or decimal, as in SMT-LIB.
+match per token and per run of closing parentheses.  `findall` hands the
+loop each match with the whitespace before it, so that the loop's sum of
+their lengths is its offset, and most tokens, plain symbols, in a group
+of their own.  A `;` comment is one match that yields nothing.  A token's
+kind comes from its first character: `(`, `)`, `;`, `"` (a string), `|`
+(a quoted symbol) and `:` (a keyword) each start one kind, and any other
+word is a symbol unless it is all ASCII digits, with at most one inner
+`.`: a numeral or decimal, as in SMT-LIB.
 
 Every token carries its 1-based line and column, so each diagnostic
 downstream can point into the offending lexeme.  The scan keeps the offset
@@ -74,26 +76,29 @@ class SList(Record):
         self.col = col
 
 
-# Whitespace matches no alternative, so `finditer`'s own search skips it,
-# and every other character starts a match: consecutive matches and the
-# whitespace between them tile the input.  A token's kind is read off its
-# first character.  A quote or bar that cannot open a complete string or
-# quoted symbol matches alone and is reported unterminated.  Strings take
+# Group 1 is the whitespace before a match, and every other character
+# starts a match: the matches tile the input.  Group 2 is a word that
+# starts with neither `:` nor a digit, a symbol; group 3 any other match.
+# A quote or bar that cannot open a complete string or quoted symbol
+# matches alone and is reported unterminated.  Strings take
 # `""` as an escaped quote; the trailing lookahead keeps a match from ending
 # between the two quotes of an escape.  No possessive quantifiers or atomic
 # groups: Python 3.10 has neither.
 _TOKEN = re.compile(r"""
-    [()]
+    ([ \t\r\n]*)
+    (?: ([^ \t\r\n();|":0-9] [^ \t\r\n();|"]*) | (
+    \(
+  | \)+
   | ;[^\n]*
   | \|[^|]*\|
   | "[^"]*(?:""[^"]*)*"(?!")
   | ["|]
   | [^ \t\r\n();|"]+
-""", re.VERBOSE)
+))""", re.VERBOSE)
 
 _UNTERMINATED = {'"': "unterminated string literal",
                  "|": "unterminated quoted symbol"}
-_SPECIAL = frozenset(';"|')  # first characters of comments and quoted tokens
+_new = object.__new__
 _KINDED = frozenset(":0123456789")  # words that may not be symbols
 
 
@@ -122,6 +127,13 @@ def _quoted(word, line, col, filename):
     return SYMBOL, word[1:-1]
 
 
+def _matches(text):
+    """The groups of each match of text.  The search stops at the last
+    character that is not whitespace: past it, each start would take the
+    rest of the text as group 1 before it failed."""
+    return _TOKEN.findall(text, 0, len(text.rstrip(" \t\r\n")))
+
+
 def _eol(text, i):
     """The offset of the newline that ends the line holding offset i, or
     len(text) on the last line."""
@@ -140,17 +152,20 @@ def _next_line(text, line, eol, start):
 def _scan(text, filename):
     """Yield (kind, text, line, col) for each token of text."""
     line, line_start, eol = 1, 0, _eol(text, 0)
-    for m in _TOKEN.finditer(text):
-        start = m.start()
+    start = 0
+    for space, symbol, word in _matches(text):
+        start += len(space)
         if start > eol:
             line, line_start, eol = _next_line(text, line, eol, start)
-        word = m[0]
-        c = word[0]
         col = start - line_start + 1
+        word = symbol or word
+        start += len(word)
+        c = word[0]
         if c == "(":
             yield LPAR, word, line, col
         elif c == ")":
-            yield RPAR, word, line, col
+            for i in range(len(word)):
+                yield RPAR, c, line, col + i
         elif c == ";":
             continue
         elif c == '"' or c == "|":
@@ -167,34 +182,57 @@ def tokenize(text, filename="<input>"):
 def parse_text(text, filename="<input>"):
     """Read text into a list of nested s-expressions."""
     top = items = []
-    open_lists = []  # (enclosing items, line, col) per unclosed parenthesis
+    # per unclosed parenthesis, the enclosing items, which end in its SList
+    open_lists = []
     line, line_start, eol = 1, 0, _eol(text, 0)
-    for m in _TOKEN.finditer(text):
-        start = m.start()
+    base = -1  # the offset before the current line: col = offset - base
+    start = 0
+    for space, symbol, word in _matches(text):
+        start += len(space)
         if start > eol:
             line, line_start, eol = _next_line(text, line, eol, start)
-        word = m[0]
+            base = line_start - 1
+        if symbol:
+            # most tokens: a Token without the call of its __init__
+            token = _new(Token)
+            token.kind = SYMBOL
+            token.text = symbol
+            token.line = line
+            token.col = start - base
+            items.append(token)
+            start += len(symbol)
+            continue
         c = word[0]
-        if c == "(":
-            open_lists.append((items, line, start - line_start + 1))
+        if c in _KINDED:
+            items.append(Token(_word_kind(word), word, line, start - base))
+            start += len(word)
+        elif c == "(":
+            node = _new(SList)  # its items are set at its )
+            node.line = line
+            node.col = start - base
+            items.append(node)
+            open_lists.append(items)
             items = []
+            start += 1
         elif c == ")":
-            if not open_lists:
-                raise ParseError("unexpected )", line, start - line_start + 1,
-                                 filename)
-            outer, l0, c0 = open_lists.pop()
-            outer.append(SList(tuple(items), l0, c0))
-            items = outer
-        elif c not in _SPECIAL:
-            items.append(Token(SYMBOL if c not in _KINDED else _word_kind(word),
-                               word, line, start - line_start + 1))
-        elif c != ";":
-            col = start - line_start + 1
-            items.append(Token(*_quoted(word, line, col, filename), line, col))
+            for _ in word:
+                if not open_lists:
+                    raise ParseError("unexpected )", line, start - base,
+                                     filename)
+                outer = open_lists.pop()
+                outer[-1].items = tuple(items)
+                items = outer
+                start += 1
+        else:
+            if c != ";":
+                col = start - base
+                items.append(Token(*_quoted(word, line, col, filename),
+                                   line, col))
+            start += len(word)
     if open_lists:
-        _, line, col = open_lists[-1]
-        raise ParseError("unbalanced parentheses: missing )", line, col,
-                         filename)
+        node = open_lists[-1][-1]
+        raise ParseError("unbalanced parentheses: missing )", node.line,
+                         node.col, filename)
     return top
 
 

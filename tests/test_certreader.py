@@ -161,3 +161,59 @@ class TestAgainstReference:
             else:
                 text = text[:i] + rng.choice('()|";: x1.@') + text[i:]
             _agree(text)
+
+
+def test_cert_read_span_is_one_scan(monkeypatch):
+    """The traced benchmark times the `sexpr.cert_read` span by wrapping
+    `sexpr.parse_text`: reading a certificate calls it exactly once, with
+    the text and the file name, looked up at call time."""
+    from hosmt import sexpr
+
+    text = GOLDEN[0]
+    calls = []
+    scan = sexpr.parse_text
+
+    def counting(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(sexpr, "parse_text", counting)
+    calculus.parse_certificate(text, filename="span.hoproof")
+    assert calls == [(text, "span.hoproof")]
+
+
+def test_definitions_are_walked_at_most_twice(monkeypatch):
+    """Each (define ...) body is walked by `Elaborator.term` once to check
+    its syntax and once to elaborate it at its first use; a later use
+    walks none of it."""
+    k = 40
+    lines = ["(declare-fun a () Int)", "(declare-fun f (Int Int) Int)",
+             "(define @t0 ((lambda ((x Int)) (f x a)) a))"]
+    for i in range(1, k):
+        lines.append(f"(define @t{i} (f @t{i - 1} @t{i - 1}))")
+    for i in range(k):
+        lines.append(f"(step s{i} :rule refl :conclusion (= @t{i} @t{i}))")
+    text = "\n".join(lines) + "\n"
+    calls = {}
+    walk = certreader._CertParser.term
+
+    def counting(self, e, elab=True):
+        calls[id(e)] = calls.get(id(e), 0) + 1
+        return walk(self, e, elab)
+
+    monkeypatch.setattr(certreader._CertParser, "term", counting)
+    from hosmt import sexpr
+    exprs = sexpr.parse_text(text, FILE)
+    monkeypatch.setattr(sexpr, "parse_text", lambda *args: exprs)
+    cert = calculus.parse_certificate(text, filename=FILE)
+    assert len(cert.steps) == k
+    bodies = [e.items[2] for e in exprs if e.items[0].text == "define"]
+    nodes, todo = [], list(bodies)
+    while todo:
+        e = todo.pop()
+        nodes.append(e)
+        if e.__class__ is certreader.SList:
+            todo += e.items
+    # each body is used twice in its step and twice in the next body
+    assert all(calls.get(id(e), 0) <= 2 for e in nodes)
+    assert all(calls[id(e)] == 2 for e in bodies)

@@ -215,7 +215,9 @@ class TestProcess:
         code, out, err = run(capsys, "process", "--proof", str(proof),
                              str(tmp_path / "a.smt2"), str(tmp_path / "b.smt2"))
         assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1 and "--proof" in err
+        synopsis = cli.USAGE[:cli.USAGE.index("\n\n")]
+        assert err == (f"{synopsis}\nhosmt: error: --proof takes one input "
+                       "file, got 2\n")
         assert not list(tmp_path.glob("*.hoproof"))
 
     def test_failed_print_leaves_no_certificate(self, capsys, tmp_path,
