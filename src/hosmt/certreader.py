@@ -6,13 +6,14 @@ The syntax and the meaning of term names are described in `hosmt.calculus`;
 `elaborate.Elaborator`, the elaborator of script terms too, of which
 `_CertParser` is the subclass for certificates.  Binder and `let`
 variables come from the certificate's (name, sort) registry, as context
-variables do, `@`-names are resolved at each use (`_CertParser.term_ref`),
-and the arithmetic symbols are always in scope.  A declaration is
-`Elaborator.command`, as in a script; the walk checks syntax alone where
-sorts are not wanted: a definition's body on its own line, since it is
-elaborated at its first use, and any other command, which no certificate
-may hold.  This module loads neither `hosmt.surface` nor
-`hosmt.typecheck`.
+variables do, `@`-names are resolved at each use (`_CertParser.term_ref`,
+which looks at a definition's free variables only where the scope may
+differ from its first use's), and the arithmetic symbols are always in
+scope.  A declaration is `Elaborator.command`, as in a script; the walk
+checks syntax alone where sorts are not wanted: a definition's body on its
+own line, since it is elaborated at its first use, and any other command,
+which no certificate may hold.  This module loads neither `hosmt.surface`
+nor `hosmt.typecheck`.
 """
 
 from . import sexpr
@@ -84,12 +85,12 @@ class _CertParser(Elaborator):
             if name in self.sig.symbols:
                 return None
             raise self.error(f"unknown term {name}", at)
-        undo = self.scope.undo
+        top = self.scope.undo[-1] if self.scope else None
         if d[1] is None:
-            d[3] = undo[-1] if self.scope else None
+            d[3] = top
             d[1], d[2] = self.term(d[0])
             return d[1], d[2]
-        if d[3] is not None and not (undo and undo[-1] is d[3]):
+        if d[3] is not None and d[3] is not top:
             free = free_vars(d[1])
             for i in free:
                 v = self.by_id[i]
@@ -218,7 +219,8 @@ class _CertParser(Elaborator):
     def parse_step(self, e):
         items = e.items
         n = len(items)
-        if n < 2 or not is_sym(items[1]):
+        if (n < 2 or items[1].__class__ is not Token
+                or items[1].kind != SYMBOL):
             raise self.error("expected (step <id> ...)", e)
         at = {}  # keyword -> the index of its value
         for i in range(2, n, 2):
@@ -234,7 +236,7 @@ class _CertParser(Elaborator):
                 raise self.error(f"repeated keyword {word}", k)
             at[word] = i + 1
         r = items[at[":rule"]] if ":rule" in at else None
-        if not is_sym(r):
+        if r.__class__ is not Token or r.kind != SYMBOL:
             raise self.error("step lacks a :rule", e)
         rule = r.text
         if rule not in RULES:
@@ -246,10 +248,14 @@ class _CertParser(Elaborator):
         premises = ()
         if ":premises" in at:
             pe = items[at[":premises"]]
-            if pe.__class__ is not SList or not all(
-                    x.__class__ is Token and x.kind == SYMBOL for x in pe.items):
+            if pe.__class__ is not SList:
                 raise self.error("expected a list of step ids", pe)
-            premises = tuple([x.text for x in pe.items])
+            premises = []
+            for x in pe.items:
+                if x.__class__ is not Token or x.kind != SYMBOL:
+                    raise self.error("expected a list of step ids", pe)
+                premises.append(x.text)
+            premises = tuple(premises)
         theory = None
         if ":theory" in at:
             te = items[at[":theory"]]
@@ -302,7 +308,9 @@ def read_certificate(text, filename="<certificate>"):
     for e in exprs:
         if e.__class__ is not SList or not e.items:
             raise parser.error("expected a command or step", e)
-        word = e.items[0].text if is_sym(e.items[0]) else None
+        head = e.items[0]
+        word = (head.text if head.__class__ is Token and head.kind == SYMBOL
+                else None)
         if word == "step":
             steps.append(parser.parse_step(e))
         elif word == "context":

@@ -171,10 +171,10 @@ class Elaborator:
             raise self.error(f"sort {name} expects {arity} arguments" if args
                              else f"sort {name} expects arguments", e,
                              SortError)
+        found = Applied(name, tuple([self.sort(a) for a in args]))
         if not args:
-            found = self.atoms[name] = Applied(name, ())
-            return found
-        return Applied(name, tuple([self.sort(a) for a in args]))
+            self.atoms[name] = found
+        return found
 
     def binders(self, e, elab=True):
         """The binder list e, once its syntax is checked: its canonical

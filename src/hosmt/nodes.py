@@ -52,15 +52,21 @@ class Interned:
             node = ref()
             if node is not None:
                 return node
-        if len(fields) != len(cls.__slots__):
-            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} "
+        setters = cls._setters
+        if len(fields) != len(setters):
+            raise TypeError(f"{cls.__name__} takes {len(setters)} "
                             f"fields, got {len(fields)}")
         node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            object.__setattr__(node, name, value)
+        for set_field, value in zip(setters, fields):
+            set_field(node, value)
         ref = _table[key] = _Ref(node, _drop)
         ref.key = key
         return node
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the slots' own setters, which bypass __setattr__
+        cls._setters = tuple([cls.__dict__[n].__set__ for n in cls.__slots__])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")

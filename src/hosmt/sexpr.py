@@ -1,14 +1,15 @@
 """SMT-LIB flavoured s-expression lexer and reader.
 
 One compiled regex reads the input in a single left-to-right scan, one
-match per token and per run of closing parentheses.  `findall` hands the
-loop each match with the whitespace before it, so that the loop's sum of
-their lengths is its offset, and most tokens, plain symbols, in a group
-of their own.  A `;` comment is one match that yields nothing.  A token's
-kind comes from its first character: `(`, `)`, `;`, `"` (a string), `|`
-(a quoted symbol) and `:` (a keyword) each start one kind, and any other
-word is a symbol unless it is all ASCII digits, with at most one inner
-`.`: a numeral or decimal, as in SMT-LIB.
+match per token, except that a `(` and the symbol right after it, the head
+of most lists, are one match, and so is a run of closing parentheses.
+`findall` hands the loop each match with the whitespace before it, so that
+the loop's sum of their lengths is its offset, and symbols and keywords,
+most tokens, in groups of their own.  A `;` comment is one match that
+yields nothing.  A token's kind comes from its first character: `(`, `)`,
+`;`, `"` (a string), `|` (a quoted symbol) and `:` (a keyword) each start
+one kind, and any other word is a symbol unless it is all ASCII digits,
+with at most one inner `.`: a numeral or decimal, as in SMT-LIB.
 
 Every token carries its 1-based line and column, so each diagnostic
 downstream can point into the offending lexeme.  The scan keeps the offset
@@ -77,18 +78,21 @@ class SList(Record):
 
 
 # Group 1 is the whitespace before a match, and every other character
-# starts a match: the matches tile the input.  Group 2 is a word that
-# starts with neither `:` nor a digit, a symbol; group 3 any other match.
+# starts a match: the matches tile the input.  Group 2 is a `(` and group 3
+# a word that starts with neither `:` nor a digit, a symbol; the lookahead
+# before them keeps both from being empty, and a list's `(` and its head
+# symbol are one match.  Group 4 is a keyword and group 5 any other match.
 # A quote or bar that cannot open a complete string or quoted symbol
-# matches alone and is reported unterminated.  Strings take
-# `""` as an escaped quote; the trailing lookahead keeps a match from ending
-# between the two quotes of an escape.  No possessive quantifiers or atomic
-# groups: Python 3.10 has neither.
+# matches alone and is reported unterminated.  Strings take `""` as an
+# escaped quote; the trailing lookahead keeps a match from ending between
+# the two quotes of an escape.  No possessive quantifiers or atomic groups:
+# Python 3.10 has neither.
 _TOKEN = re.compile(r"""
     ([ \t\r\n]*)
-    (?: ([^ \t\r\n();|":0-9] [^ \t\r\n();|"]*) | (
-    \(
-  | \)+
+    (?: (?=[^ \t\r\n);|":0-9])
+        (\(?) ((?:[^ \t\r\n();|":0-9] [^ \t\r\n();|"]*)?)
+      | (:[^ \t\r\n();|"]*) | (
+    \)+
   | ;[^\n]*
   | \|[^|]*\|
   | "[^"]*(?:""[^"]*)*"(?!")
@@ -99,11 +103,10 @@ _TOKEN = re.compile(r"""
 _UNTERMINATED = {'"': "unterminated string literal",
                  "|": "unterminated quoted symbol"}
 _new = object.__new__
-_KINDED = frozenset(":0123456789")  # words that may not be symbols
 
 
 def _word_kind(word):
-    """The kind of a match that starts with none of `()";|`: numerals and
+    """The kind of a word that starts with none of `()";|`: numerals and
     decimals are ASCII digits only, as in SMT-LIB."""
     c = word[0]
     if c == ":":
@@ -153,25 +156,23 @@ def _scan(text, filename):
     """Yield (kind, text, line, col) for each token of text."""
     line, line_start, eol = 1, 0, _eol(text, 0)
     start = 0
-    for space, symbol, word in _matches(text):
+    for space, *words in _matches(text):
         start += len(space)
         if start > eol:
             line, line_start, eol = _next_line(text, line, eol, start)
-        col = start - line_start + 1
-        word = symbol or word
-        start += len(word)
-        c = word[0]
-        if c == "(":
-            yield LPAR, word, line, col
-        elif c == ")":
-            for i in range(len(word)):
-                yield RPAR, c, line, col + i
-        elif c == ";":
-            continue
-        elif c == '"' or c == "|":
-            yield (*_quoted(word, line, col, filename), line, col)
-        else:
-            yield _word_kind(word), word, line, col
+        for word in filter(None, words):
+            col = start - line_start + 1
+            start += len(word)
+            c = word[0]
+            if c == "(":
+                yield LPAR, word, line, col
+            elif c == ")":
+                for i in range(len(word)):
+                    yield RPAR, c, line, col + i
+            elif c == '"' or c == "|":
+                yield (*_quoted(word, line, col, filename), line, col)
+            elif c != ";":
+                yield _word_kind(word), word, line, col
 
 
 def tokenize(text, filename="<input>"):
@@ -187,26 +188,12 @@ def parse_text(text, filename="<input>"):
     line, line_start, eol = 1, 0, _eol(text, 0)
     base = -1  # the offset before the current line: col = offset - base
     start = 0
-    for space, symbol, word in _matches(text):
+    for space, lpar, symbol, keyword, word in _matches(text):
         start += len(space)
         if start > eol:
             line, line_start, eol = _next_line(text, line, eol, start)
             base = line_start - 1
-        if symbol:
-            # most tokens: a Token without the call of its __init__
-            token = _new(Token)
-            token.kind = SYMBOL
-            token.text = symbol
-            token.line = line
-            token.col = start - base
-            items.append(token)
-            start += len(symbol)
-            continue
-        c = word[0]
-        if c in _KINDED:
-            items.append(Token(_word_kind(word), word, line, start - base))
-            start += len(word)
-        elif c == "(":
+        if lpar:
             node = _new(SList)  # its items are set at its )
             node.line = line
             node.col = start - base
@@ -214,21 +201,37 @@ def parse_text(text, filename="<input>"):
             open_lists.append(items)
             items = []
             start += 1
-        elif c == ")":
-            for _ in word:
-                if not open_lists:
-                    raise ParseError("unexpected )", line, start - base,
-                                     filename)
-                outer = open_lists.pop()
-                outer[-1].items = tuple(items)
-                items = outer
-                start += 1
+            if not symbol:
+                continue
+        if symbol:
+            kind = SYMBOL
+        elif keyword:
+            kind, symbol = KEYWORD, keyword
         else:
-            if c != ";":
-                col = start - base
-                items.append(Token(*_quoted(word, line, col, filename),
-                                   line, col))
-            start += len(word)
+            c = word[0]
+            if c == ")":
+                for _ in word:
+                    if not open_lists:
+                        raise ParseError("unexpected )", line, start - base,
+                                         filename)
+                    outer = open_lists.pop()
+                    outer[-1].items = tuple(items)
+                    items = outer
+                    start += 1
+                continue
+            if c == ";":
+                start += len(word)
+                continue
+            kind, symbol = (_quoted(word, line, start - base, filename)
+                            if c in '"|' else (_word_kind(word), word))
+        # a Token without the call of its __init__
+        token = _new(Token)
+        token.kind = kind
+        token.text = symbol
+        token.line = line
+        token.col = start - base
+        items.append(token)
+        start += len(word or symbol)
     if open_lists:
         node = open_lists[-1][-1]
         raise ParseError("unbalanced parentheses: missing )", node.line,
